@@ -52,14 +52,19 @@ def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     blob = Path(path).read_bytes()
     if not blob.startswith(magic):
         raise DataFormatError(f"{path}: bad magic, expected {magic!r}")
-    pos = len(magic)
-    (mlen,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    manifest = json.loads(blob[pos : pos + mlen].decode("utf-8"))
+    pos = len(magic) + 8
+    if len(blob) < pos:
+        raise DataFormatError(f"{path}: truncated header")
+    (mlen,) = struct.unpack_from("<Q", blob, len(magic))
     base = pos + mlen
+    if len(blob) < base:
+        raise DataFormatError(f"{path}: truncated manifest, {len(blob) - pos} of {mlen} bytes")
+    manifest = json.loads(blob[pos:base].decode("utf-8"))
     arrays = {}
     for e in manifest["arrays"]:
         start = base + e["offset"]
+        if start + e["nbytes"] > len(blob):
+            raise DataFormatError(f"{path}: array {e['name']!r} runs past the end of the file")
         arr = np.frombuffer(blob[start : start + e["nbytes"]], dtype=np.dtype(e["dtype"]))
         arrays[e["name"]] = arr.reshape(e["shape"]).copy()
     return manifest["meta"], arrays

@@ -193,12 +193,13 @@ class Detection:
 
 def stream_windows(stream: EventStream, config: RunConfig):
     """Yield (window_index, [T,2,H,W] counts) for every full window in the
-    stream, windows anchored at t = 0."""
+    stream, windows anchored at t = 0. A stream whose events all sit at t = 0
+    gives one window."""
     sim = config.simulation
     win_us = sim.window_ms * 1000
     if len(stream) == 0:
         return
-    n_windows = int(stream.t[-1] // win_us) + (1 if stream.t[-1] % win_us else 0)
+    n_windows = max(1, -(-int(stream.t[-1]) // win_us))
     for i in range(n_windows):
         tensor = build_event_tensor(stream, i * win_us, (i + 1) * win_us, sim.T)
         yield i, tensor.counts

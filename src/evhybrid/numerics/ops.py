@@ -447,60 +447,50 @@ def bilinear_sample(map_, x, y):
 def deform_sample(planes, ys, xs):
     """Vectorized bilinear gather: ``out[g, ...] = planes[g] at (ys, xs)``.
 
-    ``planes``: [G, H, W]; ``ys``/``xs``: [G, ...] real coordinate arrays.
-    Same zero-padding semantics as :func:`bilinear_sample`. Differentiable in
-    the planes and both coordinate arrays.
+    ``planes``: [G, H, W]; ``ys``/``xs``: [G, ...] finite real coordinate
+    arrays. Same zero-padding semantics as :func:`bilinear_sample`.
+    Differentiable in the planes and both coordinate arrays.
+
+    The planes are copied into a zero-bordered stack [G, Hp, Wp] = [G, H+4,
+    W+4]. floor(y) is clipped to [-2, H] and floor(x) to [-2, W]: that moves
+    a 2x2 corner block only when all four true corners lie outside the plane,
+    and then moves it wholly into the zero border. One int32 flat index
+    ``idx`` of each block's top-left corner reaches the others at ``idx+1``,
+    ``idx+Wp`` and ``idx+Wp+1``. The forward pass gathers through it, and the
+    pullback scatters through it in one bincount, then crops the border.
     """
     pd, yd, xd = _data(planes), _data(ys), _data(xs)
     g_count, h, w = pd.shape
-    gidx = np.arange(g_count).reshape((g_count,) + (1,) * (yd.ndim - 1))
+    hp, wp = h + 4, w + 4
+    if g_count * hp * wp > np.iinfo(np.int32).max:
+        raise ShapeError(f"deform_sample: {g_count} padded {hp}x{wp} planes overflow an int32 index")
+    if not (np.isfinite(yd).all() and np.isfinite(xd).all()):
+        raise NumericError("deform_sample: non-finite sampling coordinate")
     y0 = np.floor(yd).astype(np.int64)
     x0 = np.floor(xd).astype(np.int64)
     fy = yd - y0
     fx = xd - x0
-
-    def corner(yy, xx):
-        valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        v = pd[gidx, np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-        return np.where(valid, v, 0.0), valid
-
-    v00, m00 = corner(y0, x0)
-    v01, m01 = corner(y0, x0 + 1)
-    v10, m10 = corner(y0 + 1, x0)
-    v11, m11 = corner(y0 + 1, x0 + 1)
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    out = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
+    idx = np.arange(g_count, dtype=np.int32).reshape((g_count,) + (1,) * (yd.ndim - 1))
+    idx = idx * (hp * wp) + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
+    idx += np.clip(x0, -2, w).astype(np.int32) + 2
+    # corner-major [4, G, ...] stacks, corners in the order 00, 01, 10, 11
+    step = np.array([0, 1, wp, wp + 1], dtype=np.int32).reshape((4,) + (1,) * yd.ndim)
+    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
+    padded[:, 2:-2, 2:-2] = pd
+    v = padded.ravel().take(idx + step)
+    wy = np.stack((1 - fy, fy))
+    wx = np.stack((1 - fx, fx))
+    wgt = (wy[:, None] * wx).reshape(v.shape)
+    terms = wgt * v
+    out = terms[0] + terms[1] + terms[2] + terms[3]  # fixed left-to-right rounding order
 
     def pull(g):
         g_planes = None
         if isinstance(planes, Tensor):
-            # one bincount scatter over all four corners (ufunc.at is slow)
-            base = (np.broadcast_to(gidx, yd.shape) * (h * w)).ravel()
-            idx_parts, val_parts = [], []
-            for yy, xx, wgt, mask in (
-                (y0, x0, w00, m00),
-                (y0, x0 + 1, w01, m01),
-                (y0 + 1, x0, w10, m10),
-                (y0 + 1, x0 + 1, w11, m11),
-            ):
-                flat = base + (np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)).ravel()
-                idx_parts.append(flat)
-                val_parts.append((g * wgt * mask).ravel())
-            acc = np.bincount(
-                np.concatenate(idx_parts),
-                weights=np.concatenate(val_parts),
-                minlength=g_count * h * w,
-            )
-            g_planes = acc.reshape(pd.shape).astype(pd.dtype, copy=False)
-        g_y = None
-        if isinstance(ys, Tensor):
-            g_y = g * ((1 - fx) * (v10 - v00) + fx * (v11 - v01))
-        g_x = None
-        if isinstance(xs, Tensor):
-            g_x = g * ((1 - fy) * (v01 - v00) + fy * (v11 - v10))
+            acc = np.bincount((idx + step).ravel(), (g * wgt).ravel(), minlength=g_count * hp * wp)
+            g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(pd.dtype, copy=False)
+        g_y = g * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1])) if isinstance(ys, Tensor) else None
+        g_x = g * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2])) if isinstance(xs, Tensor) else None
         return (g_planes, g_y, g_x)
 
     return _emit("deform_sample", out, (planes, ys, xs), pull)

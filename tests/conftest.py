@@ -1,6 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 
 _LINES: list[str] = []
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_pythonpath():
+    """Child ``python -m evhybrid`` runs start in tmp dirs, where a relative
+    ``PYTHONPATH=src`` resolves to nothing: put the absolute path first."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", _SRC, prepend=os.pathsep)
+        yield
 
 
 def record_criterion(index: int, passed: bool, detail: str) -> None:

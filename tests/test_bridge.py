@@ -137,7 +137,7 @@ class TestTemporalAttention:
         a = Tensor(np.random.default_rng(5).standard_normal((1, 4, 4)))
         scores, attended = attention_parts(a, p)
         np.testing.assert_allclose(scores.data, [[1.0]])
-        value = a.data * float(p.v_gain.data) + float(p.v_bias.data)
+        value = a.data * float(p.v_gain.data[0]) + float(p.v_bias.data[0])
         np.testing.assert_allclose(attended.data, value[None][0], atol=1e-12)
         out = temporal_attention(a, p)
         expected = value[0] * p.comb_w.data[0, 0, 0, 0] + p.comb_b.data[0]

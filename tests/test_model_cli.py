@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from evhybrid.arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from evhybrid.config import RunConfig, save_config
+from evhybrid.errors import DataFormatError
 from evhybrid.events import EventStream, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
 from evhybrid.train import make_dataset, run_train_toy
@@ -67,6 +69,12 @@ class TestModel:
         windows = list(stream_windows_from(ds, cfg))
         assert len(windows) >= 1
 
+    def test_stream_ending_at_time_zero_gives_one_window(self):
+        stream = EventStream(24, 24, t=[0, 0], x=[3, 5], y=[4, 6], p=[1, 0])
+        windows = list(stream_windows(stream, toy_config()))
+        assert [i for i, _ in windows] == [0]
+        assert windows[0][1].sum() == 2
+
     def test_decode_emits_argmax_when_nothing_confident(self):
         cfg = toy_config()
         model = HybridModel(cfg, seed=6)
@@ -74,6 +82,19 @@ class TestModel:
         out = model.forward_window(counts)
         dets = decode_detections(out["detection"], 0, 50_000, model.total_stride)
         assert len(dets) >= 1
+
+
+class TestBundle:
+    @pytest.mark.parametrize("part", ["header", "manifest", "array"])
+    def test_truncated_bundle_is_data_error(self, tmp_path, part):
+        path = tmp_path / "full.evck"
+        write_bundle(path, CHECKPOINT_MAGIC, {"k": 1}, {"w": np.arange(6.0)})
+        blob = path.read_bytes()
+        header = len(CHECKPOINT_MAGIC) + 8
+        cut = {"header": header - 3, "manifest": header + 5, "array": len(blob) - 1}[part]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataFormatError, match=part):
+            read_bundle(path, CHECKPOINT_MAGIC)
 
 
 def stream_windows_from(ds, cfg):
@@ -153,6 +174,19 @@ class TestCLI:
         assert res.returncode == 0, res.stderr
         profile = json.loads((root / "prof" / "profile.json").read_text())
         assert profile["total.acs"] == 0
+
+    def test_truncated_checkpoint_exit_code(self, cli_workspace, tmp_path):
+        root, cfg_path = cli_workspace
+        blob = (root / "run" / "checkpoint.evck").read_bytes()
+        cut = tmp_path / "cut.evck"
+        cut.write_bytes(blob[:-8])
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(cut), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr
 
     def test_missing_config_categorized_error(self, tmp_path):
         res = run_cli(["--config", str(tmp_path / "nope.ini"), "train"], tmp_path)

@@ -170,6 +170,69 @@ class TestBilinearSample:
         assert abs(b - a) <= lip * delta + 1e-9
 
 
+@st.composite
+def _coordinate(draw, size):
+    """A real coordinate in [-8, size+8], often an exact integer or a border."""
+    return draw(
+        st.one_of(
+            st.floats(-8, size + 8),
+            st.integers(-8, size + 8).map(float),
+            st.sampled_from([-2.0, -1.0, 0.0, size - 1.0, float(size)]),
+        )
+    )
+
+
+@st.composite
+def _sampling_case(draw):
+    g, h, w, n = (draw(st.integers(1, hi)) for hi in (3, 5, 5, 4))
+    ys = [[draw(_coordinate(h)) for _ in range(n)] for _ in range(g)]
+    xs = [[draw(_coordinate(w)) for _ in range(n)] for _ in range(g)]
+    return draw(st.integers(0, 2**31 - 1)), (g, h, w), np.array(ys), np.array(xs)
+
+
+class TestDeformSample:
+    @given(case=_sampling_case())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_bilinear_sample(self, case):
+        seed, shape, ys, xs = case
+        rng = np.random.default_rng(seed)
+        planes = rng.standard_normal(shape)
+        g_out = rng.standard_normal(ys.shape)
+        p, y, x = wide(planes, grad=True), wide(ys, grad=True), wide(xs, grad=True)
+        with GradTape() as tape:
+            out = ops.deform_sample(p, y, x)
+            g_p, g_y, g_x = tape.gradients(out, [p, y, x], seed=g_out)
+        ref = np.zeros_like(ys)
+        ref_p, ref_y, ref_x = np.zeros_like(planes), np.zeros_like(ys), np.zeros_like(xs)
+        for gi, i in np.ndindex(*ys.shape):
+            m, yy, xx = wide(planes[gi], grad=True), wide(ys[gi, i], grad=True), wide(xs[gi, i], grad=True)
+            with GradTape() as tape:
+                b = ops.bilinear_sample(m, xx, yy)
+                gm, gx, gy = tape.gradients(b, [m, xx, yy], seed=np.asarray(g_out[gi, i]))
+            ref[gi, i] = b.data
+            ref_p[gi] += gm
+            ref_y[gi, i], ref_x[gi, i] = gy, gx
+        for got, want in ((out.data, ref), (g_p, ref_p), (g_y, ref_y), (g_x, ref_x)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coordinates_rejected(self, bad):
+        planes = wide(np.ones((1, 3, 3)))
+        good = np.zeros((1, 2))
+        spoiled = np.array([[0.5, bad]])
+        with pytest.raises(NumericError, match="non-finite"):
+            ops.deform_sample(planes, wide(spoiled), wide(good))
+        with pytest.raises(NumericError, match="non-finite"):
+            ops.deform_sample(planes, wide(good), wide(spoiled))
+
+    def test_int32_index_overflow_is_shape_error(self):
+        # zero-stride views: the shapes are huge, nothing is allocated
+        planes = np.broadcast_to(np.float32(0), (60_000, 200, 200))
+        coords = np.broadcast_to(np.float32(0), (60_000, 1))
+        with pytest.raises(ShapeError, match="int32"):
+            ops.deform_sample(planes, coords, coords)
+
+
 class TestGradients:
     # full coordinate-wise finite differences on tiny shapes
     def test_conv2d_linear_in_inputs(self):
