@@ -59,12 +59,19 @@ def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     base = pos + mlen
     if len(blob) < base:
         raise DataFormatError(f"{path}: truncated manifest, {len(blob) - pos} of {mlen} bytes")
-    manifest = json.loads(blob[pos:base].decode("utf-8"))
+    try:
+        manifest = json.loads(blob[pos:base].decode("utf-8"))
+        meta = manifest["meta"]
+        entries = [(e["name"], e["dtype"], e["shape"], e["offset"], e["nbytes"]) for e in manifest["arrays"]]
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path}: manifest field missing or mistyped: {exc}") from exc
     arrays = {}
-    for e in manifest["arrays"]:
-        start = base + e["offset"]
-        if start + e["nbytes"] > len(blob):
-            raise DataFormatError(f"{path}: array {e['name']!r} runs past the end of the file")
-        arr = np.frombuffer(blob[start : start + e["nbytes"]], dtype=np.dtype(e["dtype"]))
-        arrays[e["name"]] = arr.reshape(e["shape"]).copy()
-    return manifest["meta"], arrays
+    for name, dtype, shape, offset, nbytes in entries:
+        start = base + offset
+        if start + nbytes > len(blob):
+            raise DataFormatError(f"{path}: array {name!r} runs past the end of the file")
+        arr = np.frombuffer(blob[start : start + nbytes], dtype=np.dtype(dtype))
+        arrays[name] = arr.reshape(shape).copy()
+    return meta, arrays

@@ -11,8 +11,9 @@ integer conv output:
 
 so the fused membrane update V <- (1 - 1/tau) V + (scale*y_int + shift)
 + v_reset/tau reproduces the float conv -> batchnorm -> leaky-integrate
-trajectory exactly when the integer weights are exact. Convolutions run in
-integer arithmetic with saturating int32 accumulators (saturation events are
+trajectory exactly when the integer weights are exact. Integer convolutions
+are computed exactly in float64 by ``ops.conv2d``, under a checked 2**53 bound
+on every partial sum, then saturate to the int32 range (saturation events are
 counted, never silent); membranes stay in real arithmetic.
 """
 
@@ -26,6 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
+from .numerics import WIDE, Tensor, ops
+from .snn import snn_block_forward
 
 INT32_MAX = np.int64(2**31 - 1)
 QUANT_FORMAT_VERSION = 1
@@ -105,27 +108,20 @@ def fuse_bn_lif(
 def int_conv2d(
     x: np.ndarray, w: np.ndarray, stride: int, padding: int
 ) -> tuple[np.ndarray, int]:
-    """Integer conv with saturating int32 accumulators.
+    """Exact integer conv whose outputs saturate to the int32 range.
 
-    Accumulation runs in int64; any cell whose magnitude exceeds the int32
-    range is clamped and counted. Returns (output, saturation count).
+    Runs ``ops.conv2d`` on float64 copies of the operands. Every partial sum
+    is an integer no larger than max|x| * max_c sum|w[c]|; below 2**53 each is
+    exactly representable, so the result is exact in any summation order, and
+    a larger bound raises NumericError. Cells beyond the int32 range are
+    clamped and counted. Returns (output, saturation count).
     """
-    x = x.astype(np.int64)
     w = w.astype(np.int64)
-    n, c_in, h, width = x.shape
-    c_out, _, kh, kw = w.shape
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (width + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=np.int64)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[:, :, ky, kx] = xp[
-                :, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride
-            ]
-    cols_m = cols.reshape(n, c_in * kh * kw, h_out * w_out)
-    w_m = w.reshape(c_out, c_in * kh * kw)
-    y = np.matmul(w_m[None], cols_m).reshape(n, c_out, h_out, w_out)
+    x_peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
+    bound = x_peak * int(np.abs(w).reshape(w.shape[0], -1).sum(axis=1).max(initial=0))
+    if bound >= 2**53:
+        raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
+    y = ops.conv2d(x.astype(WIDE), w.astype(WIDE), stride=stride, padding=padding).data.astype(np.int64)
     over = int(np.count_nonzero(np.abs(y) > INT32_MAX))
     if over:
         y = np.clip(y, -INT32_MAX, INT32_MAX)
@@ -218,55 +214,25 @@ def fixed_point_forward(
 
 
 def float_reference_spikes(
-    model: HybridModel,
-    counts: np.ndarray,
-    collect_layers: bool = False,
-    weights_override: list[np.ndarray] | None = None,
+    model: HybridModel, counts: np.ndarray, collect_layers: bool = False
 ) -> np.ndarray | list[np.ndarray]:
     """Wide-float inference of the spiking stack (running batchnorm stats).
 
-    The fixed-point path is compared against this trajectory; both run their
-    membranes in float64 so differences come only from weight rounding.
-    ``weights_override`` substitutes conv weights (e.g. dequantized ones) to
-    isolate the fusion algebra from the quantization error.
+    Runs the training math, ``snn_block_forward``, on float64 copies of the
+    blocks. The fixed-point path is compared against this trajectory; both
+    run their membranes in float64 so differences come only from weight
+    rounding.
     """
-    x = np.asarray(counts, dtype=np.float64)
+    x = Tensor(np.asarray(counts, dtype=WIDE))
     layers = []
-    for i, blk in enumerate(model.snn_blocks):
-        w = (weights_override[i] if weights_override else blk.conv_w.data).astype(np.float64)
-        y, _ = _float_conv(x, w, blk.conv_b.data.astype(np.float64), blk.cfg.stride, blk.cfg.padding)
-        inv = 1.0 / np.sqrt(blk.bn_var.astype(np.float64) + blk.bn_eps)
-        c = y.shape[1]
-        y = (y - blk.bn_mean.astype(np.float64).reshape(1, c, 1, 1)) * (
-            blk.bn_gamma.data.astype(np.float64) * inv
-        ).reshape(1, c, 1, 1) + blk.bn_beta.data.astype(np.float64).reshape(1, c, 1, 1)
-        leak = 1.0 / blk.plif.tau
-        v = np.full(y.shape[1:], blk.plif.v_reset, dtype=np.float64)
-        spikes = np.zeros(y.shape, dtype=np.int64)
-        for step in range(y.shape[0]):
-            v = v + leak * (y[step] - (v - blk.plif.v_reset))
-            fired = v >= blk.plif.v_threshold
-            spikes[step] = fired
-            v = np.where(fired, blk.plif.v_reset, v)
-        layers.append(spikes)
-        x = spikes.astype(np.float64)
+    for i, blk in enumerate(model.snn_blocks, start=1):
+        x = snn_block_forward(x, blk.astype(WIDE), training=False, context=f"snn{i}")
+        layers.append(x.data.astype(np.int64))
     return layers if collect_layers else layers[-1]
 
 
 def _float_conv(x, w, b, stride, padding):
-    n, c_in, h, width = x.shape
-    c_out, _, kh, kw = w.shape
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (width + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols = np.empty((n, c_in, kh, kw, h_out, w_out), dtype=x.dtype)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[:, :, ky, kx] = xp[
-                :, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride
-            ]
-    y = np.matmul(w.reshape(c_out, -1)[None], cols.reshape(n, c_in * kh * kw, h_out * w_out))
-    return y.reshape(n, c_out, h_out, w_out) + b.reshape(1, c_out, 1, 1), None
+    return ops.conv2d(x, w, b, stride=stride, padding=padding).data, None
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +267,8 @@ def spike_fidelity(a, b, layer: str = "E_spike") -> FidelityReport:
 def fidelity_from_layers(
     ref_layers: list[np.ndarray], test_layers: list[np.ndarray], names: list[str]
 ) -> FidelityReport:
+    """Cellwise agreement pooled over layers; the mismatch counts of a
+    repeated layer name add up."""
     total = 0
     matched = 0
     per_layer: dict[str, int] = {}
@@ -309,10 +277,11 @@ def fidelity_from_layers(
         if ra.shape != rb.shape:
             raise ShapeError(f"layer {name}: shape {ra.shape} vs {rb.shape}")
         diff = ra != rb
-        per_layer[name] = int(diff.sum())
+        wrong = int(diff.sum())
+        per_layer[name] = per_layer.get(name, 0) + wrong
         total += ra.size
-        matched += ra.size - per_layer[name]
-        if per_layer[name]:
+        matched += ra.size - wrong
+        if wrong:
             t = int(np.nonzero(diff.reshape(diff.shape[0], -1).any(axis=1))[0][0])
             first_t = t if first_t is None else min(first_t, t)
     return FidelityReport(
@@ -400,24 +369,14 @@ def run_quantize(
     """Quantize a trained model and measure spike fidelity on held-out
     windows (all spiking layers pooled)."""
     fpm = FixedPointModel.from_model(model, bits)
-    names = [blk.name for blk in fpm.blocks]
     refs: list[np.ndarray] = []
     tests: list[np.ndarray] = []
+    names: list[str] = []
     for counts in eval_windows:
-        refs_w = float_reference_spikes(model, counts, collect_layers=True)
-        tests_w = fixed_point_forward(counts, fpm, collect_layers=True)
-        refs.extend(refs_w)
-        tests.extend(tests_w)
-    rep_names = [n for _ in eval_windows for n in names]
-    report = _merge_by_name(refs, tests, rep_names)
+        refs += float_reference_spikes(model, counts, collect_layers=True)
+        tests += fixed_point_forward(counts, fpm, collect_layers=True)
+        names += [blk.name for blk in fpm.blocks]
+    report = fidelity_from_layers(refs, tests, names)
     if out_base is not None:
         save_quantized(fpm, out_base)
     return fpm, report
-
-
-def _merge_by_name(refs, tests, names) -> FidelityReport:
-    base = fidelity_from_layers(refs, tests, [f"{n}#{i}" for i, n in enumerate(names)])
-    merged: dict[str, int] = {}
-    for key, cnt in base.per_layer_mismatch.items():
-        merged[key.split("#")[0]] = merged.get(key.split("#")[0], 0) + cnt
-    return FidelityReport(base.match_rate, base.total_cells, merged, base.first_divergence_t)

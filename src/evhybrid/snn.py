@@ -13,8 +13,9 @@ padding, stride), e.g. ``64c3p1s2``.
 
 from __future__ import annotations
 
+import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,6 +164,16 @@ class SNNBlock:
         self.plif = PLIFParams.init(dtype=dtype, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset)
         self.bn_eps = 1e-5
         self.bn_momentum = 0.9  # keep 0.9 of the running stat per update
+
+    def astype(self, dtype) -> "SNNBlock":
+        """Copy of the block with every Tensor and array attribute (weights and
+        running statistics) and the neuron's leak parameter cast to ``dtype``."""
+        out = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, (Tensor, np.ndarray)):
+                setattr(out, name, value.astype(dtype))
+        out.plif = replace(self.plif, w=self.plif.w.astype(dtype))
+        return out
 
     def parameters(self):
         return {

@@ -1,6 +1,7 @@
 """Model assembly, checkpoint round trips, windowed inference, CLI surface."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -96,6 +97,27 @@ class TestBundle:
         with pytest.raises(DataFormatError, match=part):
             read_bundle(path, CHECKPOINT_MAGIC)
 
+    @pytest.mark.parametrize("manifest", [b"\xff" * 8, b"{not json"], ids=["not-utf8", "not-json"])
+    def test_corrupt_manifest_is_data_error(self, tmp_path, manifest):
+        path = tmp_path / "bad.evck"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(manifest)) + manifest)
+        with pytest.raises(DataFormatError, match="manifest"):
+            read_bundle(path, CHECKPOINT_MAGIC)
+
+    @pytest.mark.parametrize(
+        "missing", ["meta", "arrays", "name", "dtype", "shape", "offset", "nbytes"]
+    )
+    def test_manifest_missing_field_is_data_error(self, tmp_path, missing):
+        entry = {"name": "w", "dtype": "<f8", "shape": [2], "offset": 0, "nbytes": 16}
+        manifest = {"meta": {}, "arrays": [entry]}
+        entry.pop(missing, None)
+        manifest.pop(missing, None)
+        raw = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "bad.evck"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(16))
+        with pytest.raises(DataFormatError, match=missing):
+            read_bundle(path, CHECKPOINT_MAGIC)
+
 
 def stream_windows_from(ds, cfg):
     return [(s.window, s.counts) for s in ds]
@@ -183,6 +205,20 @@ class TestCLI:
         res = run_cli(
             ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
              "--checkpoint", str(cut), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr
+
+    def test_corrupt_manifest_checkpoint_exit_code(self, cli_workspace, tmp_path):
+        root, cfg_path = cli_workspace
+        blob = bytearray((root / "run" / "checkpoint.evck").read_bytes())
+        blob[len(CHECKPOINT_MAGIC) + 8] = ord("x")  # the manifest's opening brace
+        bad = tmp_path / "bad.evck"
+        bad.write_bytes(bytes(blob))
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(bad), "--bits", "8"],
             tmp_path,
         )
         assert res.returncode == 3

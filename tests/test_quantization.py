@@ -145,6 +145,42 @@ class TestIntConv:
                         patch = xp[n, :, oy * 2 : oy * 2 + 3, ox * 2 : ox * 2 + 3]
                         assert y[n, co, oy, ox] == np.sum(patch * w[co])
 
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        stride=st.sampled_from([1, 2]),
+        padding=st.sampled_from([0, 1, 2]),
+        h=st.integers(3, 8),
+        w=st.integers(3, 8),
+        x_bits=st.integers(0, 20),
+        w_bits=st.integers(0, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_int64_oracle(self, seed, stride, padding, h, w, x_bits, w_bits):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-(2**x_bits), 2**x_bits + 1, (2, 2, h, w))
+        wt = rng.integers(-(2**w_bits), 2**w_bits + 1, (3, 2, 3, 3))
+        y, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        h_out = (h + 2 * padding - 3) // stride + 1
+        w_out = (w + 2 * padding - 3) // stride + 1
+        want = np.zeros((2, 3, h_out, w_out), dtype=np.int64)
+        for n in range(2):
+            for co in range(3):
+                for oy in range(h_out):
+                    for ox in range(w_out):
+                        patch = xp[n, :, oy * stride : oy * stride + 3, ox * stride : ox * stride + 3]
+                        want[n, co, oy, ox] = np.sum(patch * wt[co])
+        limit = 2**31 - 1
+        assert over == np.count_nonzero(np.abs(want) > limit)
+        assert y.dtype == np.int64
+        np.testing.assert_array_equal(y, np.clip(want, -limit, limit))
+
+    def test_inexact_float64_bound_rejected(self):
+        x = np.full((1, 1, 3, 3), 2**45, dtype=np.int64)
+        w = np.full((1, 1, 3, 3), 127, dtype=np.int8)
+        with pytest.raises(NumericError, match="2\\*\\*53"):
+            int_conv2d(x, w, stride=1, padding=1)
+
     def test_saturation_counted(self):
         x = np.full((1, 1, 3, 3), 2**28, dtype=np.int64)
         w = np.full((1, 1, 3, 3), 100, dtype=np.int64)
@@ -181,12 +217,25 @@ class TestFidelity:
         assert rep.first_divergence_t == 0
         assert rep.match_rate == pytest.approx(15 / 16)
 
+    def test_repeated_layer_names_add_up(self):
+        a = [np.zeros((2, 1, 2, 2), dtype=int) for _ in range(4)]
+        b = [x.copy() for x in a]
+        b[0][1, 0, 0, 0] = 1
+        b[2][0, 0, 1, 1] = 1
+        b[2][1, 0, 1, 0] = 1
+        b[3][1, 0, 0, 1] = 1
+        rep = fidelity_from_layers(a, b, ["snn1", "snn2", "snn1", "snn2"])
+        assert rep.per_layer_mismatch == {"snn1": 3, "snn2": 1}
+        assert list(rep.per_layer_mismatch) == ["snn1", "snn2"]
+        assert rep.first_divergence_t == 0
+        assert rep.match_rate == pytest.approx(28 / 32)
 
-def tiny_model(seed=0):
+
+def tiny_model(seed=0, snn_layers=("4c3p1s2", "6c3p1s1")):
     cfg = RunConfig()
     cfg.simulation.sensor_width = 16
     cfg.simulation.sensor_height = 16
-    cfg.architecture.snn_layers = ["4c3p1s2", "6c3p1s1"]
+    cfg.architecture.snn_layers = list(snn_layers)
     cfg.architecture.ann_layers = ["8c3p1s1"]
     cfg.architecture.lstm_positions = []
     cfg.architecture.bridge_kernel = 3
@@ -243,3 +292,55 @@ class TestFixedPointPipeline:
         save_quantized(fpm, tmp_path / "b")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def _oracle_spikes(model, counts):
+    """float64 conv, running-stat batchnorm and V <- V + (X - (V - v_reset))/tau
+    with hard reset, written out in numpy independently of the package."""
+    x = counts.astype(np.float64)
+    layers = []
+    for blk in model.snn_blocks:
+        w = blk.conv_w.data.astype(np.float64)
+        k, s, p = blk.cfg.kernel, blk.cfg.stride, blk.cfg.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        y = np.einsum("tchwij,ocij->tohw", win, w) + blk.conv_b.data.astype(np.float64)[:, None, None]
+        var = blk.bn_var.astype(np.float64)[:, None, None]
+        y = (y - blk.bn_mean.astype(np.float64)[:, None, None]) / np.sqrt(var + blk.bn_eps)
+        y = y * blk.bn_gamma.data.astype(np.float64)[:, None, None]
+        y = y + blk.bn_beta.data.astype(np.float64)[:, None, None]
+        tau = 1.0 + np.exp(-float(blk.plif.w.data))
+        v_th, v_reset = blk.plif.v_threshold, blk.plif.v_reset
+        v = np.full(y.shape[1:], v_reset)
+        spikes = np.zeros(y.shape, dtype=np.int64)
+        for t in range(y.shape[0]):
+            v = v + (y[t] - (v - v_reset)) / tau
+            spikes[t] = v >= v_th
+            v[spikes[t] == 1] = v_reset
+        layers.append(spikes)
+        x = spikes.astype(np.float64)
+    return layers
+
+
+class TestFloatReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("snn_layers", [("4c3p1s2", "6c3p1s1"), ("4c3p1s1", "6c3p1s2")])
+    def test_matches_numpy_oracle(self, seed, snn_layers):
+        rng = np.random.default_rng(seed)
+        model = tiny_model(seed=seed, snn_layers=snn_layers)
+        for blk in model.snn_blocks:
+            c = blk.cfg.out_channels
+            blk.conv_w.data = (blk.conv_w.data * 3).astype(np.float32)
+            blk.conv_b.data = rng.uniform(-0.2, 0.2, c).astype(np.float32)
+            blk.bn_gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            blk.bn_beta.data = rng.uniform(0.0, 0.6, c).astype(np.float32)
+            blk.bn_mean = rng.uniform(-0.1, 0.1, c).astype(np.float32)
+            blk.bn_var = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            blk.plif.w.data = np.asarray(rng.uniform(-1.0, 1.0), dtype=np.float32)
+        counts = rng.poisson(0.5, (10, 2, 16, 16)).astype(np.int64)
+        got = float_reference_spikes(model, counts, collect_layers=True)
+        want = _oracle_spikes(model, counts)
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert w.any()
+            np.testing.assert_array_equal(g, w)

@@ -164,6 +164,16 @@ class TestBlocks:
         assert [e["name"] for e in trace] == ["snn1", "snn2"]
         np.testing.assert_array_equal(trace[0]["nonzero"], x != 0)
 
+    def test_astype_casts_every_array_and_leaves_the_block(self):
+        block = make_block(2, "4c3p1s1", seed=8, dtype=np.float32)
+        wide = block.astype(WIDE)
+        arrays = [v for v in vars(wide).values() if isinstance(v, (Tensor, np.ndarray))]
+        assert len(arrays) == 6  # conv_w, conv_b, bn_gamma, bn_beta, bn_mean, bn_var
+        for a in [*arrays, wide.plif.w]:
+            assert a.dtype == WIDE
+        np.testing.assert_array_equal(wide.conv_w.data, block.conv_w.data)
+        assert block.conv_w.dtype == block.bn_var.dtype == block.plif.w.dtype == np.float32
+
     def test_bn_running_stats_move_in_training(self):
         block = make_block(2, "4c3p1s1", seed=7)
         x = Tensor(np.random.default_rng(7).poisson(1.0, (4, 2, 6, 6)).astype(WIDE))
