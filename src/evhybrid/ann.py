@@ -4,78 +4,42 @@ head (objectness + box regression on the final feature grid)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import NARROW, Tensor, ops
-from .snn import parse_layer_string
+from .snn import ConvBNBlock, ConvSpec, conv_bn
 
 
 @dataclass
-class ANNBlockConfig:
-    out_channels: int
-    kernel: int = 3
-    padding: int = 1
-    stride: int = 1
+class ANNBlockConfig(ConvSpec):
     norm: str = "batch"  # or "layer"
 
     def __post_init__(self):
-        if self.stride not in (1, 2):
-            raise ConfigError(f"dense block stride must be 1 or 2, got {self.stride}")
+        super().__post_init__()
         if self.norm not in ("batch", "layer"):
             raise ConfigError(f"norm kind must be 'batch' or 'layer', got {self.norm!r}")
 
-    @classmethod
-    def from_string(cls, spec: str, norm: str = "batch") -> "ANNBlockConfig":
-        c, k, p, s = parse_layer_string(spec)
-        return cls(out_channels=c, kernel=k, padding=p, stride=s, norm=norm)
 
-    def to_string(self) -> str:
-        return f"{self.out_channels}c{self.kernel}p{self.padding}s{self.stride}"
-
-
-class ANNBlock:
-    def __init__(self, in_channels: int, cfg: ANNBlockConfig, rng: np.random.Generator, dtype=NARROW):
-        self.cfg = cfg
-        self.in_channels = in_channels
-        k, c = cfg.kernel, cfg.out_channels
-        bound = 1.0 / np.sqrt(in_channels * k * k)
-        self.conv_w = Tensor(rng.uniform(-bound, bound, (c, in_channels, k, k)).astype(dtype), requires_grad=True)
-        self.conv_b = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.bn_mean = np.zeros(c, dtype=dtype)
-        self.bn_var = np.ones(c, dtype=dtype)
-        self.eps = 1e-5
-        self.momentum = 0.9
-
-    def parameters(self):
-        return {"conv_w": self.conv_w, "conv_b": self.conv_b, "gamma": self.gamma, "beta": self.beta}
+class ANNBlock(ConvBNBlock):
+    """Parameters of one conv -> norm -> ReLU block; layer norm uses only the
+    affine ``bn_gamma``/``bn_beta`` and ``bn_eps``."""
 
 
 def ann_block_forward(x: Tensor, block: ANNBlock, training: bool = False) -> Tensor:
     """conv -> norm -> ReLU on a [C, H, W] map; output is non-negative."""
+    if block.cfg.norm == "batch":
+        return ops.relu(conv_bn(x, block, training))
     cfg = block.cfg
     y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
-    if cfg.norm == "batch":
-        if training:
-            mu = ops.mean(y, axis=(1, 2))
-            var = ops.mean((y - ops.reshape(mu, (-1, 1, 1))) ** 2.0, axis=(1, 2))
-            m = block.momentum
-            block.bn_mean = m * block.bn_mean + (1 - m) * mu.data.astype(block.bn_mean.dtype)
-            block.bn_var = m * block.bn_var + (1 - m) * var.data.astype(block.bn_var.dtype)
-            y = ops.batchnorm2d(y, mu, var, block.gamma, block.beta, block.eps)
-        else:
-            y = ops.batchnorm2d(y, block.bn_mean, block.bn_var, block.gamma, block.beta, block.eps)
-    else:
-        # layer norm: one mean/variance over the whole map, per-channel affine
-        mu = ops.mean(y)
-        var = ops.mean((y - mu) ** 2.0)
-        c = y.shape[0]
-        inv = 1.0 / ops.sqrt(var + block.eps)
-        y = (y - mu) * inv * ops.reshape(block.gamma, (c, 1, 1)) + ops.reshape(block.beta, (c, 1, 1))
+    # layer norm: one mean/variance over the whole map, per-channel affine
+    mu = ops.mean(y)
+    var = ops.mean((y - mu) ** 2.0)
+    c = y.shape[0]
+    inv = 1.0 / ops.sqrt(var + block.bn_eps)
+    y = (y - mu) * inv * ops.reshape(block.bn_gamma, (c, 1, 1)) + ops.reshape(block.bn_beta, (c, 1, 1))
     return ops.relu(y)
 
 

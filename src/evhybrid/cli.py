@@ -119,14 +119,12 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     model = _build_model(cfg, args.checkpoint)
     if not args.checkpoint:
         print("note: no checkpoint given, using seeded initial weights", file=sys.stderr)
-    detections = run_infer(model, stream)
+    trace: list = []
+    detections = run_infer(model, stream, trace=trace)
     (out / "detections.json").write_text(
         json.dumps([d.as_dict() for d in detections], indent=2, sort_keys=True)
     )
     counters = count_dense_macs(cfg)
-    trace: list = []
-    for _, counts in stream_windows(stream, cfg):
-        snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=trace)
     if trace:
         counters = counters.merge(count_spike_acs(trace))
     write_profile(counters, out)

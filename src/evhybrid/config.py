@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -202,16 +201,13 @@ def parse_config(parser: configparser.ConfigParser, origin: str = "<config>") ->
     return cfg.validate()
 
 
+def _dump_section(inst) -> str:
+    return "".join(f"{f.name} = {_format_value(getattr(inst, f.name))}\n" for f in fields(inst))
+
+
 def dump_config(cfg: RunConfig) -> str:
     """Canonical serialization: all keys, declaration order."""
-    out = io.StringIO()
-    for section, cls in _SECTIONS.items():
-        out.write(f"[{section}]\n")
-        inst = getattr(cfg, section)
-        for f in fields(cls):
-            out.write(f"{f.name} = {_format_value(getattr(inst, f.name))}\n")
-        out.write("\n")
-    return out.getvalue()
+    return "".join(f"[{section}]\n{_dump_section(getattr(cfg, section))}\n" for section in _SECTIONS)
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -220,3 +216,13 @@ def save_config(cfg: RunConfig, path) -> None:
 
 def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(dump_config(cfg).encode("utf-8")).hexdigest()
+
+
+def architecture_hash(cfg: RunConfig) -> str:
+    """Hash of what trained weights are built for: the [architecture] section
+    and the time binning (T, bin_ms, window_ms). The sensor size and the
+    training knobs are left out: every layer is convolutional, so weights run
+    at any sensor size."""
+    sim = cfg.simulation
+    text = _dump_section(cfg.architecture) + f"T = {sim.T}\nbin_ms = {sim.bin_ms}\nwindow_ms = {sim.window_ms}\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -3,19 +3,19 @@ checkpointing and windowed inference over event streams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ann, bridge, snn
 from .arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
-from .config import RunConfig, config_hash
+from .config import RunConfig, architecture_hash, config_hash
 from .errors import ConfigError, DataFormatError
 from .events import EventStream, build_event_tensor
 from .numerics import NARROW, Tensor
-from .snn import snn_backbone_forward
+from .snn import ConvBNBlock, snn_backbone_forward
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class HybridModel:
@@ -61,41 +61,26 @@ class HybridModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for i, blk in enumerate(self.snn_blocks, start=1):
-            for k, v in blk.parameters().items():
-                params[f"snn{i}.{k}"] = v
-        for k, v in self.bridge.parameters().items():
-            params[f"bridge.{k}"] = v
-        for i, blk in enumerate(self.ann_blocks, start=1):
-            for k, v in blk.parameters().items():
-                params[f"ann{i}.{k}"] = v
-        for pos, unit in sorted(self.lstm_units.items()):
-            for k, v in unit.parameters().items():
-                params[f"lstm{pos}.{k}"] = v
+    def _named_blocks(self):
+        """(name, block) for every block with parameters, in ``parameters()`` order."""
+        yield from ((f"snn{i}", blk) for i, blk in enumerate(self.snn_blocks, start=1))
+        yield "bridge", self.bridge
+        yield from ((f"ann{i}", blk) for i, blk in enumerate(self.ann_blocks, start=1))
+        yield from ((f"lstm{pos}", unit) for pos, unit in sorted(self.lstm_units.items()))
         if self.head is not None:
-            for k, v in self.head.parameters().items():
-                params[f"head.{k}"] = v
-        return params
+            yield "head", self.head
+
+    def parameters(self) -> dict[str, Tensor]:
+        return {f"{name}.{k}": v for name, blk in self._named_blocks() for k, v in blk.parameters().items()}
 
     def running_stats(self) -> dict[str, np.ndarray]:
-        stats = {}
-        for i, blk in enumerate(self.snn_blocks, start=1):
-            stats[f"snn{i}.bn_mean"] = blk.bn_mean
-            stats[f"snn{i}.bn_var"] = blk.bn_var
-        for i, blk in enumerate(self.ann_blocks, start=1):
-            stats[f"ann{i}.bn_mean"] = blk.bn_mean
-            stats[f"ann{i}.bn_var"] = blk.bn_var
-        return stats
-
-    def set_running_stats(self, stats: dict[str, np.ndarray]) -> None:
-        for i, blk in enumerate(self.snn_blocks, start=1):
-            blk.bn_mean = stats[f"snn{i}.bn_mean"].astype(self.dtype)
-            blk.bn_var = stats[f"snn{i}.bn_var"].astype(self.dtype)
-        for i, blk in enumerate(self.ann_blocks, start=1):
-            blk.bn_mean = stats[f"ann{i}.bn_mean"].astype(self.dtype)
-            blk.bn_var = stats[f"ann{i}.bn_var"].astype(self.dtype)
+        """Batchnorm running averages of the spiking then the dense blocks."""
+        return {
+            f"{name}.{k}": getattr(blk, k)
+            for name, blk in self._named_blocks()
+            if isinstance(blk, ConvBNBlock)
+            for k in ("bn_mean", "bn_var")
+        }
 
     @property
     def total_stride(self) -> int:
@@ -117,18 +102,18 @@ class HybridModel:
         training: bool = False,
         smooth: bool = False,
         trace: list | None = None,
-        variant: str | None = None,
     ) -> dict:
         """One detection window: [T, 2, H, W] event counts -> features + head.
 
         Recurrent state (if any) persists across calls; call ``reset_state``
-        between independent streams.
+        between independent streams. ``trace`` collects the spiking layers'
+        input masks, as in ``snn_backbone_forward``.
         """
         x = Tensor(counts.astype(self.dtype))
         e_spike = snn_backbone_forward(
             x, self.snn_blocks, training=training, smooth=smooth, trace=trace
         )
-        f_out = bridge.asab_forward(e_spike, self.bridge, variant=variant or self.variant)
+        f_out = bridge.asab_forward(e_spike, self.bridge, variant=self.variant)
         feats = ann.ann_backbone_forward(
             f_out, self.ann_blocks, self.lstm_units, self.lstm_states, training=training
         )
@@ -145,27 +130,34 @@ class HybridModel:
         meta = {
             "format_version": CHECKPOINT_VERSION,
             "config_hash": config_hash(self.config),
+            "architecture_hash": architecture_hash(self.config),
             "dtype": np.dtype(self.dtype).name,
         }
         write_bundle(path, CHECKPOINT_MAGIC, meta, arrays)
 
     def load_checkpoint(self, path) -> dict:
+        """Load parameters and running statistics after checking the format
+        version, the architecture hash, and that every array is present with
+        the model's shape; nothing is assigned unless every check passes."""
         meta, arrays = read_bundle(path, CHECKPOINT_MAGIC)
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(f"unsupported checkpoint version {meta.get('format_version')}")
+        if meta.get("architecture_hash") != architecture_hash(self.config):
+            raise DataFormatError(f"{path}: checkpoint built for another [architecture] or T/bin_ms/window_ms")
         params = self.parameters()
-        for name, tensor in params.items():
-            key = f"param.{name}"
+        expected = {f"param.{k}": v.shape for k, v in params.items()}
+        expected.update({f"stat.{k}": v.shape for k, v in self.running_stats().items()})
+        for key, shape in expected.items():
             if key not in arrays:
-                raise DataFormatError(f"checkpoint missing parameter {name}")
-            if tuple(arrays[key].shape) != tensor.shape:
-                raise DataFormatError(
-                    f"checkpoint parameter {name} has shape {arrays[key].shape}, "
-                    f"model expects {tensor.shape}"
-                )
-            tensor.data = arrays[key].astype(self.dtype)
-        stats = {k[len("stat."):]: v for k, v in arrays.items() if k.startswith("stat.")}
-        self.set_running_stats(stats)
+                raise DataFormatError(f"checkpoint missing {key}")
+            if tuple(arrays[key].shape) != shape:
+                raise DataFormatError(f"checkpoint {key} has shape {arrays[key].shape}, model expects {shape}")
+        for name, tensor in params.items():
+            tensor.data = arrays[f"param.{name}"].astype(self.dtype)
+        blocks = dict(self._named_blocks())
+        for key in self.running_stats():
+            name, stat = key.split(".")
+            setattr(blocks[name], stat, arrays[f"stat.{key}"].astype(self.dtype))
         return meta
 
 
@@ -234,8 +226,9 @@ def decode_detections(
     return out
 
 
-def run_infer(model: HybridModel, stream: EventStream, variant: str | None = None) -> list[Detection]:
-    """One detection set per window; empty stream gives no detections."""
+def run_infer(model: HybridModel, stream: EventStream, trace: list | None = None) -> list[Detection]:
+    """One detection set per window; empty stream gives no detections.
+    ``trace`` collects every window's spiking-layer input masks."""
     if model.head is None:
         raise ConfigError("inference needs the detection head enabled")
     model.reset_state()
@@ -247,7 +240,7 @@ def run_infer(model: HybridModel, stream: EventStream, variant: str | None = Non
         )
     detections: list[Detection] = []
     for i, counts in stream_windows(stream, model.config):
-        out = model.forward_window(counts, training=False, variant=variant)
+        out = model.forward_window(counts, training=False, trace=trace)
         t_us = (i + 1) * sim.window_ms * 1000
         detections.extend(decode_detections(out["detection"], i, t_us, model.total_stride))
     return detections

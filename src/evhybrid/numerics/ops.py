@@ -121,13 +121,18 @@ def sqrt(a):
     return _emit("sqrt", out, (a,), lambda g: (g / (2.0 * out),))
 
 
-def sigmoid(a):
-    ad = _data(a)
+def _logistic(ad):
+    """1 / (1 + exp(-ad)) without overflow: exp only of non-positive values."""
     out = np.empty_like(ad)
     pos = ad >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
     ea = np.exp(ad[~pos])
     out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def sigmoid(a):
+    out = _logistic(_data(a))
     return _emit("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -151,16 +156,7 @@ def softplus(a):
     """log(1 + exp(a)), numerically stable."""
     ad = _data(a)
     out = np.logaddexp(0.0, ad)
-
-    def pull(g):
-        s = np.empty_like(ad)
-        pos = ad >= 0
-        s[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-        ea = np.exp(ad[~pos])
-        s[~pos] = ea / (1.0 + ea)
-        return (g * s,)
-
-    return _emit("softplus", out, (a,), pull)
+    return _emit("softplus", out, (a,), lambda g: (g * _logistic(ad),))
 
 
 # ---------------------------------------------------------------------------

@@ -329,34 +329,46 @@ def save_quantized(fpm: FixedPointModel, base_path) -> tuple[Path, Path]:
 
 
 def load_quantized(base_path) -> FixedPointModel:
+    """Read what ``save_quantized`` wrote; a manifest that is not UTF-8 JSON,
+    lacks a field, or points past the end of the weight blob raises
+    DataFormatError."""
     base = Path(base_path)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    if manifest.get("format_version") != QUANT_FORMAT_VERSION:
-        raise DataFormatError(f"unsupported quantized-model version {manifest.get('format_version')}")
-    blob = base.with_suffix(".bin").read_bytes()
-    fpm = FixedPointModel(bits=manifest["bits"])
-    for layer in manifest["layers"]:
-        raw = blob[layer["weights_offset"] : layer["weights_offset"] + layer["weights_nbytes"]]
-        ints = np.frombuffer(raw, dtype="<i1").reshape(layer["shape"]).copy()
-        fpm.blocks.append(
-            FixedPointBlock(
-                name=layer["name"],
-                quant=QuantParams(
-                    bits=manifest["bits"],
-                    q_scale=np.asarray(layer["q_scale"], dtype=np.float64),
-                    int_weights=ints,
-                ),
-                fused=FusedLIFParams(
-                    scale=np.asarray(layer["scale"], dtype=np.float64),
-                    shift=np.asarray(layer["shift"], dtype=np.float64),
-                ),
-                stride=layer["stride"],
-                padding=layer["padding"],
-                leak=layer["leak"],
-                v_threshold=layer["v_threshold"],
-                v_reset=layer["v_reset"],
+    json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
+    try:
+        manifest = json.loads(json_path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"{json_path}: manifest is not UTF-8 JSON: {exc}") from exc
+    blob = bin_path.read_bytes()
+    try:
+        if manifest["format_version"] != QUANT_FORMAT_VERSION:
+            raise DataFormatError(f"unsupported quantized-model version {manifest['format_version']}")
+        fpm = FixedPointModel(bits=manifest["bits"])
+        for layer in manifest["layers"]:
+            start, nbytes = layer["weights_offset"], layer["weights_nbytes"]
+            if start + nbytes > len(blob):
+                raise DataFormatError(f"{bin_path}: weights of {layer['name']!r} run past the end of the file")
+            ints = np.frombuffer(blob[start : start + nbytes], dtype="<i1").reshape(layer["shape"]).copy()
+            fpm.blocks.append(
+                FixedPointBlock(
+                    name=layer["name"],
+                    quant=QuantParams(
+                        bits=manifest["bits"],
+                        q_scale=np.asarray(layer["q_scale"], dtype=np.float64),
+                        int_weights=ints,
+                    ),
+                    fused=FusedLIFParams(
+                        scale=np.asarray(layer["scale"], dtype=np.float64),
+                        shift=np.asarray(layer["shift"], dtype=np.float64),
+                    ),
+                    stride=layer["stride"],
+                    padding=layer["padding"],
+                    leak=layer["leak"],
+                    v_threshold=layer["v_threshold"],
+                    v_reset=layer["v_reset"],
+                )
             )
-        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{json_path}: manifest field missing or mistyped: {exc}") from exc
     return fpm
 
 

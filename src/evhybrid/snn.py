@@ -8,14 +8,15 @@ hard threshold by the surrogate's primitive so whole networks can be checked
 against finite differences.
 
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
-padding, stride), e.g. ``64c3p1s2``.
+padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
+(``ConvSpec``, ``ConvBNBlock``, ``conv_bn``) is shared with the dense blocks.
 """
 
 from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,72 @@ def parse_layer_string(spec: str) -> tuple[int, int, int, int]:
             pos += 1
         raise ConfigError(f"malformed layer string {s!r}: parse error at position {pos}")
     return tuple(int(g) for g in m.groups())  # type: ignore[return-value]
+
+
+@dataclass
+class ConvSpec:
+    """Geometry of one conv layer, written ``<C>c<K>p<P>s<S>``."""
+
+    out_channels: int
+    kernel: int = 3
+    padding: int = 1
+    stride: int = 1
+
+    def __post_init__(self):
+        if self.stride not in (1, 2):
+            raise ConfigError(f"block stride must be 1 or 2, got {self.stride}")
+
+    @classmethod
+    def from_string(cls, spec: str, **extra):
+        c, k, p, s = parse_layer_string(spec)
+        return cls(out_channels=c, kernel=k, padding=p, stride=s, **extra)
+
+    def to_string(self) -> str:
+        return f"{self.out_channels}c{self.kernel}p{self.padding}s{self.stride}"
+
+
+class ConvBNBlock:
+    """Conv weights, batchnorm affine parameters and running statistics of one
+    conv -> batchnorm layer; the spiking and dense blocks add their activation."""
+
+    def __init__(self, in_channels: int, cfg: ConvSpec, rng: np.random.Generator, dtype=NARROW):
+        self.cfg = cfg
+        self.in_channels = in_channels
+        k, c = cfg.kernel, cfg.out_channels
+        bound = 1.0 / np.sqrt(in_channels * k * k)
+        self.conv_w = Tensor(rng.uniform(-bound, bound, (c, in_channels, k, k)).astype(dtype), requires_grad=True)
+        self.conv_b = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+        self.bn_gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
+        self.bn_beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+        self.bn_mean = np.zeros(c, dtype=dtype)
+        self.bn_var = np.ones(c, dtype=dtype)
+        self.bn_eps = 1e-5
+        self.bn_momentum = 0.9  # keep 0.9 of the running stat per update
+
+    def parameters(self):
+        return {"conv_w": self.conv_w, "conv_b": self.conv_b, "bn_gamma": self.bn_gamma, "bn_beta": self.bn_beta}
+
+
+def conv_bn(x: Tensor, block: ConvBNBlock, training: bool, update_stats: bool = True) -> Tensor:
+    """conv -> batchnorm on [..., C_in, H, W].
+
+    In training, batch statistics pool over every axis except C (time, H and
+    W for a [T, C, H, W] sequence) and, when ``update_stats``, fold into the
+    running averages with the block's momentum; inference normalizes with
+    the running averages.
+    """
+    cfg = block.cfg
+    y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
+    if not training:
+        return ops.batchnorm2d(y, block.bn_mean, block.bn_var, block.bn_gamma, block.bn_beta, block.bn_eps)
+    axes = tuple(i for i in range(y.ndim) if i != y.ndim - 3)
+    mu = ops.mean(y, axis=axes)
+    var = ops.mean((y - ops.reshape(mu, (1,) * (y.ndim - 3) + (-1, 1, 1))) ** 2.0, axis=axes)
+    if update_stats:
+        m = block.bn_momentum
+        block.bn_mean = m * block.bn_mean + (1 - m) * mu.data.astype(block.bn_mean.dtype)
+        block.bn_var = m * block.bn_var + (1 - m) * var.data.astype(block.bn_var.dtype)
+    return ops.batchnorm2d(y, mu, var, block.bn_gamma, block.bn_beta, block.bn_eps)
 
 
 @dataclass
@@ -74,25 +141,9 @@ class PLIFState:
 
 
 @dataclass
-class SNNBlockConfig:
-    out_channels: int
-    kernel: int = 3
-    padding: int = 1
-    stride: int = 1
+class SNNBlockConfig(ConvSpec):
     v_threshold: float = 1.0
     v_reset: float = 0.0
-
-    def __post_init__(self):
-        if self.stride not in (1, 2):
-            raise ConfigError(f"spiking block stride must be 1 or 2, got {self.stride}")
-
-    @classmethod
-    def from_string(cls, spec: str) -> "SNNBlockConfig":
-        c, k, p, s = parse_layer_string(spec)
-        return cls(out_channels=c, kernel=k, padding=p, stride=s)
-
-    def to_string(self) -> str:
-        return f"{self.out_channels}c{self.kernel}p{self.padding}s{self.stride}"
 
 
 def surrogate_heaviside(u: Tensor, smooth: bool = False, alpha: float = 2.0) -> Tensor:
@@ -147,23 +198,12 @@ def plif_sequence(
     return ops.stack(outs, axis=0)
 
 
-class SNNBlock:
+class SNNBlock(ConvBNBlock):
     """Parameters of one conv -> batchnorm -> spiking-neuron block."""
 
     def __init__(self, in_channels: int, cfg: SNNBlockConfig, rng: np.random.Generator, dtype=NARROW):
-        self.cfg = cfg
-        self.in_channels = in_channels
-        k, c = cfg.kernel, cfg.out_channels
-        bound = 1.0 / np.sqrt(in_channels * k * k)
-        self.conv_w = Tensor(rng.uniform(-bound, bound, (c, in_channels, k, k)).astype(dtype), requires_grad=True)
-        self.conv_b = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.bn_gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        self.bn_beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.bn_mean = np.zeros(c, dtype=dtype)
-        self.bn_var = np.ones(c, dtype=dtype)
+        super().__init__(in_channels, cfg, rng, dtype=dtype)
         self.plif = PLIFParams.init(dtype=dtype, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset)
-        self.bn_eps = 1e-5
-        self.bn_momentum = 0.9  # keep 0.9 of the running stat per update
 
     def astype(self, dtype) -> "SNNBlock":
         """Copy of the block with every Tensor and array attribute (weights and
@@ -176,13 +216,7 @@ class SNNBlock:
         return out
 
     def parameters(self):
-        return {
-            "conv_w": self.conv_w,
-            "conv_b": self.conv_b,
-            "bn_gamma": self.bn_gamma,
-            "bn_beta": self.bn_beta,
-            "plif_w": self.plif.w,
-        }
+        return {**super().parameters(), "plif_w": self.plif.w}
 
 
 def snn_block_forward(
@@ -194,22 +228,10 @@ def snn_block_forward(
 ) -> Tensor:
     """[T, C_in, H, W] -> binary [T, C_out, H', W'].
 
-    The conv treats time as the batch axis; batch statistics pool over
-    (time, H, W) per channel, and running averages update with the block's
-    momentum. smooth=True also bypasses running-stat updates.
+    The conv treats time as the batch axis; see ``conv_bn`` for the
+    batchnorm. smooth=True also bypasses running-stat updates.
     """
-    cfg = block.cfg
-    y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
-    if training:
-        mu = ops.mean(y, axis=(0, 2, 3))
-        var = ops.mean((y - ops.reshape(mu, (1, -1, 1, 1))) ** 2.0, axis=(0, 2, 3))
-        if not smooth:
-            m = block.bn_momentum
-            block.bn_mean = m * block.bn_mean + (1 - m) * mu.data.astype(block.bn_mean.dtype)
-            block.bn_var = m * block.bn_var + (1 - m) * var.data.astype(block.bn_var.dtype)
-        y = ops.batchnorm2d(y, mu, var, block.bn_gamma, block.bn_beta, block.bn_eps)
-    else:
-        y = ops.batchnorm2d(y, block.bn_mean, block.bn_var, block.bn_gamma, block.bn_beta, block.bn_eps)
+    y = conv_bn(x, block, training, update_stats=not smooth)
     return plif_sequence(y, block.plif, smooth=smooth, context=context)
 
 

@@ -179,13 +179,13 @@ class EvalMetrics:
         }
 
 
-def evaluate(model: HybridModel, dataset: list[WindowSample], variant: str | None = None) -> EvalMetrics:
+def evaluate(model: HybridModel, dataset: list[WindowSample]) -> EvalMetrics:
     """Held-out metrics: toy loss, argmax-cell center error (feature cells),
     and the rate of centers within 2 cells of ground truth."""
     losses, errs, hits = [], [], []
     for sample in dataset:
         model.reset_state()
-        out = model.forward_window(sample.counts, training=False, variant=variant)
+        out = model.forward_window(sample.counts, training=False)
         det = out["detection"]
         losses.append(float(toy_loss(det, sample.boxes_cells).data))
         logits = det.objectness.data

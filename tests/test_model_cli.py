@@ -13,6 +13,8 @@ from evhybrid.config import RunConfig, save_config
 from evhybrid.errors import DataFormatError
 from evhybrid.events import EventStream, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
+from evhybrid.numerics import Tensor
+from evhybrid.snn import snn_backbone_forward
 from evhybrid.train import make_dataset, run_train_toy
 
 
@@ -56,6 +58,52 @@ class TestModel:
         model.save_checkpoint(a)
         model.save_checkpoint(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_checkpoint_loads_at_other_sensor_size_and_training_knobs(self, tmp_path):
+        model = HybridModel(toy_config(), seed=1)
+        path = tmp_path / "model.evck"
+        model.save_checkpoint(path)
+        cfg = toy_config()
+        cfg.training.lr = 0.5
+        cfg.simulation.sensor_width = 40
+        other = HybridModel(cfg, seed=99)
+        other.load_checkpoint(path)
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, other.parameters()[name].data)
+        for name, stat in model.running_stats().items():
+            np.testing.assert_array_equal(stat, other.running_stats()[name])
+
+    @pytest.mark.parametrize("change", ["padding", "binning"])
+    def test_checkpoint_architecture_mismatch_rejected(self, tmp_path, change):
+        path = tmp_path / "model.evck"
+        HybridModel(toy_config(), seed=1).save_checkpoint(path)
+        cfg = toy_config()
+        if change == "padding":
+            cfg.architecture.snn_layers = ["4c3p0s2", "6c3p1s2"]
+        else:
+            cfg.simulation.T, cfg.simulation.bin_ms = 5, 10
+        with pytest.raises(DataFormatError, match="architecture"):
+            HybridModel(cfg.validate(), seed=1).load_checkpoint(path)
+
+    def test_infer_trace_equals_backbone_pass(self):
+        cfg = toy_config()
+        model = HybridModel(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        n = 600
+        stream = EventStream(
+            24, 24, t=np.sort(rng.integers(0, 120_000, n)), x=rng.integers(0, 24, n),
+            y=rng.integers(0, 24, n), p=rng.integers(0, 2, n),
+        )
+        trace: list = []
+        run_infer(model, stream, trace=trace)
+        ref: list = []
+        for _, counts in stream_windows(stream, cfg):
+            snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=ref)
+        assert len(trace) == len(ref) == 3 * len(model.snn_blocks)
+        for a, b in zip(trace, ref):
+            assert a.keys() == b.keys()
+            for k in a:
+                np.testing.assert_array_equal(a[k], b[k])
 
     def test_empty_stream_no_detections(self):
         cfg = toy_config()
@@ -223,6 +271,40 @@ class TestCLI:
         )
         assert res.returncode == 3
         assert "error[data]" in res.stderr
+
+    @pytest.mark.parametrize("key", ["stat.snn1.bn_mean", "stat.ann1.bn_var"])
+    def test_bad_running_stat_checkpoint_exit_code(self, cli_workspace, tmp_path, key):
+        # a missing stat used to raise a KeyError traceback; a mis-shaped one
+        # used to load and quantize silently
+        root, cfg_path = cli_workspace
+        meta, arrays = read_bundle(root / "run" / "checkpoint.evck", CHECKPOINT_MAGIC)
+        if key.endswith("bn_mean"):
+            del arrays[key]
+        else:
+            arrays[key] = np.ones(arrays[key].size + 1, dtype=arrays[key].dtype)
+        bad = tmp_path / "bad.evck"
+        write_bundle(bad, CHECKPOINT_MAGIC, meta, arrays)
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(bad), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr and key in res.stderr
+
+    def test_architecture_mismatch_checkpoint_exit_code(self, cli_workspace, tmp_path):
+        root, _ = cli_workspace
+        cfg = toy_config()
+        cfg.architecture.snn_layers = ["4c3p0s2", "6c3p1s2"]
+        other = tmp_path / "other.ini"
+        save_config(cfg, other)
+        res = run_cli(
+            ["--config", str(other), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(root / "run" / "checkpoint.evck"), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr and "architecture" in res.stderr
 
     def test_missing_config_categorized_error(self, tmp_path):
         res = run_cli(["--config", str(tmp_path / "nope.ini"), "train"], tmp_path)

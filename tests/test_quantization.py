@@ -1,12 +1,14 @@
 """Per-channel quantization, batchnorm/neuron fusion, fixed-point execution,
 and spike-fidelity reporting."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.config import RunConfig
-from evhybrid.errors import ConfigError, NumericError, ShapeError
+from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
 from evhybrid.quantize import (
     FixedPointModel,
@@ -292,6 +294,39 @@ class TestFixedPointPipeline:
         save_quantized(fpm, tmp_path / "b")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+class TestQuantizedFormat:
+    @pytest.fixture
+    def base(self, tmp_path):
+        save_quantized(FixedPointModel.from_model(tiny_model(seed=4), 8), tmp_path / "q")
+        return tmp_path / "q"
+
+    @pytest.mark.parametrize("manifest", [b"\xff" * 8, b"{not json"], ids=["not-utf8", "not-json"])
+    def test_corrupt_manifest_is_data_error(self, base, manifest):
+        base.with_suffix(".json").write_bytes(manifest)
+        with pytest.raises(DataFormatError, match="manifest"):
+            load_quantized(base)
+
+    @pytest.mark.parametrize(
+        "missing",
+        ["format_version", "bits", "layers", "name", "shape", "weights_offset", "weights_nbytes",
+         "q_scale", "scale", "shift", "stride", "padding", "leak", "v_threshold", "v_reset"],
+    )
+    def test_manifest_missing_field_is_data_error(self, base, missing):
+        path = base.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        for entry in [manifest, *manifest["layers"]]:
+            entry.pop(missing, None)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match=missing):
+            load_quantized(base)
+
+    def test_weights_past_end_of_blob_is_data_error(self, base):
+        path = base.with_suffix(".bin")
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(DataFormatError, match="past the end"):
+            load_quantized(base)
 
 
 def _oracle_spikes(model, counts):

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from evhybrid.errors import ConfigError, NumericError
 from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 from evhybrid.snn import (
+    ConvBNBlock,
+    ConvSpec,
     PLIFParams,
     PLIFState,
     SNNBlock,
     SNNBlockConfig,
+    conv_bn,
     parse_layer_string,
     plif_sequence,
     plif_step,
@@ -115,6 +118,40 @@ def make_block(in_ch, spec, seed=0, dtype=WIDE):
     return SNNBlock(in_ch, SNNBlockConfig.from_string(spec), np.random.default_rng(seed), dtype=dtype)
 
 
+class TestConvBN:
+    @pytest.mark.parametrize("shape", [(4, 2, 5, 6), (2, 5, 6)], ids=["TCHW", "CHW"])
+    def test_matches_numpy_oracle(self, shape):
+        # a 1x1 conv is a channel mix, so the oracle is numpy throughout:
+        # batch statistics over every axis but C, running averages after two
+        # updates with momentum 0.9, then inference on those averages
+        rng = np.random.default_rng(11)
+        block = ConvBNBlock(2, ConvSpec(3, kernel=1, padding=0), rng, dtype=WIDE)
+        block.conv_b.data = rng.standard_normal(3)
+        block.bn_gamma.data = rng.uniform(0.5, 2.0, 3)
+        block.bn_beta.data = rng.standard_normal(3)
+        col = (slice(None), None, None)
+        gamma, beta = block.bn_gamma.data[col], block.bn_beta.data[col]
+        axes = tuple(i for i in range(len(shape)) if i != len(shape) - 3)
+
+        def conv(x):
+            return np.einsum("ci,...ihw->...chw", block.conv_w.data[:, :, 0, 0], x) + block.conv_b.data[col]
+
+        mean, var = np.zeros(3), np.ones(3)
+        for _ in range(2):
+            x = rng.standard_normal(shape)
+            y = conv(x)
+            mu, v = y.mean(axis=axes), y.var(axis=axes)
+            expect = (y - mu[col]) / np.sqrt(v[col] + 1e-5) * gamma + beta
+            np.testing.assert_allclose(conv_bn(Tensor(x), block, training=True).data, expect, rtol=1e-10, atol=1e-12)
+            mean, var = 0.9 * mean + 0.1 * mu, 0.9 * var + 0.1 * v
+        np.testing.assert_allclose(block.bn_mean, mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(block.bn_var, var, rtol=1e-12)
+        x, running = rng.standard_normal(shape), block.bn_mean.copy()
+        expect = (conv(x) - mean[col]) / np.sqrt(var[col] + 1e-5) * gamma + beta
+        np.testing.assert_allclose(conv_bn(Tensor(x), block, training=False).data, expect, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(block.bn_mean, running)
+
+
 class TestBlocks:
     def test_zero_input_identity_bn_no_spikes(self):
         block = make_block(2, "4c3p1s1")
@@ -180,6 +217,14 @@ class TestBlocks:
         before = block.bn_mean.copy()
         snn_block_forward(x, block, training=True)
         assert np.any(block.bn_mean != before)
+
+    def test_smooth_mode_leaves_running_stats(self):
+        block = make_block(2, "4c3p1s1", seed=9)
+        x = Tensor(np.random.default_rng(9).poisson(1.0, (4, 2, 6, 6)).astype(WIDE))
+        mean, var = block.bn_mean.copy(), block.bn_var.copy()
+        snn_block_forward(x, block, training=True, smooth=True)
+        np.testing.assert_array_equal(block.bn_mean, mean)
+        np.testing.assert_array_equal(block.bn_var, var)
 
     def test_bptt_matches_finite_differences_two_block_stack(self):
         # smooth-surrogate network, sequence length 4
