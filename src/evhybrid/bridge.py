@@ -20,7 +20,7 @@ block of 2*K^2 channels, tap-major pairs (dy, dx).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,20 +94,8 @@ class BridgeParams:
         )
 
     def parameters(self):
-        return {
-            "offset_w": self.offset_w,
-            "offset_b": self.offset_b,
-            "tsdc_w": self.tsdc_w,
-            "tsdc_b": self.tsdc_b,
-            "q_gain": self.q_gain,
-            "q_bias": self.q_bias,
-            "k_gain": self.k_gain,
-            "k_bias": self.k_bias,
-            "v_gain": self.v_gain,
-            "v_bias": self.v_bias,
-            "comb_w": self.comb_w,
-            "comb_b": self.comb_b,
-        }
+        """The trainable Tensors, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if isinstance(getattr(self, f.name), Tensor)}
 
 
 def temporal_grouping(e_spike: Tensor) -> Tensor:

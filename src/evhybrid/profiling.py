@@ -14,7 +14,7 @@ dense ANN models and two spiking models); see ``fit_energy_constants``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,10 +85,8 @@ class OpCounters:
         for src in (self, other):
             for name, lc in src.per_layer.items():
                 dst = out.layer(name)
-                dst.macs += lc.macs
-                dst.acs += lc.acs
-                dst.input_spikes += lc.input_spikes
-                dst.params += lc.params
+                for f in fields(LayerCount):
+                    setattr(dst, f.name, getattr(dst, f.name) + getattr(lc, f.name))
         return out
 
 
@@ -226,10 +224,7 @@ def profile_text(counters: OpCounters, model: EnergyModel, sparsity: dict[str, f
     lines = ["# per-layer compute profile", "# acs counted once per nonzero cell per tap"]
     for name, lc in counters.per_layer.items():
         lines.append(f"layer: {name}")
-        lines.append(f"  macs: {lc.macs}")
-        lines.append(f"  acs: {lc.acs}")
-        lines.append(f"  input_spikes: {lc.input_spikes}")
-        lines.append(f"  params: {lc.params}")
+        lines += [f"  {k}: {v}" for k, v in asdict(lc).items()]
         if sparsity and name in sparsity:
             lines.append(f"  input_sparsity: {sparsity[name]:.6f}")
     lines.append(f"total_macs: {counters.total_macs}")
@@ -243,10 +238,7 @@ def profile_text(counters: OpCounters, model: EnergyModel, sparsity: dict[str, f
 def profile_flat_dict(counters: OpCounters, model: EnergyModel, sparsity: dict[str, float] | None = None) -> dict:
     flat: dict[str, float | int] = {}
     for name, lc in counters.per_layer.items():
-        flat[f"{name}.macs"] = lc.macs
-        flat[f"{name}.acs"] = lc.acs
-        flat[f"{name}.input_spikes"] = lc.input_spikes
-        flat[f"{name}.params"] = lc.params
+        flat.update({f"{name}.{k}": v for k, v in asdict(lc).items()})
         if sparsity and name in sparsity:
             flat[f"{name}.input_sparsity"] = sparsity[name]
     flat["total.macs"] = counters.total_macs

@@ -20,7 +20,7 @@ counted, never silent); membranes stay in real arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +140,11 @@ class FixedPointBlock:
     v_reset: float
 
 
+# the fields a manifest layer stores as they are; the weights go to the blob
+# and the fused parameters to per-channel lists
+_SCALAR_FIELDS = tuple(f.name for f in fields(FixedPointBlock) if f.name not in ("quant", "fused"))
+
+
 @dataclass
 class FixedPointModel:
     bits: int
@@ -247,12 +252,7 @@ class FidelityReport:
     first_divergence_t: int | None
 
     def as_dict(self) -> dict:
-        return {
-            "match_rate": self.match_rate,
-            "total_cells": self.total_cells,
-            "per_layer_mismatch": self.per_layer_mismatch,
-            "first_divergence_t": self.first_divergence_t,
-        }
+        return asdict(self)
 
 
 def spike_fidelity(a, b, layer: str = "E_spike") -> FidelityReport:
@@ -306,18 +306,13 @@ def save_quantized(fpm: FixedPointModel, base_path) -> tuple[Path, Path]:
         raw = ints.tobytes()
         manifest["layers"].append(
             {
-                "name": blk.name,
+                **{k: getattr(blk, k) for k in _SCALAR_FIELDS},
                 "shape": list(ints.shape),
                 "weights_offset": len(blob),
                 "weights_nbytes": len(raw),
                 "q_scale": blk.quant.q_scale.tolist(),
                 "scale": blk.fused.scale.tolist(),
                 "shift": blk.fused.shift.tolist(),
-                "stride": blk.stride,
-                "padding": blk.padding,
-                "leak": blk.leak,
-                "v_threshold": blk.v_threshold,
-                "v_reset": blk.v_reset,
             }
         )
         blob.extend(raw)
@@ -350,7 +345,6 @@ def load_quantized(base_path) -> FixedPointModel:
             ints = np.frombuffer(blob[start : start + nbytes], dtype="<i1").reshape(layer["shape"]).copy()
             fpm.blocks.append(
                 FixedPointBlock(
-                    name=layer["name"],
                     quant=QuantParams(
                         bits=manifest["bits"],
                         q_scale=np.asarray(layer["q_scale"], dtype=np.float64),
@@ -360,11 +354,7 @@ def load_quantized(base_path) -> FixedPointModel:
                         scale=np.asarray(layer["scale"], dtype=np.float64),
                         shift=np.asarray(layer["shift"], dtype=np.float64),
                     ),
-                    stride=layer["stride"],
-                    padding=layer["padding"],
-                    leak=layer["leak"],
-                    v_threshold=layer["v_threshold"],
-                    v_reset=layer["v_reset"],
+                    **{k: layer[k] for k in _SCALAR_FIELDS},
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

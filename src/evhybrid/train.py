@@ -10,7 +10,7 @@ independently during training (recurrent state reset per sample).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -171,12 +171,7 @@ class EvalMetrics:
     n_windows: int
 
     def as_dict(self) -> dict:
-        return {
-            "mean_loss": self.mean_loss,
-            "mean_center_err": self.mean_center_err,
-            "hit_rate": self.hit_rate,
-            "n_windows": self.n_windows,
-        }
+        return asdict(self)
 
 
 def evaluate(model: HybridModel, dataset: list[WindowSample]) -> EvalMetrics:

@@ -254,6 +254,13 @@ class TestFullBridge:
             out = asab_forward(spikes, p, variant=variant)
             assert out.shape == (2, 5, 5)
 
+    def test_parameter_order(self):
+        # fixes the optimizer's and the gradient clip's summation order
+        assert list(params_for(t=2).parameters()) == [
+            "offset_w", "offset_b", "tsdc_w", "tsdc_b", "q_gain", "q_bias",
+            "k_gain", "k_bias", "v_gain", "v_bias", "comb_w", "comb_b",
+        ]
+
     def test_end_to_end_gradcheck_small_instance(self):
         # keep sampling coordinates clearly fractional: bilinear interpolation
         # is piecewise linear in the coordinates, and finite differences

@@ -206,6 +206,8 @@ class TestCLI:
         assert (root / "run" / "checkpoint.evck").exists()
         curve = (root / "run" / "loss_curve.csv").read_text().splitlines()
         assert curve[0] == "step,loss" and len(curve) == 31
+        metrics = json.loads((root / "run" / "metrics.json").read_text())
+        assert set(metrics) == {"mean_loss", "mean_center_err", "hit_rate", "n_windows"}
 
     def test_infer_profile_detections(self, cli_workspace):
         root, cfg_path = cli_workspace
@@ -234,6 +236,7 @@ class TestCLI:
         )
         assert res.returncode == 0, res.stderr
         rep = json.loads((root / "quant" / "fidelity.json").read_text())
+        assert set(rep) == {"match_rate", "total_cells", "per_layer_mismatch", "first_divergence_t"}
         assert 0.0 <= rep["match_rate"] <= 1.0
         assert (root / "quant" / "quantized.json").exists()
         assert (root / "quant" / "quantized.bin").exists()

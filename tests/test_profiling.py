@@ -17,6 +17,8 @@ from evhybrid.profiling import (
     count_spike_acs,
     energy_estimate,
     fit_energy_constants,
+    profile_flat_dict,
+    profile_text,
     sparsity_report,
 )
 from evhybrid.snn import SNNBlock, SNNBlockConfig, snn_backbone_forward
@@ -210,6 +212,24 @@ class TestEnergyModel:
         ab, ba = a.merge(b), b.merge(a)
         assert {k: vars(v) for k, v in ab.per_layer.items()} == {
             k: vars(v) for k, v in ba.per_layer.items()
+        }
+
+
+class TestReport:
+    def test_layer_block_lines_and_keys(self):
+        counters = OpCounters()
+        lc = counters.layer("snn1")
+        lc.macs, lc.acs, lc.input_spikes, lc.params = 1, 2, 3, 4
+        sparsity = {"snn1": 0.5}
+        lines = profile_text(counters, EnergyModel(), sparsity).splitlines()
+        assert lines[2:8] == [
+            "layer: snn1", "  macs: 1", "  acs: 2", "  input_spikes: 3", "  params: 4",
+            "  input_sparsity: 0.500000",
+        ]
+        flat = profile_flat_dict(counters, EnergyModel(), sparsity)
+        assert {k: v for k, v in flat.items() if k.startswith("snn1.")} == {
+            "snn1.macs": 1, "snn1.acs": 2, "snn1.input_spikes": 3, "snn1.params": 4,
+            "snn1.input_sparsity": 0.5,
         }
 
 

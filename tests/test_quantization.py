@@ -2,6 +2,7 @@
 and spike-fidelity reporting."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
 from evhybrid.quantize import (
+    FixedPointBlock,
     FixedPointModel,
     fidelity_from_layers,
     fixed_point_forward,
@@ -280,9 +282,18 @@ class TestFixedPointPipeline:
         fpm, report = run_quantize(model, 8, [counts], out_base=tmp_path / "q")
         again = load_quantized(tmp_path / "q")
         assert again.bits == fpm.bits
+        assert [f.name for f in fields(FixedPointBlock)] == [
+            "name", "quant", "fused", "stride", "padding", "leak", "v_threshold", "v_reset"
+        ]
+        assert len(again.blocks) == len(fpm.blocks)
         for a, b in zip(fpm.blocks, again.blocks):
-            np.testing.assert_array_equal(a.quant.int_weights, b.quant.int_weights)
-            np.testing.assert_allclose(a.fused.scale, b.fused.scale)
+            assert (a.name, a.stride, a.padding) == (b.name, b.stride, b.padding)
+            assert (a.leak, a.v_threshold, a.v_reset) == (b.leak, b.v_threshold, b.v_reset)
+            assert a.quant.bits == b.quant.bits
+            for x, y in [(a.quant.q_scale, b.quant.q_scale), (a.quant.int_weights, b.quant.int_weights),
+                         (a.fused.scale, b.fused.scale), (a.fused.shift, b.fused.shift)]:
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
         out_a = fixed_point_forward(counts, fpm)
         out_b = fixed_point_forward(counts, again)
         np.testing.assert_array_equal(out_a, out_b)
@@ -321,6 +332,15 @@ class TestQuantizedFormat:
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataFormatError, match=missing):
             load_quantized(base)
+
+    def test_layer_keys(self, base):
+        manifest = json.loads(base.with_suffix(".json").read_text())
+        assert set(manifest) == {"format_version", "bits", "layers"}
+        for layer in manifest["layers"]:
+            assert set(layer) == {
+                "name", "shape", "weights_offset", "weights_nbytes", "q_scale", "scale", "shift",
+                "stride", "padding", "leak", "v_threshold", "v_reset",
+            }
 
     def test_weights_past_end_of_blob_is_data_error(self, base):
         path = base.with_suffix(".bin")
