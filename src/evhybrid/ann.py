@@ -27,10 +27,14 @@ class ANNBlock(ConvBNBlock):
     """Parameters of one conv -> norm -> ReLU block; layer norm uses only the
     affine ``bn_gamma``/``bn_beta`` and ``bn_eps``."""
 
+    @property
+    def batch_norm(self) -> bool:
+        return self.cfg.norm == "batch"
+
 
 def ann_block_forward(x: Tensor, block: ANNBlock, training: bool = False) -> Tensor:
     """conv -> norm -> ReLU on a [C, H, W] map; output is non-negative."""
-    if block.cfg.norm == "batch":
+    if block.batch_norm:
         return ops.relu(conv_bn(x, block, training))
     cfg = block.cfg
     y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
@@ -49,10 +53,6 @@ class DWConvLSTMState:
 
     h: Tensor | None = None
     c: Tensor | None = None
-
-    def reset(self):
-        self.h = None
-        self.c = None
 
 
 class DWConvLSTM:

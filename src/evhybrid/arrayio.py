@@ -9,6 +9,7 @@ bit-reproducibility contract).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -69,9 +70,28 @@ def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataFormatError(f"{path}: manifest field missing or mistyped: {exc}") from exc
     arrays = {}
     for name, dtype, shape, offset, nbytes in entries:
+        dt = _entry_dtype(path, name, dtype, shape, offset, nbytes)
         start = base + offset
         if start + nbytes > len(blob):
             raise DataFormatError(f"{path}: array {name!r} runs past the end of the file")
-        arr = np.frombuffer(blob[start : start + nbytes], dtype=np.dtype(dtype))
-        arrays[name] = arr.reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob[start : start + nbytes], dtype=dt).reshape(shape).copy()
     return meta, arrays
+
+
+def _entry_dtype(path, name, dtype, shape, offset, nbytes) -> np.dtype:
+    """The dtype of a manifest entry, once the entry is known to describe its
+    bytes: a scalar dtype readable from raw bytes, offset and dims of at
+    least 0, and ``nbytes == prod(shape) * itemsize``."""
+    try:
+        dt = np.dtype(dtype) if isinstance(dtype, str) else None
+    except TypeError:
+        dt = None
+    if dt is None or dt.hasobject or dt.itemsize == 0 or dt.shape:
+        raise DataFormatError(f"{path}: array {name!r} has unreadable dtype {dtype!r}")
+    sizes = [offset, nbytes, *shape] if isinstance(shape, list) else None
+    if sizes is None or not all(type(v) is int and v >= 0 for v in sizes):
+        raise DataFormatError(f"{path}: array {name!r} needs integer offset, nbytes and dims >= 0")
+    expected = math.prod(shape) * dt.itemsize
+    if nbytes != expected:
+        raise DataFormatError(f"{path}: array {name!r} holds {nbytes} bytes, {shape} of {dt.str} needs {expected}")
+    return dt

@@ -243,17 +243,21 @@ def ers_gate(e_spike: Tensor, a_out: Tensor) -> Tensor:
     return ops.sigmoid(s_rate) * a_out
 
 
+# the ablation wirings of ``asab_forward``, in the order ablations run them
+VARIANTS = ("full", "no-ta", "no-deform", "no-ers", "no-asab")
+
+
 def asab_forward(e_spike: Tensor, params: BridgeParams, variant: str = "full") -> Tensor:
     """Full bridge: [T, C, H, W] spikes -> dense [C, H, W] features.
 
-    ``variant`` selects the ablation wiring:
+    ``variant`` selects the ablation wiring (one of ``VARIANTS``):
       full       grouping -> offsets -> deformable conv -> attention -> gate
-      no-deform  deformable conv replaced by the regular-grid conv
       no-ta      attention replaced by the 1x1 temporal combination alone
+      no-deform  deformable conv replaced by the regular-grid conv
       no-ers     the event-rate gate is skipped
       no-asab    the whole bridge replaced by a plain sum over time
     """
-    if variant not in ("full", "no-deform", "no-ta", "no-ers", "no-asab"):
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown bridge variant {variant!r}")
     if variant == "no-asab":
         return ops.sum(e_spike, axis=0)

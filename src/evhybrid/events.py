@@ -210,14 +210,20 @@ def build_event_tensor(stream: EventStream, t_a: int, t_b: int, n_bins: int) -> 
         raise ValueError(f"window end {t_b} must exceed start {t_a}")
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
+    inside = (stream.t >= t_a) & (stream.t <= t_b)
+    return EventTensor(bin_events(stream, inside, t_a, t_b, n_bins), t_a, t_b, n_bins)
+
+
+def bin_events(stream: EventStream, index, t_a: int, t_b: int, n_bins: int) -> np.ndarray:
+    """[T, 2, H, W] counts of the events ``stream.*[index]``, which must lie
+    in [t_a, t_b]: bin floor((t - t_a) / (t_b - t_a) * T) in exact integer
+    arithmetic, an event at t_b in bin T-1."""
     counts = np.zeros((n_bins, 2, stream.height, stream.width), dtype=np.int64)
-    if len(stream):
-        inside = (stream.t >= t_a) & (stream.t <= t_b)
-        t, x, y, p = stream.t[inside], stream.x[inside], stream.y[inside], stream.p[inside]
-        bins = (t - t_a) * n_bins // (t_b - t_a)
-        np.minimum(bins, n_bins - 1, out=bins)
-        np.add.at(counts, (bins, p, y, x), 1)
-    return EventTensor(counts, t_a, t_b, n_bins)
+    t, x, y, p = stream.t[index], stream.x[index], stream.y[index], stream.p[index]
+    bins = (t - t_a) * n_bins // (t_b - t_a)
+    np.minimum(bins, n_bins - 1, out=bins)
+    np.add.at(counts, (bins, p, y, x), 1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

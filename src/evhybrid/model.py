@@ -11,7 +11,7 @@ from . import ann, bridge, snn
 from .arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from .config import RunConfig, architecture_hash, config_hash
 from .errors import ConfigError, DataFormatError
-from .events import EventStream, build_event_tensor
+from .events import EventStream, bin_events
 from .numerics import NARROW, Tensor
 from .snn import ConvBNBlock, snn_backbone_forward
 
@@ -74,11 +74,11 @@ class HybridModel:
         return {f"{name}.{k}": v for name, blk in self._named_blocks() for k, v in blk.parameters().items()}
 
     def running_stats(self) -> dict[str, np.ndarray]:
-        """Batchnorm running averages of the spiking then the dense blocks."""
+        """Running averages of the batch-norm blocks, spiking then dense."""
         return {
             f"{name}.{k}": getattr(blk, k)
             for name, blk in self._named_blocks()
-            if isinstance(blk, ConvBNBlock)
+            if isinstance(blk, ConvBNBlock) and blk.batch_norm
             for k in ("bn_mean", "bn_var")
         }
 
@@ -100,7 +100,6 @@ class HybridModel:
         self,
         counts: np.ndarray,
         training: bool = False,
-        smooth: bool = False,
         trace: list | None = None,
     ) -> dict:
         """One detection window: [T, 2, H, W] event counts -> features + head.
@@ -110,9 +109,7 @@ class HybridModel:
         input masks, as in ``snn_backbone_forward``.
         """
         x = Tensor(counts.astype(self.dtype))
-        e_spike = snn_backbone_forward(
-            x, self.snn_blocks, training=training, smooth=smooth, trace=trace
-        )
+        e_spike = snn_backbone_forward(x, self.snn_blocks, training=training, trace=trace)
         f_out = bridge.asab_forward(e_spike, self.bridge, variant=self.variant)
         feats = ann.ann_backbone_forward(
             f_out, self.ann_blocks, self.lstm_units, self.lstm_states, training=training
@@ -184,17 +181,23 @@ class Detection:
 
 
 def stream_windows(stream: EventStream, config: RunConfig):
-    """Yield (window_index, [T,2,H,W] counts) for every full window in the
-    stream, windows anchored at t = 0. A stream whose events all sit at t = 0
-    gives one window."""
+    """Yield (window_index, [T,2,H,W] counts) for every window up to the
+    stream's last event, windows of length w anchored at t = 0.
+
+    Every event has one owner: window 0 owns [0, w] and window i >= 1 owns
+    (i*w, (i+1)*w], so an event at a window's end lands in that window's last
+    bin, as in training windows. A stream whose events all sit at t = 0 gives
+    one window."""
     sim = config.simulation
     win_us = sim.window_ms * 1000
     if len(stream) == 0:
         return
     n_windows = max(1, -(-int(stream.t[-1]) // win_us))
-    for i in range(n_windows):
-        tensor = build_event_tensor(stream, i * win_us, (i + 1) * win_us, sim.T)
-        yield i, tensor.counts
+    ends = np.searchsorted(stream.t, np.arange(1, n_windows + 1) * win_us, side="right")
+    start = 0
+    for i, end in enumerate(ends):
+        yield i, bin_events(stream, slice(start, end), i * win_us, (i + 1) * win_us, sim.T)
+        start = end
 
 
 def decode_detections(

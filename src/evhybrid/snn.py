@@ -65,6 +65,8 @@ class ConvBNBlock:
     """Conv weights, batchnorm affine parameters and running statistics of one
     conv -> batchnorm layer; the spiking and dense blocks add their activation."""
 
+    batch_norm = True  # normalizes with batch and running statistics
+
     def __init__(self, in_channels: int, cfg: ConvSpec, rng: np.random.Generator, dtype=NARROW):
         self.cfg = cfg
         self.in_channels = in_channels
@@ -135,9 +137,6 @@ class PLIFState:
     """Per-sequence membrane potential; reset before every new sequence."""
 
     v: Tensor | None = None
-
-    def reset(self):
-        self.v = None
 
 
 @dataclass

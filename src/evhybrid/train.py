@@ -21,6 +21,7 @@ from .events import ShapeSpec, SyntheticScene, build_event_tensor, synthesize_mo
 from .model import HybridModel
 from .numerics import GradTape, Tensor, ops
 from .ann import toy_loss
+from .bridge import VARIANTS as ABLATION_VARIANTS
 
 
 class Adam:
@@ -261,9 +262,6 @@ def run_train_toy(
         (out / "loss_curve.csv").write_text(curve)
         (out / "metrics.json").write_text(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))
     return TrainResult(losses, metrics, ckpt_path, model=model)
-
-
-ABLATION_VARIANTS = ("full", "no-ta", "no-deform", "no-ers", "no-asab")
 
 
 def run_ablate(

@@ -335,6 +335,7 @@ def test_criterion_5_attention_invariants():
 # -- criteria 6 and 11 (trained artifact) -------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_11_end_to_end_toy_training(trained_toy):
     cfg, result, elapsed = trained_toy
     halved = result.final_loss <= 0.5 * result.initial_loss
@@ -348,6 +349,7 @@ def test_criterion_11_end_to_end_toy_training(trained_toy):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_fused_quantization_fidelity(trained_toy):
     cfg, result, _ = trained_toy
     model = result.model
@@ -496,6 +498,7 @@ def test_criterion_10_shape_regression():
 # -- criterion 12 ------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_12_ablation_direction():
     wins = 0
     details = []

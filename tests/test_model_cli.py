@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evhybrid.arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from evhybrid.config import RunConfig, save_config
@@ -85,6 +86,22 @@ class TestModel:
         with pytest.raises(DataFormatError, match="architecture"):
             HybridModel(cfg.validate(), seed=1).load_checkpoint(path)
 
+    def test_layer_norm_checkpoint_has_no_dense_stats(self, tmp_path):
+        cfg = toy_config()
+        cfg.architecture.norm = "layer"
+        model = HybridModel(cfg.validate(), seed=1)
+        model.save_checkpoint(tmp_path / "m.evck")
+        _, arrays = read_bundle(tmp_path / "m.evck", CHECKPOINT_MAGIC)
+        assert not [k for k in arrays if k.startswith("stat.ann")]
+        assert "stat.snn1.bn_mean" in arrays
+        other = HybridModel(cfg, seed=2)
+        other.load_checkpoint(tmp_path / "m.evck")
+        counts = np.random.default_rng(1).poisson(0.2, (10, 2, 24, 24)).astype(np.int64)
+        np.testing.assert_array_equal(
+            model.forward_window(counts)["detection"].raw.data,
+            other.forward_window(counts)["detection"].raw.data,
+        )
+
     def test_infer_trace_equals_backbone_pass(self):
         cfg = toy_config()
         model = HybridModel(cfg, seed=7)
@@ -123,6 +140,38 @@ class TestModel:
         windows = list(stream_windows(stream, toy_config()))
         assert [i for i, _ in windows] == [0]
         assert windows[0][1].sum() == 2
+
+    def test_boundary_event_has_one_owner(self):
+        cfg = toy_config()
+        w = cfg.simulation.window_ms * 1000
+        t = [0, w, 2 * w, 2 * w + 7]  # the last event opens a third window
+        stream = EventStream(24, 24, t=t, x=[1, 2, 3, 4], y=[1, 2, 3, 4], p=[1, 1, 1, 1])
+        windows = [c for _, c in stream_windows(stream, cfg)]
+        assert len(windows) == 3
+        assert sum(int(c.sum()) for c in windows) == len(stream)
+        assert windows[0][-1, 1, 2, 2] == 1 and windows[0][:, :, 2, 2].sum() == 1
+        assert windows[1][:, :, 2, 2].sum() == 0
+
+    @given(
+        t=st.lists(st.integers(0, 6).map(lambda k: k * 25_000) | st.integers(0, 150_000), max_size=30),
+        n_bins=st.integers(1, 7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_per_event_owner(self, t, n_bins):
+        cfg = toy_config()
+        cfg.simulation.T = n_bins
+        w = cfg.simulation.window_ms * 1000
+        rng = np.random.default_rng(len(t))
+        n = len(t)
+        stream = EventStream(24, 24, t=t, x=rng.integers(0, 24, n), y=rng.integers(0, 24, n),
+                             p=rng.integers(0, 2, n))
+        windows = list(stream_windows(stream, cfg))
+        expected = np.zeros((len(windows), n_bins, 2, 24, 24), dtype=np.int64)
+        for e in stream:
+            i = max(0, -(-e.t // w) - 1)
+            expected[i, min(n_bins - 1, (e.t - i * w) * n_bins // w), e.p, e.y, e.x] += 1
+        assert [i for i, _ in windows] == list(range(len(windows)))
+        np.testing.assert_array_equal(np.array([c for _, c in windows]).reshape(expected.shape), expected)
 
     def test_decode_emits_argmax_when_nothing_confident(self):
         cfg = toy_config()
@@ -164,6 +213,32 @@ class TestBundle:
         path = tmp_path / "bad.evck"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(16))
         with pytest.raises(DataFormatError, match=missing):
+            read_bundle(path, CHECKPOINT_MAGIC)
+
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"shape": [3]},
+            {"nbytes": 24},
+            {"dtype": "<q8"},
+            {"dtype": None},
+            {"dtype": "|O"},
+            {"dtype": "(2,)<f8", "shape": [1]},
+            {"offset": -16},
+            {"shape": [-1, -2]},
+            {"shape": 2},
+            {"nbytes": 16.0},
+        ],
+        ids=["shape-vs-nbytes", "nbytes-vs-shape", "unknown-dtype", "null-dtype", "object-dtype",
+             "subarray-dtype", "negative-offset", "negative-dims", "shape-not-list", "float-nbytes"],
+    )
+    def test_entry_not_describing_its_bytes_is_data_error(self, tmp_path, change):
+        entry = {"name": "w", "dtype": "<f8", "shape": [2], "offset": 0, "nbytes": 16, **change}
+        raw = json.dumps({"meta": {}, "arrays": [entry]}).encode("utf-8")
+        path = tmp_path / "bad.evck"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(32))
+        with pytest.raises(DataFormatError, match="'w'"):
             read_bundle(path, CHECKPOINT_MAGIC)
 
 
@@ -267,6 +342,24 @@ class TestCLI:
         blob[len(CHECKPOINT_MAGIC) + 8] = ord("x")  # the manifest's opening brace
         bad = tmp_path / "bad.evck"
         bad.write_bytes(bytes(blob))
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(bad), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr
+
+    def test_entry_not_describing_its_bytes_checkpoint_exit_code(self, cli_workspace, tmp_path):
+        root, cfg_path = cli_workspace
+        blob = (root / "run" / "checkpoint.evck").read_bytes()
+        pos = len(CHECKPOINT_MAGIC) + 8
+        (mlen,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
+        manifest = json.loads(blob[pos : pos + mlen])
+        manifest["arrays"][0]["shape"].append(2)  # the entry's bytes now hold half its shape
+        raw = json.dumps(manifest).encode("utf-8")
+        bad = tmp_path / "bad.evck"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + blob[pos + mlen :])
         res = run_cli(
             ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
              "--checkpoint", str(bad), "--bits", "8"],
