@@ -68,6 +68,8 @@ def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataFormatError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: manifest field missing or mistyped: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"{path}: manifest meta is not a JSON object")
     arrays = {}
     for name, dtype, shape, offset, nbytes in entries:
         dt = _entry_dtype(path, name, dtype, shape, offset, nbytes)

@@ -215,6 +215,10 @@ class TestBundle:
         with pytest.raises(DataFormatError, match=missing):
             read_bundle(path, CHECKPOINT_MAGIC)
 
+    def test_meta_not_object_is_data_error(self, tmp_path):
+        path = write_raw_bundle(tmp_path / "bad.evck", {"meta": [], "arrays": []})
+        with pytest.raises(DataFormatError, match="meta"):
+            read_bundle(path, CHECKPOINT_MAGIC)
 
     @pytest.mark.parametrize(
         "change",
@@ -235,11 +239,16 @@ class TestBundle:
     )
     def test_entry_not_describing_its_bytes_is_data_error(self, tmp_path, change):
         entry = {"name": "w", "dtype": "<f8", "shape": [2], "offset": 0, "nbytes": 16, **change}
-        raw = json.dumps({"meta": {}, "arrays": [entry]}).encode("utf-8")
-        path = tmp_path / "bad.evck"
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + bytes(32))
+        path = write_raw_bundle(tmp_path / "bad.evck", {"meta": {}, "arrays": [entry]}, bytes(32))
         with pytest.raises(DataFormatError, match="'w'"):
             read_bundle(path, CHECKPOINT_MAGIC)
+
+
+def write_raw_bundle(path, manifest, payload=b""):
+    """A bundle file with a hand-written manifest."""
+    raw = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + payload)
+    return path
 
 
 def stream_windows_from(ds, cfg):
@@ -357,9 +366,7 @@ class TestCLI:
         (mlen,) = struct.unpack_from("<Q", blob, len(CHECKPOINT_MAGIC))
         manifest = json.loads(blob[pos : pos + mlen])
         manifest["arrays"][0]["shape"].append(2)  # the entry's bytes now hold half its shape
-        raw = json.dumps(manifest).encode("utf-8")
-        bad = tmp_path / "bad.evck"
-        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + blob[pos + mlen :])
+        bad = write_raw_bundle(tmp_path / "bad.evck", manifest, blob[pos + mlen :])
         res = run_cli(
             ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
              "--checkpoint", str(bad), "--bits", "8"],
