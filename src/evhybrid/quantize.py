@@ -11,15 +11,23 @@ integer conv output:
 
 so the fused membrane update V <- (1 - 1/tau) V + (scale*y_int + shift)
 + v_reset/tau reproduces the float conv -> batchnorm -> leaky-integrate
-trajectory exactly when the integer weights are exact. Integer convolutions
-are computed exactly in float64 by ``ops.conv2d``, under a checked 2**53 bound
-on every partial sum, then saturate to the int32 range (saturation events are
-counted, never silent); membranes stay in real arithmetic.
+trajectory exactly when the integer weights are exact.
+
+The forward is event-driven. The integer conv gathers the (t, y, x) sites
+that hold input and, tap by tap, adds their rows times the tap's weights to
+the output cells they reach (a gather-GEMM-scatter rulebook conv, Graham and
+van der Maaten 2017), exactly in int64 under a checked 2**53 bound on every
+partial sum, then saturates to the int32 range (saturation events are
+counted, never silent). Only the output sites a tap reached carry their own
+membranes; every other cell of a channel sees the same input, shift[c], at
+every step, so all of them share one quiet trajectory per channel, computed
+once. Membranes stay in real arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -105,27 +113,69 @@ def fuse_bn_lif(
     return FusedLIFParams(scale=scale, shift=shift)
 
 
+def _event_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold input.
+
+    The active sites are the (t, y, x) positions with any nonzero channel.
+    For each tap (ky, kx), the rulebook keeps the sites whose
+    (y + padding - ky, x + padding - kx) lands on the stride grid inside the
+    output, and adds their rows times ``w[:, :, ky, kx].T`` to those output
+    cells in int64. Within one tap no two sites share an output, so the
+    fancy-index ``+=`` is exact. Partial sums are bounded by
+    max|x| * max_c sum|w[c]|; a bound of 2**53 or more raises NumericError,
+    so every partial sum is exact in float64 too. Cells beyond the int32 range
+    are clamped and counted. Returns the [N, H', W', C_out] int64 output, the
+    flat H'*W' output sites that some tap reached, and the saturation count.
+    """
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"integer conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
+    n, c_in, h, wd = x.shape
+    c_out, c_w, kh, kw = w.shape
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"integer conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
+    if c_w != c_in:
+        raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {c_in}")
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (wd + 2 * padding - kw) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeError(f"integer conv output spatial axis empty: ({h_out}, {w_out})")
+    t, ys, xs = np.nonzero(x.any(axis=1))
+    rows = x[t, :, ys, xs].astype(np.int64)  # [S, C_in]
+    w = w.astype(np.int64)
+    x_peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    bound = x_peak * int(np.abs(w).reshape(c_out, -1).sum(axis=1).max(initial=0))
+    if bound >= 2**53:
+        raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
+    out = np.zeros((n * h_out * w_out, c_out), dtype=np.int64)
+    touched = np.zeros(h_out * w_out, dtype=bool)
+    oy, ry = np.divmod(ys[None] + padding - np.arange(kh)[:, None], stride)
+    ox, rx = np.divmod(xs[None] + padding - np.arange(kw)[:, None], stride)
+    in_y = (ry == 0) & (oy >= 0) & (oy < h_out)
+    in_x = (rx == 0) & (ox >= 0) & (ox < w_out)
+    for ky in range(kh):
+        for kx in range(kw):
+            ok = np.flatnonzero(in_y[ky] & in_x[kx])
+            site = oy[ky, ok] * w_out + ox[kx, ok]
+            touched[site] = True
+            out[t[ok] * (h_out * w_out) + site] += rows[ok] @ w[:, :, ky, kx].T
+    over = 0
+    if bound > INT32_MAX:  # otherwise no cell can leave the int32 range
+        over = int(np.count_nonzero(np.abs(out) > INT32_MAX))
+        out = np.clip(out, -INT32_MAX, INT32_MAX)
+    return out.reshape(n, h_out, w_out, c_out), np.flatnonzero(touched), over
+
+
 def int_conv2d(
     x: np.ndarray, w: np.ndarray, stride: int, padding: int
 ) -> tuple[np.ndarray, int]:
     """Exact integer conv whose outputs saturate to the int32 range.
 
-    Runs ``ops.conv2d`` on float64 copies of the operands. Every partial sum
-    is an integer no larger than max|x| * max_c sum|w[c]|; below 2**53 each is
-    exactly representable, so the result is exact in any summation order, and
-    a larger bound raises NumericError. Cells beyond the int32 range are
-    clamped and counted. Returns (output, saturation count).
+    The event-driven rulebook conv of ``_event_conv``: only the sites of
+    ``x`` [N, C_in, H, W] that hold input are gathered and multiplied, tap by
+    tap. Returns (the [N, C_out, H', W'] int64 output, saturation count).
     """
-    w = w.astype(np.int64)
-    x_peak = max(int(x.max(initial=0)), -int(x.min(initial=0)))
-    bound = x_peak * int(np.abs(w).reshape(w.shape[0], -1).sum(axis=1).max(initial=0))
-    if bound >= 2**53:
-        raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
-    y = ops.conv2d(x.astype(WIDE), w.astype(WIDE), stride=stride, padding=padding).data.astype(np.int64)
-    over = int(np.count_nonzero(np.abs(y) > INT32_MAX))
-    if over:
-        y = np.clip(y, -INT32_MAX, INT32_MAX)
-    return y, over
+    y, _, over = _event_conv(x, w, stride, padding)
+    return y.transpose(0, 3, 1, 2), over
 
 
 @dataclass
@@ -143,6 +193,25 @@ class FixedPointBlock:
 # the fields a manifest layer stores as they are; the weights go to the blob
 # and the fused parameters to per-channel lists
 _SCALAR_FIELDS = tuple(f.name for f in fields(FixedPointBlock) if f.name not in ("quant", "fused"))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+# the values load_quantized accepts for each scalar field
+_SCALAR_CHECKS = {
+    "name": lambda v: isinstance(v, str),
+    "stride": lambda v: _is_int(v) and v >= 1,
+    "padding": lambda v: _is_int(v) and v >= 0,
+    "leak": lambda v: _is_real(v) and 0 < v <= 1,
+    "v_threshold": _is_real,
+    "v_reset": _is_real,
+}
 
 
 @dataclass
@@ -188,8 +257,10 @@ def fixed_point_forward(
 ) -> np.ndarray | list[np.ndarray]:
     """Integer-arithmetic spiking forward pass.
 
-    ``counts``: [T, 2, H, W] integer event counts. Convolutions are exact in
-    integers; per-channel scale/shift and the membrane run in float64.
+    ``counts``: [T, 2, H, W] integer event counts. Each layer runs the
+    event-driven rulebook conv over the sites that hold input, exact in
+    integers, then the membranes in float64: one per output site the conv
+    reached, and one shared quiet trajectory per channel for the rest.
     Returns the final binary spike tensor, or all per-layer spike tensors
     when ``collect_layers``. Saturation events accumulate on the model.
     """
@@ -198,24 +269,36 @@ def fixed_point_forward(
         raise NumericError("fixed-point input must be integer event counts")
     layers = []
     for blk in fpm.blocks:
-        y, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
+        y, live, over = _event_conv(x, blk.quant.int_weights, blk.stride, blk.padding)
         fpm.overflow_count += over
-        t, c = y.shape[0], y.shape[1]
-        u = y.astype(np.float64) * blk.fused.scale.reshape(1, c, 1, 1) + blk.fused.shift.reshape(
-            1, c, 1, 1
-        )
-        v = np.full(y.shape[1:], blk.v_reset, dtype=np.float64)
-        spikes = np.zeros(y.shape, dtype=np.int64)
-        keep = 1.0 - blk.leak
-        base = blk.leak * blk.v_reset
-        for step in range(t):
-            v = keep * v + u[step] + base
-            fired = v >= blk.v_threshold
-            spikes[step] = fired
-            v = np.where(fired, blk.v_reset, v)
-        layers.append(spikes)
-        x = spikes
+        x = _membrane(y, live, blk)
+        layers.append(x.astype(np.int64))
     return layers if collect_layers else layers[-1]
+
+
+def _membrane(y: np.ndarray, live: np.ndarray, blk: FixedPointBlock) -> np.ndarray:
+    """Fused leaky integrate-and-fire over a [T, H, W, C] conv output.
+
+    Only the ``live`` flat sites, which the conv reached at some step, carry
+    their own membranes. Every other cell of a channel sees u = 0*scale +
+    shift at every step, so all of them follow one quiet trajectory per
+    channel, carried by a zero row after the live ones. Returns the
+    [T, C, H, W] boolean spikes.
+    """
+    t, h, w, c = y.shape
+    y = np.concatenate([y.reshape(t, h * w, c)[:, live], np.zeros((t, 1, c), dtype=np.int64)], axis=1)
+    u = y.astype(np.float64) * blk.fused.scale + blk.fused.shift
+    v = np.full(y.shape[1:], blk.v_reset, dtype=np.float64)
+    fired = np.empty(y.shape, dtype=bool)
+    keep = 1.0 - blk.leak
+    base = blk.leak * blk.v_reset
+    for step in range(t):
+        v = keep * v + u[step] + base
+        fired[step] = v >= blk.v_threshold
+        v = np.where(fired[step], blk.v_reset, v)
+    spikes = np.repeat(fired[:, -1, :, None], h * w, axis=2)
+    spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
+    return spikes.reshape(t, c, h, w)
 
 
 def float_reference_spikes(
@@ -325,13 +408,14 @@ def save_quantized(fpm: FixedPointModel, base_path) -> tuple[Path, Path]:
 
 def load_quantized(base_path) -> FixedPointModel:
     """Read what ``save_quantized`` wrote; a manifest that is not UTF-8 JSON,
-    lacks a field, or points past the end of the weight blob raises
+    lacks a field, holds a scalar field of the wrong type or range (see
+    ``_SCALAR_CHECKS``), or points past the end of the weight blob raises
     DataFormatError."""
     base = Path(base_path)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     try:
         manifest = json.loads(json_path.read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's digit limit
         raise DataFormatError(f"{json_path}: manifest is not UTF-8 JSON: {exc}") from exc
     blob = bin_path.read_bytes()
     try:
@@ -343,6 +427,10 @@ def load_quantized(base_path) -> FixedPointModel:
             if start + nbytes > len(blob):
                 raise DataFormatError(f"{bin_path}: weights of {layer['name']!r} run past the end of the file")
             ints = np.frombuffer(blob[start : start + nbytes], dtype="<i1").reshape(layer["shape"]).copy()
+            scalars = {k: layer[k] for k in _SCALAR_FIELDS}
+            for k, v in scalars.items():
+                if not _SCALAR_CHECKS[k](v):
+                    raise DataFormatError(f"{json_path}: layer field {k!r} has the bad value {v!r}")
             fpm.blocks.append(
                 FixedPointBlock(
                     quant=QuantParams(
@@ -354,7 +442,7 @@ def load_quantized(base_path) -> FixedPointModel:
                         scale=np.asarray(layer["scale"], dtype=np.float64),
                         shift=np.asarray(layer["shift"], dtype=np.float64),
                     ),
-                    **{k: layer[k] for k in _SCALAR_FIELDS},
+                    **scalars,
                 )
             )
     except (KeyError, TypeError, ValueError) as exc:

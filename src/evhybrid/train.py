@@ -270,11 +270,13 @@ def run_ablate(
     out_dir: str | Path | None = None,
     quiet: bool = True,
 ) -> dict[str, EvalMetrics]:
-    """Train and evaluate the bridge ablations with identical data and seed."""
-    results: dict[str, EvalMetrics] = {}
+    """Train and evaluate the bridge ablations with identical data and seed.
+    Every variant name is checked before any training starts."""
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {variant!r}")
+    results: dict[str, EvalMetrics] = {}
+    for variant in variants:
         res = run_train_toy(cfg, out_dir=None, variant=variant, quiet=quiet)
         results[variant] = res.metrics
     if out_dir is not None:

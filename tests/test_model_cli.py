@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from evhybrid.arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from evhybrid.config import RunConfig, save_config
-from evhybrid.errors import DataFormatError
+from evhybrid.errors import ConfigError, DataFormatError
 from evhybrid.events import EventStream, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
 from evhybrid.numerics import Tensor
 from evhybrid.snn import snn_backbone_forward
-from evhybrid.train import make_dataset, run_train_toy
+from evhybrid import train
+from evhybrid.train import make_dataset, run_ablate, run_train_toy
 
 
 def toy_config(seed=0, steps=8):
@@ -436,3 +437,10 @@ class TestTrainingBehavior:
         a = run_train_toy(cfg, quiet=True)
         b = run_train_toy(toy_config(steps=6), quiet=True)
         assert a.loss_curve == b.loss_curve
+
+    def test_ablate_checks_every_variant_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(train, "run_train_toy", lambda *a, **k: calls.append(k.get("variant")))
+        with pytest.raises(ConfigError, match="bogus"):
+            run_ablate(toy_config(steps=2), ("full", "bogus"))
+        assert calls == []

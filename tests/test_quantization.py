@@ -14,6 +14,8 @@ from evhybrid.model import HybridModel
 from evhybrid.quantize import (
     FixedPointBlock,
     FixedPointModel,
+    FusedLIFParams,
+    QuantParams,
     fidelity_from_layers,
     fixed_point_forward,
     float_reference_spikes,
@@ -307,13 +309,130 @@ class TestFixedPointPipeline:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
+def _dense_fixed_point(counts, fpm):
+    """The dense fixed-point forward, the oracle of the event-driven one: an
+    int64 im2col conv over every (t, y, x) site with int32 saturation, then
+    the fused membrane update of every cell. Returns (layers, saturations)."""
+    limit = 2**31 - 1
+    x = np.asarray(counts, dtype=np.int64)
+    layers, over = [], 0
+    for blk in fpm.blocks:
+        w = blk.quant.int_weights.astype(np.int64)
+        k, s, p = w.shape[-1], blk.stride, blk.padding
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        y = np.einsum("tchwij,ocij->tohw", win, w)
+        over += int(np.count_nonzero(np.abs(y) > limit))
+        y = np.clip(y, -limit, limit)
+        c = y.shape[1]
+        u = y.astype(np.float64) * blk.fused.scale.reshape(1, c, 1, 1) + blk.fused.shift.reshape(1, c, 1, 1)
+        v = np.full(y.shape[1:], blk.v_reset, dtype=np.float64)
+        spikes = np.zeros(y.shape, dtype=np.int64)
+        for t in range(y.shape[0]):
+            v = (1.0 - blk.leak) * v + u[t] + blk.leak * blk.v_reset
+            spikes[t] = v >= blk.v_threshold
+            v = np.where(spikes[t] == 1, blk.v_reset, v)
+        layers.append(spikes)
+        x = spikes
+    return layers, over
+
+
+def _random_fpm(rng, bits, geometry):
+    """A fixed-point model of 3x3 blocks (c_out, stride, padding) whose
+    membranes fire on a few events; a quiet cell may fire too (its fixed point
+    shift/leak + v_reset can pass the threshold)."""
+    qmax = 2 ** (bits - 1) - 1
+    fpm, c_in = FixedPointModel(bits=bits), 2
+    for i, (c_out, stride, padding) in enumerate(geometry, start=1):
+        ints = rng.integers(-qmax, qmax + 1, (c_out, c_in, 3, 3)).astype(np.int8)
+        fpm.blocks.append(
+            FixedPointBlock(
+                name=f"snn{i}",
+                quant=QuantParams(bits=bits, q_scale=np.ones(c_out), int_weights=ints),
+                fused=FusedLIFParams(
+                    scale=rng.uniform(-0.5, 1.0, c_out) / qmax, shift=rng.uniform(-0.3, 0.3, c_out)
+                ),
+                stride=stride,
+                padding=padding,
+                leak=float(rng.uniform(0.2, 1.0)),
+                v_threshold=1.0,
+                v_reset=float(rng.uniform(-0.3, 0.3)),
+            )
+        )
+        c_in = c_out
+    return fpm
+
+
+def _assert_matches_dense(counts, fpm):
+    want, want_over = _dense_fixed_point(counts, fpm)
+    got = fixed_point_forward(counts, fpm, collect_layers=True)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+    assert fpm.overflow_count == want_over
+    np.testing.assert_array_equal(fixed_point_forward(counts, fpm), want[-1])
+    return want
+
+
+class TestEventDrivenForward:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        geometry=st.lists(
+            st.tuples(st.integers(1, 5), st.sampled_from([1, 2]), st.integers(0, 2)), min_size=1, max_size=3
+        ),
+        bits=st.integers(2, 8),
+        steps=st.integers(1, 5),
+        h=st.integers(16, 20),
+        w=st.integers(16, 20),
+        density=st.sampled_from([0.003, 0.02, 0.1]),
+        peak=st.sampled_from([1, 2**24]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_forward(self, seed, geometry, bits, steps, h, w, density, peak):
+        rng = np.random.default_rng(seed)
+        fpm = _random_fpm(rng, bits, geometry)
+        counts = rng.binomial(3, density, (steps, 2, h, w)).astype(np.int64) * peak
+        _assert_matches_dense(counts, fpm)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_window(self, seed):
+        fpm = _random_fpm(np.random.default_rng(seed), 8, [(4, 2, 1), (6, 1, 1)])
+        for blk in fpm.blocks:
+            blk.fused.shift[:] = np.minimum(blk.fused.shift, 0.0)
+        want = _assert_matches_dense(np.zeros((6, 2, 16, 16), dtype=np.int64), fpm)
+        assert not any(layer.any() for layer in want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_window_with_firing_quiet_trajectory(self, seed):
+        fpm = _random_fpm(np.random.default_rng(seed), 8, [(4, 2, 1), (6, 1, 1)])
+        first = fpm.blocks[0]
+        first.fused.shift[:2] = -0.1, first.leak * (first.v_threshold - first.v_reset) * 1.5
+        want = _assert_matches_dense(np.zeros((6, 2, 16, 16), dtype=np.int64), fpm)
+        assert want[0][:, 1].any() and not want[0][:, 0].any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_events_on_the_border(self, stride, padding):
+        rng = np.random.default_rng(10 * stride + padding)
+        fpm = _random_fpm(rng, 8, [(4, stride, padding), (3, stride, padding)])
+        counts = np.zeros((4, 2, 17, 19), dtype=np.int64)
+        for border in (np.s_[:, :, 0, :], np.s_[:, :, -1, :], np.s_[:, :, :, 0], np.s_[:, :, :, -1]):
+            counts[border] = rng.binomial(2, 0.5, counts[border].shape)
+        want = _assert_matches_dense(counts, fpm)
+        assert want[0].any()
+
+
 class TestQuantizedFormat:
     @pytest.fixture
     def base(self, tmp_path):
         save_quantized(FixedPointModel.from_model(tiny_model(seed=4), 8), tmp_path / "q")
         return tmp_path / "q"
 
-    @pytest.mark.parametrize("manifest", [b"\xff" * 8, b"{not json"], ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize(
+        "manifest", [b"\xff" * 8, b"{not json", b'{"bits": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "not-json", "huge-int"],
+    )
     def test_corrupt_manifest_is_data_error(self, base, manifest):
         base.with_suffix(".json").write_bytes(manifest)
         with pytest.raises(DataFormatError, match="manifest"):
@@ -341,6 +460,46 @@ class TestQuantizedFormat:
                 "name", "shape", "weights_offset", "weights_nbytes", "q_scale", "scale", "shift",
                 "stride", "padding", "leak", "v_threshold", "v_reset",
             }
+
+    @staticmethod
+    def _set_field(base, key, value):
+        path = base.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        manifest["layers"][-1][key] = value
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("name", 3), ("name", None),
+            ("stride", "2"), ("stride", 0), ("stride", 1.0), ("stride", True),
+            ("padding", "1"), ("padding", -1), ("padding", False),
+            ("leak", None), ("leak", "0.5"), ("leak", 0.0), ("leak", 1.5), ("leak", float("nan")),
+            ("v_threshold", None), ("v_threshold", "1"), ("v_threshold", float("inf")), ("v_threshold", True),
+            ("v_reset", None), ("v_reset", float("-inf")), ("v_reset", float("nan")),
+        ],
+    )
+    def test_bad_scalar_field_is_data_error(self, base, key, value):
+        self._set_field(base, key, value)
+        with pytest.raises(DataFormatError, match=key):
+            load_quantized(base)
+
+    @pytest.mark.parametrize(
+        "key,value", [("stride", 1), ("padding", 0), ("leak", 1), ("leak", 1e-9), ("v_reset", -2), ("v_threshold", 0)]
+    )
+    def test_edge_scalar_field_loads(self, base, key, value):
+        self._set_field(base, key, value)
+        assert getattr(load_quantized(base).blocks[-1], key) == value
+
+    def test_bad_scalar_field_exits_data_error(self, base, monkeypatch, capsys):
+        """No command reads quantized.json, so a stand-in command loads one
+        through the CLI's error handling."""
+        from evhybrid import cli
+
+        self._set_field(base, "stride", "2")
+        monkeypatch.setitem(cli._COMMANDS, "quantize", lambda args, cfg: load_quantized(base))
+        assert cli.main(["quantize", "--checkpoint", str(base)]) == 3
+        assert "error[data]" in capsys.readouterr().err
 
     def test_weights_past_end_of_blob_is_data_error(self, base):
         path = base.with_suffix(".bin")
