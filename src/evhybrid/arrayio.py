@@ -64,10 +64,10 @@ def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(blob[pos:base].decode("utf-8"))
         meta = manifest["meta"]
         entries = [(e["name"], e["dtype"], e["shape"], e["offset"], e["nbytes"]) for e in manifest["arrays"]]
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: manifest field missing or mistyped: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past Python's digit limit
+        raise DataFormatError(f"{path}: manifest is not UTF-8 JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataFormatError(f"{path}: manifest meta is not a JSON object")
     arrays = {}

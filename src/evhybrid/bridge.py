@@ -113,20 +113,6 @@ def _predict_offsets_batched(a: Tensor, params: BridgeParams) -> Tensor:
     return ops.conv2d(a, params.offset_w, params.offset_b, stride=1, padding=(k - 1) // 2)
 
 
-def _base_grid(k: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regular sampling positions per output pixel: [K^2, H, W] y and x."""
-    pad = (k - 1) // 2
-    taps = np.arange(k) - pad
-    ky = np.repeat(taps, k)
-    kx = np.tile(taps, k)
-    yy = np.arange(h)[None, :, None] + ky[:, None, None]
-    xx = np.arange(w)[None, None, :] + kx[:, None, None]
-    return (
-        np.broadcast_to(yy, (k * k, h, w)).astype(np.float64),
-        np.broadcast_to(xx, (k * k, h, w)).astype(np.float64),
-    )
-
-
 def tsdc(a_c: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
     """Time-separable deformable convolution of one channel group.
 
@@ -140,28 +126,18 @@ def tsdc(a_c: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
 
 
 def _tsdc_batched(a: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
+    t = params.n_steps
+    return ops.deform_conv(a, offsets, params.tsdc_w) + ops.reshape(params.tsdc_b, (1, t, 1, 1))
+
+
+def _deformable_branch(a: Tensor, params: BridgeParams) -> Tensor:
+    """Offsets and deformable conv of [C, T, H, W] planes, one channel chunk
+    at a time, so the [C, 2*K^2*T, H, W] offset field never exists whole."""
     c, t, h, w = a.shape
-    k = params.kernel
-    j = k * k
-    if offsets.shape != (c, 2 * j * t, h, w):
-        raise ShapeError(
-            f"offset channel axis expects {2 * j * t} fields, got shape {offsets.shape}"
-        )
-    off = ops.reshape(offsets, (c, t, j, 2, h, w))
-    base_y, base_x = _base_grid(k, h, w)
-    dtype = a.data.dtype
-    ys = off[:, :, :, 0] + base_y.astype(dtype)
-    xs = off[:, :, :, 1] + base_x.astype(dtype)
-    planes = ops.reshape(a, (c * t, h, w))
-    samples = ops.deform_sample(
-        planes,
-        ops.reshape(ys, (c * t, j, h, w)),
-        ops.reshape(xs, (c * t, j, h, w)),
-    )
-    samples = ops.reshape(samples, (c, t, j, h, w))
-    weighted = samples * ops.reshape(params.tsdc_w, (1, t, j, 1, 1))
-    out = ops.sum(weighted, axis=2) + ops.reshape(params.tsdc_b, (1, t, 1, 1))
-    return out
+    step = ops.deform_chunk(t, params.kernel, h, w, a.dtype)
+    chunks = [a] if step >= c else [a[c0 : c0 + step] for c0 in range(0, c, step)]
+    outs = [_tsdc_batched(a_k, _predict_offsets_batched(a_k, params), params) for a_k in chunks]
+    return outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
 
 
 def _head_expander(t: int, heads: int, dtype) -> np.ndarray:
@@ -269,8 +245,7 @@ def asab_forward(e_spike: Tensor, params: BridgeParams, variant: str = "full") -
             groups=params.n_steps,
         )
     else:
-        offsets = _predict_offsets_batched(a_in, params)
-        a_sc = _tsdc_batched(a_in, offsets, params)
+        a_sc = _deformable_branch(a_in, params)
     if variant == "no-ta":
         c, t, h, w = a_sc.shape
         a_out = ops.reshape(ops.conv2d(a_sc, params.comb_w, params.comb_b), (c, h, w))

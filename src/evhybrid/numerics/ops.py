@@ -440,56 +440,161 @@ def bilinear_sample(map_, x, y):
     return _emit("bilinear_sample", out, (map_, x, y), pull)
 
 
-def deform_sample(planes, ys, xs):
-    """Vectorized bilinear gather: ``out[g, ...] = planes[g] at (ys, xs)``.
+# Working set of one deform_conv channel chunk, in bytes. A module constant,
+# not a config knob: it bounds memory, and of the results only the rounding of
+# the weight gradient, summed over chunks, depends on it.
+DEFORM_CHUNK_BYTES = 64 << 20
+# bytes one sampled tap (one element of a chunk's [C_chunk*T, K^2, H, W])
+# holds at the forward's peak, in itemsizes of the planes' dtype: the float
+# stacks, their temporaries and the index arrays (measured: 17 for float64,
+# 19 for float32)
+_DEFORM_TAP_ITEMS = 20
 
-    ``planes``: [G, H, W]; ``ys``/``xs``: [G, ...] finite real coordinate
-    arrays. Same zero-padding semantics as :func:`bilinear_sample`.
-    Differentiable in the planes and both coordinate arrays.
 
-    The planes are copied into a zero-bordered stack [G, Hp, Wp] = [G, H+4,
-    W+4]. floor(y) is clipped to [-2, H] and floor(x) to [-2, W]: that moves
-    a 2x2 corner block only when all four true corners lie outside the plane,
-    and then moves it wholly into the zero border. One int32 flat index
-    ``idx`` of each block's top-left corner reaches the others at ``idx+1``,
-    ``idx+Wp`` and ``idx+Wp+1``. The forward pass gathers through it, and the
-    pullback scatters through it in one bincount, then crops the border.
-    """
-    pd, yd, xd = _data(planes), _data(ys), _data(xs)
-    g_count, h, w = pd.shape
+def deform_chunk(t: int, k: int, h: int, w: int, dtype) -> int:
+    """Channels per :func:`deform_conv` chunk: as many as fit
+    ``DEFORM_CHUNK_BYTES`` (at least one), and few enough that the chunk's
+    zero-bordered planes take an int32 flat index."""
     hp, wp = h + 4, w + 4
-    if g_count * hp * wp > np.iinfo(np.int32).max:
-        raise ShapeError(f"deform_sample: {g_count} padded {hp}x{wp} planes overflow an int32 index")
-    if not (np.isfinite(yd).all() and np.isfinite(xd).all()):
-        raise NumericError("deform_sample: non-finite sampling coordinate")
-    y0 = np.floor(yd).astype(np.int64)
-    x0 = np.floor(xd).astype(np.int64)
-    fy = yd - y0
-    fx = xd - x0
-    idx = np.arange(g_count, dtype=np.int32).reshape((g_count,) + (1,) * (yd.ndim - 1))
-    idx = idx * (hp * wp) + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
-    idx += np.clip(x0, -2, w).astype(np.int32) + 2
-    # corner-major [4, G, ...] stacks, corners in the order 00, 01, 10, 11
-    step = np.array([0, 1, wp, wp + 1], dtype=np.int32).reshape((4,) + (1,) * yd.ndim)
-    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
-    padded[:, 2:-2, 2:-2] = pd
-    v = padded.ravel().take(idx + step)
-    wy = np.stack((1 - fy, fy))
-    wx = np.stack((1 - fx, fx))
-    wgt = (wy[:, None] * wx).reshape(v.shape)
-    terms = wgt * v
-    out = terms[0] + terms[1] + terms[2] + terms[3]  # fixed left-to-right rounding order
+    index_room = np.iinfo(np.int32).max // (t * hp * wp)
+    if index_room < 1:
+        raise ShapeError(f"deform_conv: {t} padded {hp}x{wp} planes overflow an int32 index")
+    per_channel = _DEFORM_TAP_ITEMS * t * k * k * h * w * np.dtype(dtype).itemsize
+    return min(index_room, max(1, DEFORM_CHUNK_BYTES // per_channel))
+
+
+def _deform_grid(k: int, h: int, w: int, dtype) -> np.ndarray:
+    """Regular sampling positions per output pixel: [2, K^2, H, W] (y, x)."""
+    pad = (k - 1) // 2
+    taps = np.arange(k) - pad
+    yy = np.arange(h)[None, :, None] + np.repeat(taps, k)[:, None, None]
+    xx = np.arange(w)[None, None, :] + np.tile(taps, k)[:, None, None]
+    return np.stack(np.broadcast_arrays(yy, xx)).astype(dtype)
+
+
+def deform_conv(planes, offsets, weight):
+    """Time-separable deformable convolution, without bias.
+
+    ``planes``: [C, T, H, W]; ``offsets``: [C, 2*K^2*T, H, W], one block of
+    2*K^2 fields per time plane, tap-major (dy, dx) pairs; ``weight``:
+    [T, 1, K, K]. Plane (c, t) is sampled at the regular K x K grid plus its
+    offsets, with the zero padding of :func:`bilinear_sample`, and its K^2
+    samples are weighted by ``weight[t]`` and summed: out[c, t] is [H, W].
+    Differentiable in all three inputs; computed in the inputs' dtype.
+
+    Channels are independent, so the op runs over channel chunks of
+    :func:`deform_chunk` channels. Per chunk, the planes are copied into a
+    zero-bordered stack [C_chunk*T, H+4, W+4]; floor(y) is clipped to [-2, H]
+    and floor(x) to [-2, W], which moves a 2x2 corner block only when all
+    four true corners lie outside the plane, and then wholly into the border.
+    One int32 flat index of each block's top-left corner reaches the others
+    at +1, +W+4 and +W+5: the forward gathers through it and the pullback
+    scatters through it in one bincount. The four corners are added left to
+    right and the taps in order 0..K^2-1. A chunk's corner stacks are kept
+    for the pullback only while a tape records the op.
+    """
+    pd, od, wd = _data(planes), _data(offsets), _data(weight)
+    if pd.ndim != 4:
+        raise ShapeError(f"deform_conv planes must be [C, T, H, W], got {pd.ndim}-D")
+    c, t, h, w = pd.shape
+    if wd.ndim != 4 or wd.shape[:2] != (t, 1) or wd.shape[2] != wd.shape[3]:
+        raise ShapeError(f"deform_conv weight must be [{t}, 1, K, K], got shape {wd.shape}")
+    k = wd.shape[2]
+    j = k * k
+    if od.shape != (c, 2 * j * t, h, w):
+        raise ShapeError(f"offset channel axis expects {2 * j * t} fields, got shape {od.shape}")
+    step = deform_chunk(t, k, h, w, pd.dtype)
+    keep = active_tape() is not None and _needs_grad(planes, offsets, weight)
+    grid = _deform_grid(k, h, w, pd.dtype)
+    w5 = wd.reshape(1, t, j, 1, 1)
+    outs, states = [], []
+    for c0 in range(0, c, step):
+        out_c, state = _deform_chunk(pd[c0 : c0 + step], od[c0 : c0 + step], w5, grid, keep)
+        outs.append(out_c)
+        states.append(state)
 
     def pull(g):
-        g_planes = None
-        if isinstance(planes, Tensor):
-            acc = np.bincount((idx + step).ravel(), (g * wgt).ravel(), minlength=g_count * hp * wp)
-            g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(pd.dtype, copy=False)
-        g_y = g * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1])) if isinstance(ys, Tensor) else None
-        g_x = g * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2])) if isinstance(xs, Tensor) else None
-        return (g_planes, g_y, g_x)
+        parts = [_deform_chunk_pullback(st, g[i * step : (i + 1) * step], w5) for i, st in enumerate(states)]
+        g_w = parts[0][2]
+        for p in parts[1:]:
+            g_w = g_w + p[2]
+        return (
+            _join([p[0] for p in parts]).reshape(pd.shape) if isinstance(planes, Tensor) else None,
+            _join([p[1] for p in parts]).reshape(od.shape) if isinstance(offsets, Tensor) else None,
+            g_w.reshape(wd.shape) if isinstance(weight, Tensor) else None,
+        )
 
-    return _emit("deform_sample", out, (planes, ys, xs), pull)
+    return _emit("deform_conv", _join(outs), (planes, offsets, weight), pull)
+
+
+def _join(arrays):
+    """The chunks joined along axis 0, without a copy when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _deform_chunk(pd, od, w5, grid, keep):
+    """Forward of one channel chunk: ([C_chunk, T, H, W] output, pullback
+    state or None)."""
+    cc, t, h, w = pd.shape
+    j = w5.shape[2]
+    g_count, hp, wp = cc * t, h + 4, w + 4
+    off = od.reshape(cc, t, j, 2, h, w)
+    ys = (off[:, :, :, 0] + grid[0]).reshape(g_count, j, h, w)
+    xs = (off[:, :, :, 1] + grid[1]).reshape(g_count, j, h, w)
+    if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
+        raise NumericError("deform_conv: non-finite sampling coordinate")
+    y0, x0 = np.floor(ys), np.floor(xs)
+    fy, fx = np.subtract(ys, y0, out=ys), np.subtract(xs, x0, out=xs)
+    idx = np.arange(g_count, dtype=np.int32).reshape(g_count, 1, 1, 1) * (hp * wp)
+    idx = idx + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
+    idx += np.clip(x0, -2, w).astype(np.int32) + 2
+    del y0, x0
+    # corner-major [4, C_chunk*T, K^2, H, W] stacks, corners in the order 00, 01, 10, 11
+    wy = np.stack((1 - fy, fy))
+    wx = np.stack((1 - fx, fx))
+    del fy, fx
+    wgt = (wy[:, None] * wx).reshape((4,) + idx.shape)
+    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
+    padded.reshape(cc, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
+    v = _corner_values(padded.ravel(), idx, wp)
+    kept = (idx, wy, wx, wgt, v) if keep else None
+    del idx, wy, wx  # the rest of the forward needs only wgt and v
+    terms = wgt * v
+    samples = terms[0] + terms[1]  # the corners added left to right
+    samples += terms[2]
+    samples += terms[3]
+    del terms
+    samples = samples.reshape(cc, t, j, h, w)
+    return np.sum(samples * w5, axis=2), (kept + (samples,) if keep else None)
+
+
+def _corner_values(flat: np.ndarray, idx: np.ndarray, wp: int) -> np.ndarray:
+    """[4, ...] values of the corners 00, 01, 10, 11 of the 2x2 blocks whose
+    top-left corners sit at the flat indices ``idx``. One gather of 4-value
+    rows runs several times faster than four gathers from the flat planes,
+    and numpy gathers and scatters several times faster through an intp
+    index than through an int32 one."""
+    n = flat.size - wp - 1
+    blocks = np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :]), axis=1)
+    return np.moveaxis(blocks.take(idx.astype(np.intp), axis=0), -1, 0)
+
+
+def _deform_chunk_pullback(state, g, w5):
+    """(planes, offsets, weight) adjoints of one chunk from its output adjoint
+    ``g`` [C_chunk, T, H, W]; the weight's is this chunk's partial sum."""
+    idx, wy, wx, wgt, v, samples = state
+    cc, t, j, h, w = samples.shape
+    g_count, hp, wp = cc * t, h + 4, w + 4
+    g5 = np.broadcast_to(g[:, :, None], samples.shape)
+    g_w = np.sum(g5 * samples, axis=(0, 3, 4))
+    gs = (g5 * w5).reshape(g_count, j, h, w)
+    corners = idx.astype(np.intp) + np.array([0, 1, wp, wp + 1]).reshape(4, 1, 1, 1, 1)
+    acc = np.bincount(corners.ravel(), (gs * wgt).ravel(), minlength=g_count * hp * wp)
+    g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(v.dtype, copy=False)
+    g_y = gs * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]))
+    g_x = gs * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]))
+    g_off = np.stack((g_y, g_x), axis=2)  # [C_chunk*T, K^2, 2, H, W]
+    return g_planes, g_off, g_w
 
 
 def spike(u, smooth: bool = False, alpha: float = 2.0):

@@ -192,12 +192,17 @@ def _op_cases(rng):
             ],
         ),
         (
-            "deform_sample",
-            ops.deform_sample,
+            # every coordinate grid + offset keeps its fractional part in
+            # [0.15, 0.85], away from the kinks of bilinear interpolation
+            "deform_conv",
+            ops.deform_conv,
             [
-                _wide(rng, (2, 5, 5)),
-                Tensor(rng.uniform(0.2, 4.4, (2, 3, 2, 2)) + 0.17, dtype=WIDE, requires_grad=True),
-                Tensor(rng.uniform(0.2, 4.4, (2, 3, 2, 2)) + 0.29, dtype=WIDE, requires_grad=True),
+                _wide(rng, (2, 2, 4, 4)),
+                Tensor(
+                    rng.integers(-2, 3, (2, 36, 4, 4)) + rng.uniform(0.15, 0.85, (2, 36, 4, 4)),
+                    dtype=WIDE, requires_grad=True,
+                ),
+                _wide(rng, (2, 1, 3, 3), 0.2, 1.0),
             ],
         ),
         ("spike_smooth", lambda u: ops.spike(u, smooth=True), [a34()]),

@@ -15,7 +15,7 @@ from evhybrid.bridge import (
     temporal_grouping,
     tsdc,
 )
-from evhybrid.numerics import WIDE, Tensor, grad_check, ops
+from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 
 
 def params_for(t, kernel=3, heads=1, seed=0, dtype=WIDE):
@@ -253,6 +253,28 @@ class TestFullBridge:
         for variant in ("no-ta", "no-deform", "no-ers"):
             out = asab_forward(spikes, p, variant=variant)
             assert out.shape == (2, 5, 5)
+
+    def test_channel_chunks_change_no_forward_bit(self, monkeypatch):
+        # the offsets and the deformable conv run one channel chunk at a time
+        rng = np.random.default_rng(14)
+        p = params_for(t=3, seed=14)
+        p.offset_w.data = 0.3 * rng.standard_normal(p.offset_w.shape)
+        spikes = rand_spikes(rng, 3, 5, 6, 6)
+
+        def run():
+            x = Tensor(spikes.data, requires_grad=True)
+            with GradTape() as tape:
+                out = asab_forward(x, p)
+                grads = tape.gradients(out, [x, *p.parameters().values()], seed=np.ones(out.shape))
+            return out.data, grads, len(tape)
+
+        out, grads, nodes = run()
+        monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", 1)  # one channel per chunk
+        out_c, grads_c, nodes_c = run()
+        assert nodes_c > nodes
+        np.testing.assert_array_equal(out_c, out)
+        for got, want in zip(grads_c, grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_parameter_order(self):
         # fixes the optimizer's and the gradient clip's summation order

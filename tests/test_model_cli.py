@@ -195,7 +195,10 @@ class TestBundle:
         with pytest.raises(DataFormatError, match=part):
             read_bundle(path, CHECKPOINT_MAGIC)
 
-    @pytest.mark.parametrize("manifest", [b"\xff" * 8, b"{not json"], ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize(
+        "manifest", [b"\xff" * 8, b"{not json", b'{"meta": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "not-json", "huge-int"],
+    )
     def test_corrupt_manifest_is_data_error(self, tmp_path, manifest):
         path = tmp_path / "bad.evck"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(manifest)) + manifest)
@@ -354,6 +357,19 @@ class TestCLI:
         bad.write_bytes(bytes(blob))
         res = run_cli(
             ["--config", str(cfg_path), "--out", str(tmp_path / "quant"), "quantize",
+             "--checkpoint", str(bad), "--bits", "8"],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr
+
+    def test_huge_int_manifest_checkpoint_exit_code(self, cli_workspace, tmp_path):
+        # an integer literal past Python's 4300-digit limit fails json.loads
+        manifest = b'{"meta": ' + b"1" * 5000 + b', "arrays": []}'
+        bad = tmp_path / "bad.evck"
+        bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(manifest)) + manifest)
+        res = run_cli(
+            ["--config", str(cli_workspace[1]), "--out", str(tmp_path / "quant"), "quantize",
              "--checkpoint", str(bad), "--bits", "8"],
             tmp_path,
         )

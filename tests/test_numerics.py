@@ -1,5 +1,7 @@
 """Kernel-level tests: hand-derived values, invariants, gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,55 +184,210 @@ def _coordinate(draw, size):
     )
 
 
+def _grid(k, h, w):
+    """The regular K x K sampling grid, [2, K^2, H, W] (y, x)."""
+    taps = np.arange(k) - (k - 1) // 2
+    yy = np.arange(h)[None, :, None] + np.repeat(taps, k)[:, None, None]
+    xx = np.arange(w)[None, None, :] + np.tile(taps, k)[:, None, None]
+    return np.stack(np.broadcast_arrays(yy, xx)).astype(float)
+
+
 @st.composite
-def _sampling_case(draw):
-    g, h, w, n = (draw(st.integers(1, hi)) for hi in (3, 5, 5, 4))
-    ys = [[draw(_coordinate(h)) for _ in range(n)] for _ in range(g)]
-    xs = [[draw(_coordinate(w)) for _ in range(n)] for _ in range(g)]
-    return draw(st.integers(0, 2**31 - 1)), (g, h, w), np.array(ys), np.array(xs)
+def _deform_case(draw):
+    """(seed, planes shape [C, T, H, W], K, offsets [C, 2*K^2*T, H, W]) whose
+    sampling coordinates grid + offset are drawn by ``_coordinate``."""
+    c, t, h, w = (draw(st.integers(1, hi)) for hi in (2, 2, 4, 4))
+    k = draw(st.sampled_from([1, 3]))
+    j = k * k
+    ys = np.array([draw(_coordinate(h)) for _ in range(c * t * j * h * w)]).reshape(c, t, j, h, w)
+    xs = np.array([draw(_coordinate(w)) for _ in range(c * t * j * h * w)]).reshape(c, t, j, h, w)
+    grid = _grid(k, h, w)
+    offsets = np.stack((ys - grid[0], xs - grid[1]), axis=3).reshape(c, 2 * j * t, h, w)
+    return draw(st.integers(0, 2**31 - 1)), (c, t, h, w), k, offsets
+
+
+def _deform_sample_chain(planes, ys, xs):
+    """The bridge's former gather op, kept as the oracle of ``deform_conv``:
+    ``out[g, ...] = planes[g]`` bilinearly sampled at (ys, xs)."""
+    pd, yd, xd = planes.data, ys.data, xs.data
+    g_count, h, w = pd.shape
+    hp, wp = h + 4, w + 4
+    y0 = np.floor(yd).astype(np.int64)
+    x0 = np.floor(xd).astype(np.int64)
+    fy = yd - y0
+    fx = xd - x0
+    idx = np.arange(g_count, dtype=np.int32).reshape((g_count,) + (1,) * (yd.ndim - 1))
+    idx = idx * (hp * wp) + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
+    idx += np.clip(x0, -2, w).astype(np.int32) + 2
+    step = np.array([0, 1, wp, wp + 1], dtype=np.int32).reshape((4,) + (1,) * yd.ndim)
+    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
+    padded[:, 2:-2, 2:-2] = pd
+    v = padded.ravel().take(idx + step)
+    wy = np.stack((1 - fy, fy))
+    wx = np.stack((1 - fx, fx))
+    wgt = (wy[:, None] * wx).reshape(v.shape)
+    terms = wgt * v
+    out = terms[0] + terms[1] + terms[2] + terms[3]
+
+    def pull(g):
+        acc = np.bincount((idx + step).ravel(), (g * wgt).ravel(), minlength=g_count * hp * wp)
+        g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(pd.dtype, copy=False)
+        g_y = g * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]))
+        g_x = g * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]))
+        return (g_planes, g_y, g_x)
+
+    return ops._emit("deform_sample", out, (planes, ys, xs), pull)
+
+
+def _deform_conv_chain(planes, offsets, weight):
+    """``deform_conv`` as the bridge computed it before the op was fused:
+    grid + offset coordinates, the gather, a multiply by the tap weights and
+    a sum over the taps, each its own tape node."""
+    c, t, h, w = planes.shape
+    k = weight.shape[2]
+    j = k * k
+    off = ops.reshape(offsets, (c, t, j, 2, h, w))
+    grid = _grid(k, h, w).astype(planes.dtype)
+    ys = off[:, :, :, 0] + grid[0]
+    xs = off[:, :, :, 1] + grid[1]
+    samples = _deform_sample_chain(
+        ops.reshape(planes, (c * t, h, w)),
+        ops.reshape(ys, (c * t, j, h, w)),
+        ops.reshape(xs, (c * t, j, h, w)),
+    )
+    weighted = ops.reshape(samples, (c, t, j, h, w)) * ops.reshape(weight, (1, t, j, 1, 1))
+    return ops.sum(weighted, axis=2)
+
+
+def _deform_run(fn, planes, offsets, weight, g_out):
+    """(output, [planes, offsets, weight] adjoints) of ``fn`` seeded by g_out."""
+    inputs = [Tensor(a, requires_grad=True) for a in (planes, offsets, weight)]
+    with GradTape() as tape:
+        out = fn(*inputs)
+        grads = tape.gradients(out, inputs, seed=g_out)
+    return out.data, grads
+
+
+def _deform_inputs(seed, c, t, h, w, k, dtype=np.float64, spread=3.0):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal((c, t, h, w)).astype(dtype),
+        (spread * rng.standard_normal((c, 2 * k * k * t, h, w))).astype(dtype),
+        rng.standard_normal((t, 1, k, k)).astype(dtype),
+        rng.standard_normal((c, t, h, w)).astype(dtype),
+    )
 
 
 class TestDeformSample:
-    @given(case=_sampling_case())
-    @settings(max_examples=80, deadline=None)
+    """``ops.deform_conv``: deformable sampling, tap weights and tap sum."""
+
+    @given(case=_deform_case())
+    @settings(max_examples=40, deadline=None)
     def test_matches_scalar_bilinear_sample(self, case):
-        seed, shape, ys, xs = case
+        seed, (c, t, h, w), k, offsets = case
         rng = np.random.default_rng(seed)
-        planes = rng.standard_normal(shape)
-        g_out = rng.standard_normal(ys.shape)
-        p, y, x = wide(planes, grad=True), wide(ys, grad=True), wide(xs, grad=True)
-        with GradTape() as tape:
-            out = ops.deform_sample(p, y, x)
-            g_p, g_y, g_x = tape.gradients(out, [p, y, x], seed=g_out)
-        ref = np.zeros_like(ys)
-        ref_p, ref_y, ref_x = np.zeros_like(planes), np.zeros_like(ys), np.zeros_like(xs)
-        for gi, i in np.ndindex(*ys.shape):
-            m, yy, xx = wide(planes[gi], grad=True), wide(ys[gi, i], grad=True), wide(xs[gi, i], grad=True)
-            with GradTape() as tape:
-                b = ops.bilinear_sample(m, xx, yy)
-                gm, gx, gy = tape.gradients(b, [m, xx, yy], seed=np.asarray(g_out[gi, i]))
-            ref[gi, i] = b.data
-            ref_p[gi] += gm
-            ref_y[gi, i], ref_x[gi, i] = gy, gx
-        for got, want in ((out.data, ref), (g_p, ref_p), (g_y, ref_y), (g_x, ref_x)):
+        planes = rng.standard_normal((c, t, h, w))
+        weight = rng.standard_normal((t, 1, k, k))
+        g_out = rng.standard_normal((c, t, h, w))
+        out, (g_p, g_o, g_w) = _deform_run(ops.deform_conv, planes, offsets, weight, g_out)
+        j = k * k
+        off = offsets.reshape(c, t, j, 2, h, w)
+        grid = _grid(k, h, w)
+        ref = np.zeros_like(planes)
+        ref_p, ref_o, ref_w = np.zeros_like(planes), np.zeros_like(off), np.zeros((t, j))
+        for ci, ti, y, x in np.ndindex(c, t, h, w):
+            for tap in range(j):
+                m = wide(planes[ci, ti], grad=True)
+                yy = wide(off[ci, ti, tap, 0, y, x] + grid[0, tap, y, x], grad=True)
+                xx = wide(off[ci, ti, tap, 1, y, x] + grid[1, tap, y, x], grad=True)
+                wt = weight[ti, 0].ravel()[tap]
+                with GradTape() as tape:
+                    b = ops.bilinear_sample(m, xx, yy)
+                    gm, gx, gy = tape.gradients(b, [m, xx, yy], seed=np.asarray(g_out[ci, ti, y, x] * wt))
+                ref[ci, ti, y, x] += wt * b.data
+                ref_p[ci, ti] += gm
+                ref_o[ci, ti, tap, :, y, x] = gy, gx
+                ref_w[ti, tap] += g_out[ci, ti, y, x] * b.data
+        ref_o = ref_o.reshape(offsets.shape)
+        for got, want in ((out, ref), (g_p, ref_p), (g_o, ref_o), (g_w, ref_w.reshape(weight.shape))):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c, t, h, w, k", [(1, 1, 1, 1, 1), (3, 4, 6, 5, 3), (2, 3, 7, 7, 5)])
+    def test_float64_bit_identical_to_sample_mul_sum_chain(self, c, t, h, w, k):
+        inputs = _deform_inputs(c * t + k, c, t, h, w, k)
+        out, grads = _deform_run(ops.deform_conv, *inputs)
+        want, want_grads = _deform_run(_deform_conv_chain, *inputs)
+        np.testing.assert_array_equal(out, want)
+        for got, ref in zip(grads, want_grads):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_chunks_change_no_forward_bit(self, monkeypatch):
+        inputs = _deform_inputs(5, 5, 3, 6, 6, 3)
+        out, grads = _deform_run(ops.deform_conv, *inputs)
+        monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", 1)  # one channel per chunk
+        assert ops.deform_chunk(3, 3, 6, 6, np.float64) == 1
+        out_c, grads_c = _deform_run(ops.deform_conv, *inputs)
+        np.testing.assert_array_equal(out_c, out)
+        # planes and offsets are per channel; the weight sums its chunks' parts
+        np.testing.assert_array_equal(grads_c[0], grads[0])
+        np.testing.assert_array_equal(grads_c[1], grads[1])
+        np.testing.assert_allclose(grads_c[2], grads[2], rtol=1e-12, atol=1e-12)
+
+    def test_float32_stays_float32(self):
+        inputs = _deform_inputs(6, 2, 3, 5, 5, 3, dtype=np.float32)
+        out, grads = _deform_run(ops.deform_conv, *inputs)
+        assert out.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * 3
+
+    def test_inference_peak_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", budget)
+        c, t, h, w, k = 16, 4, 12, 12, 3
+        assert c // ops.deform_chunk(t, k, h, w, np.float64) >= 8
+        planes, offsets, weight, _ = _deform_inputs(7, c, t, h, w, k, spread=1.0)
+        out_bytes = planes.nbytes
+        bound = 2 * budget + out_bytes
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn(Tensor(planes), Tensor(offsets), Tensor(weight))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(ops.deform_conv) < bound
+        # the unfused chain holds whole [4, C*T, K^2, H, W] stacks at once
+        assert peak(_deform_conv_chain) > bound
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_coordinates_rejected(self, bad):
-        planes = wide(np.ones((1, 3, 3)))
-        good = np.zeros((1, 2))
-        spoiled = np.array([[0.5, bad]])
-        with pytest.raises(NumericError, match="non-finite"):
-            ops.deform_sample(planes, wide(spoiled), wide(good))
-        with pytest.raises(NumericError, match="non-finite"):
-            ops.deform_sample(planes, wide(good), wide(spoiled))
+        planes = wide(np.ones((1, 1, 3, 3)))
+        weight = wide(np.ones((1, 1, 1, 1)))
+        for field in (0, 1):  # dy, then dx
+            spoiled = np.zeros((1, 2, 3, 3))
+            spoiled[0, field, 1, 2] = bad
+            with pytest.raises(NumericError, match="non-finite"):
+                ops.deform_conv(planes, wide(spoiled), weight)
 
     def test_int32_index_overflow_is_shape_error(self):
         # zero-stride views: the shapes are huge, nothing is allocated
-        planes = np.broadcast_to(np.float32(0), (60_000, 200, 200))
-        coords = np.broadcast_to(np.float32(0), (60_000, 1))
+        t = 60_000
+        planes = np.broadcast_to(np.float32(0), (1, t, 200, 200))
+        offsets = np.broadcast_to(np.float32(0), (1, 2 * t, 200, 200))
+        weight = np.broadcast_to(np.float32(0), (t, 1, 1, 1))
         with pytest.raises(ShapeError, match="int32"):
-            ops.deform_sample(planes, coords, coords)
+            ops.deform_conv(planes, offsets, weight)
+
+    @pytest.mark.parametrize(
+        "planes, offsets, weight",
+        [((2, 3, 4), (2, 6, 3, 4), (3, 1, 1, 1)), ((2, 3, 4, 4), (2, 5, 4, 4), (3, 1, 1, 1)),
+         ((2, 3, 4, 4), (2, 6, 4, 4), (2, 1, 1, 1))],
+        ids=["planes-3d", "offset-fields", "weight-steps"],
+    )
+    def test_shape_mismatch_is_shape_error(self, planes, offsets, weight):
+        with pytest.raises(ShapeError):
+            ops.deform_conv(np.zeros(planes), np.zeros(offsets), np.zeros(weight))
 
 
 class TestGradients:
