@@ -8,9 +8,10 @@ per-channel):
 2. offset-predicting conv plus time-separable deformable convolution: one
    deformable kernel per timestep (groups = T) samples K^2 positions at
    grid + learned offset via bilinear interpolation, so timesteps never mix;
-3. temporal self-attention across the T planes: per-plane scalar query/key/
-   value gains, row-softmax scores [T, T], score-weighted sum of value
-   planes, then a learned 1x1 combination collapsing T -> 1;
+3. temporal self-attention: each of the heads takes G = T/heads consecutive
+   planes, with one scalar query/key/value gain and bias per head, row-softmax
+   scores [G, G] and a score-weighted sum of its value planes; a learned 1x1
+   combination then collapses T -> 1;
 4. a spatial gate: sigmoid of the time-summed spike rate multiplies the
    attended map elementwise.
 
@@ -104,13 +105,10 @@ def temporal_grouping(e_spike: Tensor) -> Tensor:
 
 
 def predict_offsets(a_c: Tensor, params: BridgeParams) -> Tensor:
-    """[T, H, W] -> per-timestep per-tap (dy, dx) fields, [2*K^2*T, H, W]."""
-    return _predict_offsets_batched(ops.reshape(a_c, (1,) + tuple(a_c.shape)), params)[0]
-
-
-def _predict_offsets_batched(a: Tensor, params: BridgeParams) -> Tensor:
+    """[T, H, W] -> per-timestep per-tap (dy, dx) fields, [2*K^2*T, H, W]; a
+    leading channel axis, [C, T, H, W] -> [C, 2*K^2*T, H, W], is kept."""
     k = params.kernel
-    return ops.conv2d(a, params.offset_w, params.offset_b, stride=1, padding=(k - 1) // 2)
+    return ops.conv2d(a_c, params.offset_w, params.offset_b, stride=1, padding=(k - 1) // 2)
 
 
 def tsdc(a_c: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
@@ -136,17 +134,8 @@ def _deformable_branch(a: Tensor, params: BridgeParams) -> Tensor:
     c, t, h, w = a.shape
     step = ops.deform_chunk(t, params.kernel, h, w, a.dtype)
     chunks = [a] if step >= c else [a[c0 : c0 + step] for c0 in range(0, c, step)]
-    outs = [_tsdc_batched(a_k, _predict_offsets_batched(a_k, params), params) for a_k in chunks]
+    outs = [_tsdc_batched(a_k, predict_offsets(a_k, params), params) for a_k in chunks]
     return outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
-
-
-def _head_expander(t: int, heads: int, dtype) -> np.ndarray:
-    """Constant [T, heads] matrix mapping per-head params to per-plane ones."""
-    e = np.zeros((t, heads), dtype=dtype)
-    group = t // heads
-    for hd in range(heads):
-        e[hd * group : (hd + 1) * group, hd] = 1.0
-    return e
 
 
 def temporal_attention(a_sc: Tensor, params: BridgeParams) -> Tensor:
@@ -168,38 +157,23 @@ def attention_parts(a_sc: Tensor, params: BridgeParams) -> tuple[Tensor, Tensor]
     return ops.reshape(scores, (t, t)), ops.reshape(attended, (t, h, w))
 
 
-def _attention_scores_batched(a: Tensor, params: BridgeParams):
-    """Scores [C, T, T] (block-diagonal over heads stitched per head) and the
-    attended planes [C, T, H, W]."""
+def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, Tensor]:
+    """Scores [C, heads, G, G] and the attended planes [C, T, H, W], where
+    head ``hd`` attends over its own G = T/heads consecutive planes."""
     c, t, h, w = a.shape
-    hw = h * w
-    expand = _head_expander(t, params.heads, a.data.dtype)
-    vec = lambda p: ops.reshape(  # noqa: E731
-        ops.matmul(expand, ops.reshape(p, (params.heads, 1))), (1, t, 1, 1)
-    )
-    q = a * vec(params.q_gain) + vec(params.q_bias)
-    key = a * vec(params.k_gain) + vec(params.k_bias)
-    val = a * vec(params.v_gain) + vec(params.v_bias)
-    q_m = ops.reshape(q, (c, t, hw))
-    k_m = ops.transpose(ops.reshape(key, (c, t, hw)), (0, 2, 1))
-    v_m = ops.reshape(val, (c, t, hw))
-    group = t // params.heads
-    score_blocks = []
-    attended_blocks = []
-    for hd in range(params.heads):
-        sl = slice(hd * group, (hd + 1) * group)
-        logits = ops.matmul(q_m[:, sl, :], k_m[:, :, sl])
-        if params.scale_scores:
-            logits = logits * (1.0 / np.sqrt(hw))
-        scores = ops.reshape(
-            ops.softmax_rows(ops.reshape(logits, (c * group, group))), (c, group, group)
-        )
-        score_blocks.append(scores)
-        attended_blocks.append(ops.matmul(scores, v_m[:, sl, :]))
-    attended = ops.reshape(ops.concat(attended_blocks, axis=1), (c, t, h, w))
-    if params.heads == 1:
-        return score_blocks[0], attended
-    return score_blocks, attended
+    heads = params.heads
+    g = t // heads
+    a_m = ops.reshape(a, (c, heads, g, h * w))
+    vec = lambda p: ops.reshape(p, (1, heads, 1, 1))  # noqa: E731
+    q = a_m * vec(params.q_gain) + vec(params.q_bias)
+    key = a_m * vec(params.k_gain) + vec(params.k_bias)
+    val = a_m * vec(params.v_gain) + vec(params.v_bias)
+    logits = ops.matmul(q, ops.transpose(key, (0, 1, 3, 2)))
+    if params.scale_scores:
+        logits = logits * (1.0 / np.sqrt(h * w))
+    scores = ops.reshape(ops.softmax_rows(ops.reshape(logits, (c * t, g))), (c, heads, g, g))
+    attended = ops.reshape(ops.matmul(scores, val), (c, t, h, w))
+    return scores, attended
 
 
 def _temporal_attention_batched(a: Tensor, params: BridgeParams) -> Tensor:

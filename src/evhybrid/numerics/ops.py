@@ -440,11 +440,11 @@ def bilinear_sample(map_, x, y):
     return _emit("bilinear_sample", out, (map_, x, y), pull)
 
 
-# Working set of one deform_conv channel chunk, in bytes. A module constant,
-# not a config knob: it bounds memory, and of the results only the rounding of
-# the weight gradient, summed over chunks, depends on it.
+# Working set of one deform_conv call on a channel chunk, in bytes. A module
+# constant, not a config knob: it bounds memory, and of the results only the
+# rounding of the weight gradient, summed over chunks, depends on it.
 DEFORM_CHUNK_BYTES = 64 << 20
-# bytes one sampled tap (one element of a chunk's [C_chunk*T, K^2, H, W])
+# bytes one sampled tap (one element of a call's [C*T, K^2, H, W])
 # holds at the forward's peak, in itemsizes of the planes' dtype: the float
 # stacks, their temporaries and the index arrays (measured: 17 for float64,
 # 19 for float32)
@@ -452,9 +452,9 @@ _DEFORM_TAP_ITEMS = 20
 
 
 def deform_chunk(t: int, k: int, h: int, w: int, dtype) -> int:
-    """Channels per :func:`deform_conv` chunk: as many as fit
-    ``DEFORM_CHUNK_BYTES`` (at least one), and few enough that the chunk's
-    zero-bordered planes take an int32 flat index."""
+    """Channels per :func:`deform_conv` call when a caller splits its planes
+    into chunks: as many as fit ``DEFORM_CHUNK_BYTES`` (at least one), and few
+    enough that the chunk's zero-bordered planes take an int32 flat index."""
     hp, wp = h + 4, w + 4
     index_room = np.iinfo(np.int32).max // (t * hp * wp)
     if index_room < 1:
@@ -482,16 +482,17 @@ def deform_conv(planes, offsets, weight):
     samples are weighted by ``weight[t]`` and summed: out[c, t] is [H, W].
     Differentiable in all three inputs; computed in the inputs' dtype.
 
-    Channels are independent, so the op runs over channel chunks of
-    :func:`deform_chunk` channels. Per chunk, the planes are copied into a
-    zero-bordered stack [C_chunk*T, H+4, W+4]; floor(y) is clipped to [-2, H]
+    One call samples every channel it is given; channels are independent, so
+    a caller that bounds memory splits its planes into chunks of
+    :func:`deform_chunk` channels, as the bridge does. The planes are copied
+    into a zero-bordered stack [C*T, H+4, W+4]; floor(y) is clipped to [-2, H]
     and floor(x) to [-2, W], which moves a 2x2 corner block only when all
     four true corners lie outside the plane, and then wholly into the border.
     One int32 flat index of each block's top-left corner reaches the others
     at +1, +W+4 and +W+5: the forward gathers through it and the pullback
     scatters through it in one bincount. The four corners are added left to
-    right and the taps in order 0..K^2-1. A chunk's corner stacks are kept
-    for the pullback only while a tape records the op.
+    right and the taps in order 0..K^2-1. The corner stacks are kept for the
+    pullback only while a tape records the op.
     """
     pd, od, wd = _data(planes), _data(offsets), _data(weight)
     if pd.ndim != 4:
@@ -503,42 +504,29 @@ def deform_conv(planes, offsets, weight):
     j = k * k
     if od.shape != (c, 2 * j * t, h, w):
         raise ShapeError(f"offset channel axis expects {2 * j * t} fields, got shape {od.shape}")
-    step = deform_chunk(t, k, h, w, pd.dtype)
+    if c * t * (h + 4) * (w + 4) > np.iinfo(np.int32).max:
+        raise ShapeError(f"deform_conv: {c}x{t} padded {h + 4}x{w + 4} planes overflow an int32 index")
     keep = active_tape() is not None and _needs_grad(planes, offsets, weight)
-    grid = _deform_grid(k, h, w, pd.dtype)
     w5 = wd.reshape(1, t, j, 1, 1)
-    outs, states = [], []
-    for c0 in range(0, c, step):
-        out_c, state = _deform_chunk(pd[c0 : c0 + step], od[c0 : c0 + step], w5, grid, keep)
-        outs.append(out_c)
-        states.append(state)
+    out, state = _deform_forward(pd, od, w5, _deform_grid(k, h, w, pd.dtype), keep)
 
     def pull(g):
-        parts = [_deform_chunk_pullback(st, g[i * step : (i + 1) * step], w5) for i, st in enumerate(states)]
-        g_w = parts[0][2]
-        for p in parts[1:]:
-            g_w = g_w + p[2]
+        g_planes, g_off, g_w = _deform_pullback(state, g, w5)
         return (
-            _join([p[0] for p in parts]).reshape(pd.shape) if isinstance(planes, Tensor) else None,
-            _join([p[1] for p in parts]).reshape(od.shape) if isinstance(offsets, Tensor) else None,
+            g_planes.reshape(pd.shape) if isinstance(planes, Tensor) else None,
+            g_off.reshape(od.shape) if isinstance(offsets, Tensor) else None,
             g_w.reshape(wd.shape) if isinstance(weight, Tensor) else None,
         )
 
-    return _emit("deform_conv", _join(outs), (planes, offsets, weight), pull)
+    return _emit("deform_conv", out, (planes, offsets, weight), pull)
 
 
-def _join(arrays):
-    """The chunks joined along axis 0, without a copy when there is one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _deform_chunk(pd, od, w5, grid, keep):
-    """Forward of one channel chunk: ([C_chunk, T, H, W] output, pullback
-    state or None)."""
-    cc, t, h, w = pd.shape
+def _deform_forward(pd, od, w5, grid, keep):
+    """([C, T, H, W] output, pullback state or None) of :func:`deform_conv`."""
+    c, t, h, w = pd.shape
     j = w5.shape[2]
-    g_count, hp, wp = cc * t, h + 4, w + 4
-    off = od.reshape(cc, t, j, 2, h, w)
+    g_count, hp, wp = c * t, h + 4, w + 4
+    off = od.reshape(c, t, j, 2, h, w)
     ys = (off[:, :, :, 0] + grid[0]).reshape(g_count, j, h, w)
     xs = (off[:, :, :, 1] + grid[1]).reshape(g_count, j, h, w)
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
@@ -549,13 +537,13 @@ def _deform_chunk(pd, od, w5, grid, keep):
     idx = idx + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
     idx += np.clip(x0, -2, w).astype(np.int32) + 2
     del y0, x0
-    # corner-major [4, C_chunk*T, K^2, H, W] stacks, corners in the order 00, 01, 10, 11
+    # corner-major [4, C*T, K^2, H, W] stacks, corners in the order 00, 01, 10, 11
     wy = np.stack((1 - fy, fy))
     wx = np.stack((1 - fx, fx))
     del fy, fx
     wgt = (wy[:, None] * wx).reshape((4,) + idx.shape)
     padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
-    padded.reshape(cc, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
+    padded.reshape(c, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
     v = _corner_values(padded.ravel(), idx, wp)
     kept = (idx, wy, wx, wgt, v) if keep else None
     del idx, wy, wx  # the rest of the forward needs only wgt and v
@@ -564,7 +552,7 @@ def _deform_chunk(pd, od, w5, grid, keep):
     samples += terms[2]
     samples += terms[3]
     del terms
-    samples = samples.reshape(cc, t, j, h, w)
+    samples = samples.reshape(c, t, j, h, w)
     return np.sum(samples * w5, axis=2), (kept + (samples,) if keep else None)
 
 
@@ -579,12 +567,12 @@ def _corner_values(flat: np.ndarray, idx: np.ndarray, wp: int) -> np.ndarray:
     return np.moveaxis(blocks.take(idx.astype(np.intp), axis=0), -1, 0)
 
 
-def _deform_chunk_pullback(state, g, w5):
-    """(planes, offsets, weight) adjoints of one chunk from its output adjoint
-    ``g`` [C_chunk, T, H, W]; the weight's is this chunk's partial sum."""
+def _deform_pullback(state, g, w5):
+    """(planes, offsets, weight) adjoints of :func:`deform_conv` from its
+    output adjoint ``g`` [C, T, H, W]."""
     idx, wy, wx, wgt, v, samples = state
-    cc, t, j, h, w = samples.shape
-    g_count, hp, wp = cc * t, h + 4, w + 4
+    c, t, j, h, w = samples.shape
+    g_count, hp, wp = c * t, h + 4, w + 4
     g5 = np.broadcast_to(g[:, :, None], samples.shape)
     g_w = np.sum(g5 * samples, axis=(0, 3, 4))
     gs = (g5 * w5).reshape(g_count, j, h, w)
@@ -593,7 +581,7 @@ def _deform_chunk_pullback(state, g, w5):
     g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(v.dtype, copy=False)
     g_y = gs * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]))
     g_x = gs * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]))
-    g_off = np.stack((g_y, g_x), axis=2)  # [C_chunk*T, K^2, 2, H, W]
+    g_off = np.stack((g_y, g_x), axis=2)  # [C*T, K^2, 2, H, W]
     return g_planes, g_off, g_w
 
 

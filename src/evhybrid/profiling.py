@@ -159,15 +159,8 @@ def count_dense_macs(
 
 def _tap_counts(extent: int, out_extent: int, k: int, p: int, s: int) -> np.ndarray:
     """taps[i] = number of kernel taps an input cell at coordinate i feeds."""
-    taps = np.zeros(extent, dtype=np.int64)
-    for i in range(extent):
-        n = 0
-        for kk in range(k):
-            num = i + p - kk
-            if num % s == 0 and 0 <= num // s < out_extent:
-                n += 1
-        taps[i] = n
-    return taps
+    num = np.arange(extent)[:, None] + p - np.arange(k)  # [extent, k]: stride x output row per tap
+    return ((num % s == 0) & (0 <= num // s) & (num // s < out_extent)).sum(axis=1, dtype=np.int64)
 
 
 def count_spike_acs(trace: list[dict]) -> OpCounters:

@@ -26,6 +26,25 @@ def rand_spikes(rng, t, c, h, w, rate=0.3, dtype=WIDE):
     return Tensor((rng.random((t, c, h, w)) < rate).astype(dtype))
 
 
+def bridge_gradcheck(p, rng, c, h, w):
+    """grad_check of sum(asab_forward) over [T, c, h, w] inputs, in the input
+    and every bridge parameter."""
+    # keep sampling coordinates clearly fractional: bilinear interpolation
+    # is piecewise linear in the coordinates, and finite differences
+    # straddle the kink when a sample sits on an integer grid line
+    p.offset_w.data = 0.01 * rng.standard_normal(p.offset_w.shape)
+    p.offset_b.data = rng.uniform(0.2, 0.4, p.offset_b.shape) * rng.choice(
+        [-1.0, 1.0], p.offset_b.shape
+    )
+    x = Tensor(rng.uniform(0.0, 1.0, (p.n_steps, c, h, w)), dtype=WIDE, requires_grad=True)
+    tensors = [x] + list(p.parameters().values())
+
+    def run(*args):
+        return ops.sum(asab_forward(args[0], p))
+
+    return grad_check(run, tensors, rng=rng, max_coords=10, tolerance=1e-4)
+
+
 class TestGrouping:
     def test_involution_when_square(self):
         rng = np.random.default_rng(0)
@@ -182,6 +201,43 @@ class TestTemporalAttention:
             params_for(t=5, heads=2)
 
 
+def per_head_oracle(a, p):
+    """temporal_attention of [T, H, W] planes built from single-head parts:
+    head hd attends over its own G = T/heads planes with its own gains."""
+    g = p.n_steps // p.heads
+    attended = []
+    for hd in range(p.heads):
+        single = params_for(t=g)
+        for name in ("q_gain", "q_bias", "k_gain", "k_bias", "v_gain", "v_bias"):
+            getattr(single, name).data = getattr(p, name).data[hd : hd + 1].copy()
+        single.scale_scores = p.scale_scores
+        attended.append(attention_parts(Tensor(a[hd * g : (hd + 1) * g]), single)[1].data)
+    planes = np.concatenate(attended)
+    return np.tensordot(p.comb_w.data[0, :, 0, 0], planes, axes=1) + p.comb_b.data[0]
+
+
+class TestMultiHead:
+    @pytest.mark.parametrize("heads", [2, 5])
+    @pytest.mark.parametrize("scale_scores", [False, True])
+    def test_matches_per_head_oracle(self, heads, scale_scores):
+        rng = np.random.default_rng(heads)
+        p = params_for(t=10, heads=heads, seed=heads)
+        p.scale_scores = scale_scores
+        for prm in p.parameters().values():
+            prm.data = prm.data + 0.5 * rng.standard_normal(prm.shape)
+        a = rng.standard_normal((10, 4, 5))
+        out = temporal_attention(Tensor(a), p)
+        np.testing.assert_allclose(out.data, per_head_oracle(a, p), rtol=1e-12, atol=1e-12)
+
+    def test_end_to_end_gradcheck_two_heads(self):
+        rng = np.random.default_rng(15)
+        p = params_for(t=4, heads=2, seed=15)
+        for name in ("q_gain", "q_bias", "k_gain", "k_bias", "v_gain", "v_bias"):
+            getattr(p, name).data = getattr(p, name).data + 0.3 * rng.standard_normal(2)
+        rep = bridge_gradcheck(p, rng, c=2, h=5, w=5)
+        assert rep.passed, rep
+
+
 class TestERSGate:
     def test_zero_spikes_half_gate(self):
         rng = np.random.default_rng(8)
@@ -284,21 +340,6 @@ class TestFullBridge:
         ]
 
     def test_end_to_end_gradcheck_small_instance(self):
-        # keep sampling coordinates clearly fractional: bilinear interpolation
-        # is piecewise linear in the coordinates, and finite differences
-        # straddle the kink when a sample sits on an integer grid line
         rng = np.random.default_rng(12)
-        t, c, h, w = 3, 2, 6, 6
-        p = params_for(t=t, seed=12)
-        p.offset_w.data = 0.01 * rng.standard_normal(p.offset_w.shape)
-        p.offset_b.data = rng.uniform(0.2, 0.4, p.offset_b.shape) * rng.choice(
-            [-1.0, 1.0], p.offset_b.shape
-        )
-        x = Tensor(rng.uniform(0.0, 1.0, (t, c, h, w)), dtype=WIDE, requires_grad=True)
-        tensors = [x] + list(p.parameters().values())
-
-        def run(*args):
-            return ops.sum(asab_forward(args[0], p))
-
-        rep = grad_check(run, tensors, rng=rng, max_coords=10, tolerance=1e-4)
+        rep = bridge_gradcheck(params_for(t=3, seed=12), rng, c=2, h=6, w=6)
         assert rep.passed, rep

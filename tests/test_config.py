@@ -1,5 +1,7 @@
 """Run-configuration parsing, defaults, validation, round-trip stability."""
 
+from pathlib import Path
+
 import pytest
 
 from evhybrid.config import RunConfig, config_hash, dump_config, load_config, save_config
@@ -42,6 +44,42 @@ class TestRoundTrip:
         cfg = load_config(path)
         assert cfg.simulation.T == 5
         assert "T = 5" in dump_config(cfg)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.ini"))
+
+
+class TestShippedConfigs:
+    def test_configs_found(self):
+        assert {p.name for p in CONFIGS} >= {"ablation.ini", "gen1.ini", "toy.ini"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_loads_and_round_trips(self, path, tmp_path):
+        cfg = load_config(path)  # load_config validates
+        copy = tmp_path / path.name
+        save_config(cfg, copy)
+        assert dump_config(load_config(copy)) == dump_config(cfg) == copy.read_text()
+
+    def test_ablation_config_is_the_sweep_config(self):
+        # the values of the retired ablation sweep script, at seed 0
+        cfg = RunConfig()
+        cfg.simulation.sensor_width = 32
+        cfg.simulation.sensor_height = 32
+        cfg.architecture.snn_layers = ["8c3p1s2", "16c3p1s2"]
+        cfg.architecture.ann_layers = ["24c3p1s1"]
+        cfg.architecture.lstm_positions = []
+        cfg.architecture.bridge_kernel = 3
+        cfg.training.seed = 0
+        cfg.training.steps = 450
+        cfg.training.batch = 3
+        cfg.training.lr = 2.5e-3
+        cfg.training.scenes = 48
+        cfg.training.eval_scenes = 15
+        cfg.training.scene_duration_ms = 100
+        cfg.training.speed_min = 170.0
+        cfg.training.speed_max = 260.0
+        assert dump_config(load_config(CONFIG_DIR / "ablation.ini")) == dump_config(cfg.validate())
 
 
 class TestValidation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evhybrid.bridge import BridgeParams, _deformable_branch
 from evhybrid.errors import NumericError, ShapeError
 from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 
@@ -321,18 +322,6 @@ class TestDeformSample:
         for got, ref in zip(grads, want_grads):
             np.testing.assert_array_equal(got, ref)
 
-    def test_chunks_change_no_forward_bit(self, monkeypatch):
-        inputs = _deform_inputs(5, 5, 3, 6, 6, 3)
-        out, grads = _deform_run(ops.deform_conv, *inputs)
-        monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", 1)  # one channel per chunk
-        assert ops.deform_chunk(3, 3, 6, 6, np.float64) == 1
-        out_c, grads_c = _deform_run(ops.deform_conv, *inputs)
-        np.testing.assert_array_equal(out_c, out)
-        # planes and offsets are per channel; the weight sums its chunks' parts
-        np.testing.assert_array_equal(grads_c[0], grads[0])
-        np.testing.assert_array_equal(grads_c[1], grads[1])
-        np.testing.assert_allclose(grads_c[2], grads[2], rtol=1e-12, atol=1e-12)
-
     def test_float32_stays_float32(self):
         inputs = _deform_inputs(6, 2, 3, 5, 5, 3, dtype=np.float32)
         out, grads = _deform_run(ops.deform_conv, *inputs)
@@ -340,25 +329,28 @@ class TestDeformSample:
         assert [g.dtype for g in grads] == [np.float32] * 3
 
     def test_inference_peak_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # the bridge runs offsets plus deform_conv one channel chunk at a time
         budget = 1 << 20
         monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", budget)
         c, t, h, w, k = 16, 4, 12, 12, 3
         assert c // ops.deform_chunk(t, k, h, w, np.float64) >= 8
-        planes, offsets, weight, _ = _deform_inputs(7, c, t, h, w, k, spread=1.0)
-        out_bytes = planes.nbytes
-        bound = 2 * budget + out_bytes
+        planes = _deform_inputs(7, c, t, h, w, k)[0]
+        params = BridgeParams.init(t, kernel=k, rng=np.random.default_rng(7), dtype=WIDE)
+        params.offset_w.data = 0.1 * np.random.default_rng(8).standard_normal(params.offset_w.shape)
+        bound = 2 * budget + planes.nbytes
 
-        def peak(fn):
+        def peak():
             tracemalloc.start()
             try:
-                fn(Tensor(planes), Tensor(offsets), Tensor(weight))
+                _deformable_branch(Tensor(planes), params)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(ops.deform_conv) < bound
-        # the unfused chain holds whole [4, C*T, K^2, H, W] stacks at once
-        assert peak(_deform_conv_chain) > bound
+        assert peak() < bound
+        # one chunk of all channels holds whole [4, C*T, K^2, H, W] stacks at once
+        monkeypatch.setattr(ops, "DEFORM_CHUNK_BYTES", 1 << 40)
+        assert peak() > bound
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_coordinates_rejected(self, bad):
@@ -376,6 +368,17 @@ class TestDeformSample:
         planes = np.broadcast_to(np.float32(0), (1, t, 200, 200))
         offsets = np.broadcast_to(np.float32(0), (1, 2 * t, 200, 200))
         weight = np.broadcast_to(np.float32(0), (t, 1, 1, 1))
+        with pytest.raises(ShapeError, match="int32"):
+            ops.deform_conv(planes, offsets, weight)
+
+    def test_int32_index_overflow_over_channels_is_shape_error(self):
+        # one channel fits an int32 index, all of them together do not; the
+        # op does not chunk, so the caller must (as the bridge does)
+        c = 60_000
+        planes = np.broadcast_to(np.float32(0), (c, 1, 200, 200))
+        offsets = np.broadcast_to(np.float32(0), (c, 2, 200, 200))
+        weight = np.broadcast_to(np.float32(0), (1, 1, 1, 1))
+        assert ops.deform_chunk(1, 1, 200, 200, np.float32) < c
         with pytest.raises(ShapeError, match="int32"):
             ops.deform_conv(planes, offsets, weight)
 

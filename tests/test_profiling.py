@@ -20,6 +20,7 @@ from evhybrid.profiling import (
     profile_flat_dict,
     profile_text,
     sparsity_report,
+    _tap_counts,
 )
 from evhybrid.snn import SNNBlock, SNNBlockConfig, snn_backbone_forward
 
@@ -159,6 +160,21 @@ class TestSpikeACs:
         counters = count_spike_acs(trace)
         assert counters.per_layer["snn1"].input_spikes == int((x != 0).sum())
         assert counters.total_acs == brute_force_acs(x != 0, 3, 2, 1, 4, 1)
+
+
+    @pytest.mark.parametrize("extent, k, padding, stride", [
+        (7, 3, 1, 1), (8, 3, 1, 2), (9, 5, 2, 2), (6, 3, 3, 2), (5, 1, 2, 1), (7, 3, 4, 2), (4, 5, 0, 3),
+    ])
+    def test_tap_counts_match_per_coordinate_loop(self, extent, k, padding, stride):
+        out_extent = (extent + 2 * padding - k) // stride + 1
+        want = [
+            sum(1 for kk in range(k) if (i + padding - kk) % stride == 0
+                and 0 <= (i + padding - kk) // stride < out_extent)
+            for i in range(extent)
+        ]
+        got = _tap_counts(extent, out_extent, k, padding, stride)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestEnergyModel:
