@@ -13,14 +13,17 @@ from .numerics import NARROW, Tensor, ops
 from .snn import ConvBNBlock, ConvSpec, conv_bn
 
 
+NORMS = ("batch", "layer")
+
+
 @dataclass
 class ANNBlockConfig(ConvSpec):
-    norm: str = "batch"  # or "layer"
+    norm: str = "batch"  # one of NORMS
 
     def __post_init__(self):
         super().__post_init__()
-        if self.norm not in ("batch", "layer"):
-            raise ConfigError(f"norm kind must be 'batch' or 'layer', got {self.norm!r}")
+        if self.norm not in NORMS:
+            raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
 
 
 class ANNBlock(ConvBNBlock):

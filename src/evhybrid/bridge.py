@@ -21,12 +21,22 @@ block of 2*K^2 channels, tap-major pairs (dy, dx).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import NARROW, Tensor, ops
+
+
+def check_bridge_geometry(kernel: int, heads: int, n_steps: int) -> None:
+    """Raise ConfigError unless the kernel is odd and at least 1, and there
+    is at least one head and the heads divide the ``n_steps`` timesteps."""
+    if kernel < 1 or kernel % 2 == 0:
+        raise ConfigError(f"bridge_kernel must be odd and at least 1, got {kernel}")
+    if heads < 1 or n_steps % heads != 0:
+        raise ConfigError(f"bridge_heads ({heads}) must be at least 1 and divide T ({n_steps})")
 
 
 @dataclass
@@ -60,10 +70,7 @@ class BridgeParams:
         dtype=NARROW,
         scale_scores: bool = False,
     ) -> "BridgeParams":
-        if kernel % 2 != 1:
-            raise ConfigError(f"bridge kernel must be odd, got {kernel}")
-        if n_steps % heads != 0:
-            raise ConfigError(f"heads ({heads}) must divide the {n_steps} timesteps")
+        check_bridge_geometry(kernel, heads, n_steps)
         rng = rng or np.random.default_rng(0)
         t, k = n_steps, kernel
         n_off = 2 * k * k * t
@@ -170,7 +177,8 @@ def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, 
     val = a_m * vec(params.v_gain) + vec(params.v_bias)
     logits = ops.matmul(q, ops.transpose(key, (0, 1, 3, 2)))
     if params.scale_scores:
-        logits = logits * (1.0 / np.sqrt(h * w))
+        # a Python float keeps float32 logits in float32
+        logits = logits * (1.0 / math.sqrt(h * w))
     scores = ops.reshape(ops.softmax_rows(ops.reshape(logits, (c * t, g))), (c, heads, g, g))
     attended = ops.reshape(ops.matmul(scores, val), (c, t, h, w))
     return scores, attended

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .ann import NORMS, ANNBlockConfig
+from .bridge import check_bridge_geometry
 from .errors import ConfigError
-from .snn import parse_layer_string
+from .snn import SNNBlockConfig
+
+QUANT_BITS = (2, 4, 6, 8)  # weight bit widths of the fixed-point path
 
 
 @dataclass
@@ -82,15 +87,21 @@ class RunConfig:
     deterministic: bool = False  # runtime flag, not serialized
 
     def validate(self) -> "RunConfig":
-        arch, sim = self.architecture, self.simulation
-        for s in arch.snn_layers + arch.ann_layers:
-            parse_layer_string(s)
+        arch, sim, t = self.architecture, self.simulation, self.training
+        sizes = {k: getattr(sim, k) for k in ("T", "bin_ms", "window_ms", "sensor_width", "sensor_height")}
+        sizes.update(steps=t.steps, batch=t.batch, scenes=t.scenes, eval_scenes=t.eval_scenes)
+        for key, v in sizes.items():
+            if v < 1:
+                raise ConfigError(f"{key} must be at least 1, got {v}")
+        if arch.norm not in NORMS:
+            raise ConfigError(f"norm must be one of {NORMS}, got {arch.norm!r}")
+        for s in arch.snn_layers:
+            SNNBlockConfig.from_string(s)
+        for s in arch.ann_layers:
+            ANNBlockConfig.from_string(s, norm=arch.norm)
         if not arch.snn_layers:
             raise ConfigError("need at least one spiking layer")
-        if arch.bridge_kernel < 1 or arch.bridge_kernel % 2 == 0:
-            raise ConfigError(f"bridge_kernel must be odd and positive, got {arch.bridge_kernel}")
-        if arch.bridge_heads < 1 or sim.T % arch.bridge_heads != 0:
-            raise ConfigError(f"bridge_heads ({arch.bridge_heads}) must divide T ({sim.T})")
+        check_bridge_geometry(arch.bridge_kernel, arch.bridge_heads, sim.T)
         auto_pos = len(arch.snn_layers) + 1
         if arch.bridge_position == 0:
             arch.bridge_position = auto_pos
@@ -102,17 +113,14 @@ class RunConfig:
         for p in arch.lstm_positions:
             if p < 1 or p > len(arch.ann_layers):
                 raise ConfigError(f"lstm position {p} outside 1..{len(arch.ann_layers)}")
-        if arch.norm not in ("batch", "layer"):
-            raise ConfigError(f"norm must be 'batch' or 'layer', got {arch.norm!r}")
         if sim.bin_ms * sim.T != sim.window_ms:
             raise ConfigError(
                 f"window_ms ({sim.window_ms}) must equal bin_ms*T ({sim.bin_ms}*{sim.T})"
             )
-        if self.quantization.bits not in (2, 4, 6, 8):
-            raise ConfigError(f"bits must be one of 2, 4, 6, 8, got {self.quantization.bits}")
-        t = self.training
-        if t.steps < 1 or t.batch < 1 or t.lr < 0:
-            raise ConfigError("training needs steps >= 1, batch >= 1, lr >= 0")
+        if self.quantization.bits not in QUANT_BITS:
+            raise ConfigError(f"bits must be one of {QUANT_BITS}, got {self.quantization.bits}")
+        if t.lr < 0:
+            raise ConfigError(f"lr must be at least 0, got {t.lr}")
         return self
 
 
@@ -126,6 +134,8 @@ _SECTIONS = {
 
 
 def _parse_value(section: str, key: str, raw: str, kind):
+    """``raw`` as the annotated type ``kind``: a bool from its usual words, a list
+    from comma-separated items of its item type, else the type's constructor."""
     raw = raw.strip()
     try:
         if kind is bool:
@@ -134,19 +144,12 @@ def _parse_value(section: str, key: str, raw: str, kind):
             if raw.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == list[str]:
-            return [v.strip() for v in raw.split(",") if v.strip()]
-        if kind == list[int]:
-            return [int(v) for v in raw.split(",") if v.strip()]
+        if typing.get_origin(kind) is list:
+            (item,) = typing.get_args(kind)
+            return [item(v.strip()) for v in raw.split(",") if v.strip()]
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    raise ConfigError(f"[{section}] {key}: unsupported type {kind}")
 
 
 def _format_value(v) -> str:
@@ -154,8 +157,6 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, list):
         return ", ".join(str(x) for x in v)
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -177,27 +178,11 @@ def parse_config(parser: configparser.ConfigParser, origin: str = "<config>") ->
         if section not in _SECTIONS:
             raise ConfigError(f"{origin}: unknown section [{section}]")
         target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(_SECTIONS[section])}
-        # dataclass field types come back as strings under future annotations;
-        # resolve from the default instances instead
-        defaults = _SECTIONS[section]()
+        kinds = typing.get_type_hints(_SECTIONS[section])
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in kinds:
                 raise ConfigError(f"{origin}: unknown key {key!r} in [{section}]")
-            default = getattr(defaults, key)
-            if isinstance(default, bool):
-                kind = bool
-            elif isinstance(default, int):
-                kind = int
-            elif isinstance(default, float):
-                kind = float
-            elif isinstance(default, str):
-                kind = str
-            elif isinstance(default, list):
-                kind = list[int] if key == "lstm_positions" else list[str]
-            else:
-                raise ConfigError(f"{origin}: unsupported key {key!r}")
-            setattr(target, key, _parse_value(section, key, raw, kind))
+            setattr(target, key, _parse_value(section, key, raw, kinds[key]))
     return cfg.validate()
 
 

@@ -1,6 +1,7 @@
 """Event stream ingestion, the binned count tensor, and synthetic scenes.
 
-Two on-disk formats are supported:
+Two on-disk formats are supported, chosen by the file suffix (``.evs`` for
+EVS binary, CSV otherwise):
 
 * CSV: header line ``t_us,x,y,p``, one event per line, decimal integers.
 * EVS binary: magic ``EVS0``, little-endian u32 width, u32 height, u64 event
@@ -113,22 +114,18 @@ class EventTensor:
         return int(self.counts.sum())
 
 
-def read_events(source, fmt: str | None = None, geometry: tuple[int, int] | None = None) -> EventStream:
-    """Parse a CSV or EVS-binary event file into a sorted stream.
+def read_events(source, geometry: tuple[int, int] | None = None) -> EventStream:
+    """Parse an EVS-binary (``.evs``) or CSV event file into a sorted stream.
 
     ``geometry`` = (width, height) is required for CSV (the format carries
     none); for EVS it is validated against the file header when given.
     """
     path = Path(source)
-    if fmt is None:
-        fmt = "evs-binary" if path.suffix == ".evs" else "csv"
-    if fmt == "csv":
-        if geometry is None:
-            raise DataFormatError("CSV streams need an explicit (width, height) geometry")
-        return _read_csv(path, geometry)
-    if fmt == "evs-binary":
+    if path.suffix == ".evs":
         return _read_evs(path, geometry)
-    raise DataFormatError(f"unknown event format {fmt!r}")
+    if geometry is None:
+        raise DataFormatError("CSV streams need an explicit (width, height) geometry")
+    return _read_csv(path, geometry)
 
 
 def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
@@ -181,22 +178,19 @@ def _read_evs(path: Path, geometry: tuple[int, int] | None) -> EventStream:
     )
 
 
-def write_events(stream: EventStream, dest, fmt: str | None = None) -> None:
+def write_events(stream: EventStream, dest) -> None:
+    """Write EVS binary to a ``.evs`` path, CSV to any other."""
     path = Path(dest)
-    if fmt is None:
-        fmt = "evs-binary" if path.suffix == ".evs" else "csv"
-    if fmt == "csv":
+    if path.suffix == ".evs":
+        rec = np.zeros(len(stream), dtype=EVENT_DTYPE)
+        rec["t"], rec["x"], rec["y"], rec["p"] = stream.t, stream.x, stream.y, stream.p
+        path.write_bytes(EVS_HEADER.pack(EVS_MAGIC, stream.width, stream.height, len(stream)) + rec.tobytes())
+    else:
         buf = io.StringIO()
         buf.write(CSV_HEADER + "\n")
         for i in range(len(stream)):
             buf.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
         path.write_text(buf.getvalue(), encoding="ascii")
-    elif fmt == "evs-binary":
-        rec = np.zeros(len(stream), dtype=EVENT_DTYPE)
-        rec["t"], rec["x"], rec["y"], rec["p"] = stream.t, stream.x, stream.y, stream.p
-        path.write_bytes(EVS_HEADER.pack(EVS_MAGIC, stream.width, stream.height, len(stream)) + rec.tobytes())
-    else:
-        raise DataFormatError(f"unknown event format {fmt!r}")
 
 
 def build_event_tensor(stream: EventStream, t_a: int, t_b: int, n_bins: int) -> EventTensor:
@@ -232,8 +226,8 @@ def bin_events(stream: EventStream, index, t_a: int, t_b: int, n_bins: int) -> n
 
 @dataclass
 class ShapeSpec:
-    """One moving shape: kind in {'square', 'circle'}, size in pixels,
-    intensity in (0, 1], start center (x0, y0), velocity in px/s."""
+    """One moving shape: kind 'square' (the only kind rendered), side in
+    pixels, intensity in (0, 1], start center (x0, y0), velocity in px/s."""
 
     kind: str = "square"
     size: float = 8.0
@@ -280,18 +274,6 @@ def _square_coverage(xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, size:
     return oy[:, None] * ox[None, :]
 
 
-def _circle_coverage(xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, size: float) -> np.ndarray:
-    # 4x4 supersampling; size is the diameter
-    r = size / 2.0
-    sub = (np.arange(4) + 0.5) / 4.0
-    px = xs[None, :, None] + sub[None, None, :]          # [1, W, 4]
-    py = ys[:, None, None] + sub[None, None, :]          # [H, 1, 4]
-    dx2 = (px - cx) ** 2
-    dy2 = (py - cy) ** 2
-    hits = (dy2[:, :, :, None] + dx2[:, :, None, :]) <= r * r
-    return hits.reshape(len(ys), len(xs), 16).mean(axis=2)
-
-
 def _render_frame(scene: SyntheticScene, t_s: float) -> np.ndarray:
     frame = np.full((scene.height, scene.width), scene.background, dtype=np.float64)
     xs = np.arange(scene.width, dtype=np.float64)
@@ -299,7 +281,7 @@ def _render_frame(scene: SyntheticScene, t_s: float) -> np.ndarray:
     for sh in scene.shapes:
         cx = sh.x0 + sh.vx * t_s
         cy = sh.y0 + sh.vy * t_s
-        cov = (_square_coverage if sh.kind == "square" else _circle_coverage)(xs, ys, cx, cy, sh.size)
+        cov = _square_coverage(xs, ys, cx, cy, sh.size)
         frame = frame * (1.0 - cov) + sh.intensity * cov
     return frame
 
@@ -327,6 +309,8 @@ def synthesize_moving_shapes(
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     for sh in scene.shapes:
+        if sh.kind != "square":
+            raise ValueError(f"shape kind must be 'square', got {sh.kind!r}")
         if not (np.isfinite(sh.vx) and np.isfinite(sh.vy)):
             raise ValueError("shape velocity must be finite")
     warnings: list[str] = []

@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .arrayio import _entry_dtype
+from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
 from .numerics import WIDE, Tensor, ops
@@ -50,10 +52,6 @@ class QuantParams:
     q_scale: np.ndarray  # [C_out], > 0
     int_weights: np.ndarray  # int8-stored integers in [-(2^(b-1)-1), 2^(b-1)-1]
 
-    @property
-    def qmax(self) -> int:
-        return 2 ** (self.bits - 1) - 1
-
     def dequantize(self) -> np.ndarray:
         shape = (len(self.q_scale),) + (1,) * (self.int_weights.ndim - 1)
         return self.int_weights.astype(np.float64) * self.q_scale.reshape(shape)
@@ -66,8 +64,8 @@ def quantize_per_channel(weights: np.ndarray, bits: int) -> QuantParams:
     Rounding is half away from zero; integers are clamped to the symmetric
     range (so int2 uses {-1, 0, 1}).
     """
-    if bits not in (2, 4, 6, 8):
-        raise ConfigError(f"bits must be one of 2, 4, 6, 8, got {bits}")
+    if bits not in QUANT_BITS:
+        raise ConfigError(f"bits must be one of {QUANT_BITS}, got {bits}")
     w = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise NumericError("cannot quantize non-finite weights")
@@ -406,11 +404,21 @@ def save_quantized(fpm: FixedPointModel, base_path) -> tuple[Path, Path]:
     return json_path, bin_path
 
 
+def _channel_values(json_path, layer: dict, key: str, n: int) -> np.ndarray:
+    """A per-channel manifest list as float64, once it holds ``n`` finite numbers."""
+    values = layer[key]
+    if not (isinstance(values, list) and len(values) == n and all(map(_is_real, values))):
+        raise DataFormatError(f"{json_path}: layer field {key!r} needs {n} finite numbers")
+    return np.asarray(values, dtype=np.float64)
+
+
 def load_quantized(base_path) -> FixedPointModel:
     """Read what ``save_quantized`` wrote; a manifest that is not UTF-8 JSON,
-    lacks a field, holds a scalar field of the wrong type or range (see
-    ``_SCALAR_CHECKS``), or points past the end of the weight blob raises
-    DataFormatError."""
+    lacks a field, holds a ``bits`` outside ``QUANT_BITS``, a scalar field of
+    the wrong type or range (see ``_SCALAR_CHECKS``), a weight entry that does
+    not describe its bytes (the check of checkpoint entries) or points past
+    the end of the weight blob, or a per-channel list that is not ``C_out``
+    finite numbers raises DataFormatError."""
     base = Path(base_path)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     try:
@@ -421,27 +429,28 @@ def load_quantized(base_path) -> FixedPointModel:
     try:
         if manifest["format_version"] != QUANT_FORMAT_VERSION:
             raise DataFormatError(f"unsupported quantized-model version {manifest['format_version']}")
-        fpm = FixedPointModel(bits=manifest["bits"])
+        bits = manifest["bits"]
+        if not (_is_int(bits) and bits in QUANT_BITS):
+            raise DataFormatError(f"{json_path}: bits must be one of {QUANT_BITS}, got {bits!r}")
+        fpm = FixedPointModel(bits=bits)
         for layer in manifest["layers"]:
-            start, nbytes = layer["weights_offset"], layer["weights_nbytes"]
-            if start + nbytes > len(blob):
-                raise DataFormatError(f"{bin_path}: weights of {layer['name']!r} run past the end of the file")
-            ints = np.frombuffer(blob[start : start + nbytes], dtype="<i1").reshape(layer["shape"]).copy()
             scalars = {k: layer[k] for k in _SCALAR_FIELDS}
             for k, v in scalars.items():
                 if not _SCALAR_CHECKS[k](v):
                     raise DataFormatError(f"{json_path}: layer field {k!r} has the bad value {v!r}")
+            name, shape = layer["name"], layer["shape"]
+            start, nbytes = layer["weights_offset"], layer["weights_nbytes"]
+            dt = _entry_dtype(json_path, name, "|i1", shape, start, nbytes)
+            if len(shape) != 4:
+                raise DataFormatError(f"{json_path}: weights of {name!r} need 4 dims [C_out, C_in, K, K], got {shape}")
+            if start + nbytes > len(blob):
+                raise DataFormatError(f"{bin_path}: weights of {name!r} run past the end of the file")
+            ints = np.frombuffer(blob[start : start + nbytes], dtype=dt).reshape(shape).copy()
+            per_channel = {k: _channel_values(json_path, layer, k, shape[0]) for k in ("q_scale", "scale", "shift")}
             fpm.blocks.append(
                 FixedPointBlock(
-                    quant=QuantParams(
-                        bits=manifest["bits"],
-                        q_scale=np.asarray(layer["q_scale"], dtype=np.float64),
-                        int_weights=ints,
-                    ),
-                    fused=FusedLIFParams(
-                        scale=np.asarray(layer["scale"], dtype=np.float64),
-                        shift=np.asarray(layer["shift"], dtype=np.float64),
-                    ),
+                    quant=QuantParams(bits=bits, q_scale=per_channel["q_scale"], int_weights=ints),
+                    fused=FusedLIFParams(scale=per_channel["scale"], shift=per_channel["shift"]),
                     **scalars,
                 )
             )

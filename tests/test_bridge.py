@@ -15,7 +15,8 @@ from evhybrid.bridge import (
     temporal_grouping,
     tsdc,
 )
-from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
+from evhybrid.errors import ConfigError
+from evhybrid.numerics import NARROW, WIDE, GradTape, Tensor, grad_check, ops
 
 
 def params_for(t, kernel=3, heads=1, seed=0, dtype=WIDE):
@@ -343,3 +344,37 @@ class TestFullBridge:
         rng = np.random.default_rng(12)
         rep = bridge_gradcheck(params_for(t=3, seed=12), rng, c=2, h=6, w=6)
         assert rep.passed, rep
+
+    def test_scaled_scores_keep_float32(self):
+        rng = np.random.default_rng(16)
+        p32 = params_for(t=4, seed=16, dtype=NARROW)
+        p32.scale_scores = True
+        p64 = params_for(t=4, seed=16)
+        p64.scale_scores = True
+        for name, prm in p32.parameters().items():
+            prm.data = (prm.data + 0.3 * rng.standard_normal(prm.shape)).astype(NARROW)
+            p64.parameters()[name].data = prm.data.astype(WIDE)
+        spikes = rand_spikes(rng, 4, 3, 6, 6, dtype=NARROW)
+        out32 = asab_forward(spikes, p32)
+        out64 = asab_forward(Tensor(spikes.data.astype(WIDE)), p64)
+        assert out32.data.dtype == NARROW
+        np.testing.assert_allclose(out32.data, out64.data, rtol=1e-5, atol=1e-5)
+
+    def test_end_to_end_gradcheck_scaled_scores(self):
+        rng = np.random.default_rng(17)
+        p = params_for(t=4, seed=17)
+        p.scale_scores = True
+        rep = bridge_gradcheck(p, rng, c=2, h=5, w=5)
+        assert rep.passed, rep
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("heads", [0, -2, 3])
+    def test_heads_at_least_one_and_dividing_t(self, heads):
+        with pytest.raises(ConfigError, match="bridge_heads"):
+            params_for(t=4, heads=heads)
+
+    @pytest.mark.parametrize("kernel", [0, -1, 4])
+    def test_kernel_odd_and_at_least_one(self, kernel):
+        with pytest.raises(ConfigError, match="bridge_kernel"):
+            params_for(t=4, kernel=kernel)

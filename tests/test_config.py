@@ -130,3 +130,74 @@ class TestValidation:
         cfg.architecture.lstm_positions = [9]
         with pytest.raises(ConfigError, match="lstm"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("simulation", k) for k in ("T", "bin_ms", "window_ms", "sensor_width", "sensor_height")]
+        + [("training", k) for k in ("scenes", "eval_scenes", "steps", "batch")],
+    )
+    def test_size_must_be_positive(self, tmp_path, section, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            load_config(path)
+
+    def test_negative_binning_rejected(self, tmp_path):
+        # bin_ms * T still equals window_ms
+        path = tmp_path / "bad.ini"
+        path.write_text("[simulation]\nbin_ms = -5\nT = -10\nwindow_ms = 50\n")
+        with pytest.raises(ConfigError, match="T must be at least 1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["snn_layers", "ann_layers"])
+    def test_stride_checked_at_load(self, tmp_path, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[architecture]\n{key} = 64c3p1s3\nlstm_positions = 1\n")
+        with pytest.raises(ConfigError, match="stride must be 1 or 2"):
+            load_config(path)
+
+    def test_norm_checked_without_dense_layers(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[architecture]\nann_layers =\nlstm_positions =\nnorm = group\n")
+        with pytest.raises(ConfigError, match="norm must be one of"):
+            load_config(path)
+
+    @pytest.mark.parametrize("kernel", [0, -1, 4])
+    def test_bridge_kernel_odd_and_positive(self, kernel):
+        cfg = RunConfig()
+        cfg.architecture.bridge_kernel = kernel
+        with pytest.raises(ConfigError, match="bridge_kernel"):
+            cfg.validate()
+
+    def test_negative_lr_rejected(self):
+        cfg = RunConfig()
+        cfg.training.lr = -0.1
+        with pytest.raises(ConfigError, match="lr"):
+            cfg.validate()
+
+
+class TestParsing:
+    def test_values_take_their_annotated_types(self, tmp_path):
+        path = tmp_path / "typed.ini"
+        path.write_text(
+            "[architecture]\nlstm_positions = 1, 2\nsnn_layers = 8c3p1s2 , 16c3p1s1\nhead = off\n"
+            "[training]\nlr = 1\nsteps = 3\n[io]\nout_dir = out\n"
+        )
+        cfg = load_config(path)
+        assert cfg.architecture.lstm_positions == [1, 2]
+        assert cfg.architecture.snn_layers == ["8c3p1s2", "16c3p1s1"]
+        assert cfg.architecture.head is False
+        assert type(cfg.training.lr) is float and cfg.training.lr == 1.0
+        assert type(cfg.training.steps) is int and cfg.training.steps == 3
+        assert cfg.io.out_dir == "out"
+
+    @pytest.mark.parametrize(
+        "section,key,raw",
+        [("architecture", "lstm_positions", "1, x"), ("architecture", "head", "maybe"),
+         ("training", "steps", "2.5"), ("training", "lr", "fast")],
+    )
+    def test_unparsable_value_named(self, tmp_path, section, key, raw):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+            load_config(path)

@@ -104,6 +104,51 @@ class TestReadWrite:
         with pytest.raises(DataFormatError, match="magic"):
             read_events(path)
 
+    def test_csv_needs_geometry(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with pytest.raises(DataFormatError, match="explicit"):
+            read_events(path)
+
+    def test_csv_non_integer_field(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(CSV_HEADER + "\n0,1.5,2,1\n")
+        with pytest.raises(DataFormatError, match="non-integer"):
+            read_events(path, geometry=(8, 8))
+
+    def test_evs_shorter_than_header(self, tmp_path):
+        path = tmp_path / "h.evs"
+        path.write_bytes(b"EVS0" + bytes(6))
+        with pytest.raises(DataFormatError, match="truncated header"):
+            read_events(path)
+
+    def test_evs_header_geometry_mismatch(self, tmp_path):
+        path = tmp_path / "g.evs"
+        write_events(stream_from_rows([(0, 1, 2, 1)]), path)
+        with pytest.raises(DataFormatError, match="header geometry 8x8"):
+            read_events(path, geometry=(16, 8))
+
+    def test_format_follows_suffix(self, tmp_path):
+        stream = stream_from_rows([(0, 1, 2, 1)])
+        write_events(stream, tmp_path / "a.evs")
+        write_events(stream, tmp_path / "a.txt")
+        assert (tmp_path / "a.evs").read_bytes().startswith(b"EVS0")
+        assert (tmp_path / "a.txt").read_text().startswith(CSV_HEADER)
+
+
+class TestStreamChecks:
+    def test_column_length_mismatch(self):
+        with pytest.raises(DataFormatError, match="column y"):
+            EventStream(8, 8, t=[0, 1], x=[1, 2], y=[1], p=[0, 1])
+
+    def test_polarity_outside_binary(self):
+        with pytest.raises(DataFormatError, match="polarity"):
+            stream_from_rows([(0, 1, 1, 2)])
+
+    def test_negative_timestamp(self):
+        with pytest.raises(DataFormatError, match="timestamp"):
+            stream_from_rows([(-1, 1, 1, 0)])
+
 
 class TestEventTensor:
     def test_empty_stream_all_zero(self):
@@ -219,6 +264,11 @@ class TestSyntheticScenes:
         b0 = result.boxes[0]
         assert b0.cx == pytest.approx(16.0 + 50.0 * 0.05)
         assert b0.t_us == 50_000
+
+    def test_unknown_shape_kind_rejected(self):
+        shape = ShapeSpec(kind="circle", x0=16.0, y0=16.0)
+        with pytest.raises(ValueError, match="kind"):
+            synthesize_moving_shapes(SyntheticScene(32, 32, [shape]), 10)
 
     def test_dark_shape_polarity_flips(self):
         def scene_mid_bg(intensity):

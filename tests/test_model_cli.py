@@ -123,6 +123,25 @@ class TestModel:
             for k in a:
                 np.testing.assert_array_equal(a[k], b[k])
 
+    def test_checkpoint_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.evck"
+        model = HybridModel(toy_config(), seed=1)
+        model.save_checkpoint(path)
+        meta, arrays = read_bundle(path, CHECKPOINT_MAGIC)
+        write_bundle(path, CHECKPOINT_MAGIC, {**meta, "format_version": 1}, arrays)
+        with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
+            model.load_checkpoint(path)
+
+    def test_infer_needs_head(self):
+        cfg = toy_config()
+        cfg.architecture.head = False
+        with pytest.raises(ConfigError, match="head"):
+            run_infer(HybridModel(cfg, seed=3), EventStream.empty(24, 24))
+
+    def test_infer_rejects_stream_of_other_geometry(self):
+        with pytest.raises(DataFormatError, match="geometry"):
+            run_infer(HybridModel(toy_config(), seed=3), EventStream.empty(24, 16))
+
     def test_empty_stream_no_detections(self):
         cfg = toy_config()
         model = HybridModel(cfg, seed=3)
@@ -437,6 +456,13 @@ class TestCLI:
         res = run_cli(["--config", str(bad), "train"], tmp_path)
         assert res.returncode == 2
         assert "error[config]" in res.stderr
+
+    def test_zero_timesteps_config_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[simulation]\nT = 0\nwindow_ms = 0\n")
+        res = run_cli(["--config", str(bad), "--out", str(tmp_path / "gen"), "gen"], tmp_path)
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and "T must be at least 1" in res.stderr
 
 
 class TestTrainingBehavior:

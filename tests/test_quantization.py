@@ -507,6 +507,49 @@ class TestQuantizedFormat:
         with pytest.raises(DataFormatError, match="past the end"):
             load_quantized(base)
 
+    @pytest.mark.parametrize("key", ["q_scale", "scale", "shift"])
+    def test_short_per_channel_list_is_data_error(self, base, key):
+        layer = json.loads(base.with_suffix(".json").read_text())["layers"][-1]
+        self._set_field(base, key, layer[key][:-1])
+        with pytest.raises(DataFormatError, match=f"'{key}' needs"):
+            load_quantized(base)
+
+    @pytest.mark.parametrize("key,bad", [("q_scale", "1"), ("scale", None), ("shift", float("nan"))])
+    def test_non_finite_per_channel_entry_is_data_error(self, base, key, bad):
+        layer = json.loads(base.with_suffix(".json").read_text())["layers"][-1]
+        self._set_field(base, key, [bad] + layer[key][1:])
+        with pytest.raises(DataFormatError, match=f"'{key}' needs"):
+            load_quantized(base)
+
+    def test_negative_weights_offset_is_data_error(self, base):
+        # counted from the end of the blob, this offset slices a full set of
+        # bytes that overlaps the previous layer's weights
+        layer = json.loads(base.with_suffix(".json").read_text())["layers"][-1]
+        self._set_field(base, "weights_offset", -layer["weights_nbytes"] - 1)
+        with pytest.raises(DataFormatError, match="needs integer offset"):
+            load_quantized(base)
+
+    def test_weights_nbytes_disagreeing_with_shape_is_data_error(self, base):
+        layer = json.loads(base.with_suffix(".json").read_text())["layers"][-1]
+        self._set_field(base, "weights_nbytes", layer["weights_nbytes"] - 1)
+        with pytest.raises(DataFormatError, match=r"holds \d+ bytes"):
+            load_quantized(base)
+
+    def test_weights_not_4d_is_data_error(self, base):
+        layer = json.loads(base.with_suffix(".json").read_text())["layers"][-1]
+        self._set_field(base, "shape", [layer["weights_nbytes"]])
+        with pytest.raises(DataFormatError, match="4 dims"):
+            load_quantized(base)
+
+    @pytest.mark.parametrize("bits", [3, 16, 8.0, True, "8"])
+    def test_bad_bits_is_data_error(self, base, bits):
+        path = base.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        manifest["bits"] = bits
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match="bits must be one of"):
+            load_quantized(base)
+
 
 def _oracle_spikes(model, counts):
     """float64 conv, running-stat batchnorm and V <- V + (X - (V - v_reset))/tau
