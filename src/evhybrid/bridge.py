@@ -9,9 +9,10 @@ per-channel):
    deformable kernel per timestep (groups = T) samples K^2 positions at
    grid + learned offset via bilinear interpolation, so timesteps never mix;
 3. temporal self-attention: each of the heads takes G = T/heads consecutive
-   planes, with one scalar query/key/value gain and bias per head, row-softmax
-   scores [G, G] and a score-weighted sum of its value planes; a learned 1x1
-   combination then collapses T -> 1;
+   planes, with one scalar query/key/value gain and query/value bias per head
+   (no key bias: it shifts a whole score row, which the softmax cancels),
+   row-softmax scores [G, G] and a score-weighted sum of its value planes; a
+   learned 1x1 combination then collapses T -> 1;
 4. a spatial gate: sigmoid of the time-summed spike rate multiplies the
    attended map elementwise.
 
@@ -53,7 +54,6 @@ class BridgeParams:
     q_gain: Tensor
     q_bias: Tensor
     k_gain: Tensor
-    k_bias: Tensor
     v_gain: Tensor
     v_bias: Tensor
     comb_w: Tensor
@@ -93,7 +93,6 @@ class BridgeParams:
             q_gain=param(np.full(heads, 0.5)),
             q_bias=param(np.zeros(heads)),
             k_gain=param(np.full(heads, 0.5)),
-            k_bias=param(np.zeros(heads)),
             v_gain=param(np.ones(heads)),
             v_bias=param(np.zeros(heads)),
             comb_w=param(np.full((1, t, 1, 1), 1.0 / t)),
@@ -173,7 +172,7 @@ def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, 
     a_m = ops.reshape(a, (c, heads, g, h * w))
     vec = lambda p: ops.reshape(p, (1, heads, 1, 1))  # noqa: E731
     q = a_m * vec(params.q_gain) + vec(params.q_bias)
-    key = a_m * vec(params.k_gain) + vec(params.k_bias)
+    key = a_m * vec(params.k_gain)
     val = a_m * vec(params.v_gain) + vec(params.v_bias)
     logits = ops.matmul(q, ops.transpose(key, (0, 1, 3, 2)))
     if params.scale_scores:

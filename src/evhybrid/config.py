@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -27,7 +28,6 @@ class ArchitectureConfig:
     snn_layers: list[str] = field(
         default_factory=lambda: ["64c3p1s2", "128c3p1s2", "256c3p1s2", "256c3p1s1"]
     )
-    bridge_position: int = 0  # 0 = auto: right after the spiking stack
     bridge_kernel: int = 5
     bridge_heads: int = 1
     bridge_scale_scores: bool = False
@@ -102,14 +102,6 @@ class RunConfig:
         if not arch.snn_layers:
             raise ConfigError("need at least one spiking layer")
         check_bridge_geometry(arch.bridge_kernel, arch.bridge_heads, sim.T)
-        auto_pos = len(arch.snn_layers) + 1
-        if arch.bridge_position == 0:
-            arch.bridge_position = auto_pos
-        elif arch.bridge_position != auto_pos:
-            raise ConfigError(
-                f"bridge_position {arch.bridge_position} inconsistent with "
-                f"{len(arch.snn_layers)} spiking layers (expected {auto_pos})"
-            )
         for p in arch.lstm_positions:
             if p < 1 or p > len(arch.ann_layers):
                 raise ConfigError(f"lstm position {p} outside 1..{len(arch.ann_layers)}")
@@ -119,8 +111,26 @@ class RunConfig:
             )
         if self.quantization.bits not in QUANT_BITS:
             raise ConfigError(f"bits must be one of {QUANT_BITS}, got {self.quantization.bits}")
-        if t.lr < 0:
-            raise ConfigError(f"lr must be at least 0, got {t.lr}")
+        for section, kind in _SECTIONS.items():
+            for key, hint in typing.get_type_hints(kind).items():
+                v = getattr(getattr(self, section), key)
+                if hint is float and not math.isfinite(v):
+                    raise ConfigError(f"{key} must be finite, got {v}")
+        for key in ("lr", "clip_norm", "noise_rate"):
+            if getattr(t, key) < 0:
+                raise ConfigError(f"{key} must be at least 0, got {getattr(t, key)}")
+        if t.contrast <= 0:
+            raise ConfigError(f"contrast must be above 0, got {t.contrast}")
+        if not 0 < t.shape_size_min <= t.shape_size_max:
+            raise ConfigError(
+                f"need 0 < shape_size_min <= shape_size_max, got {t.shape_size_min} and {t.shape_size_max}"
+            )
+        if not 0 <= t.speed_min <= t.speed_max:
+            raise ConfigError(f"need 0 <= speed_min <= speed_max, got {t.speed_min} and {t.speed_max}")
+        if t.scene_duration_ms < sim.window_ms:
+            raise ConfigError(
+                f"scene_duration_ms ({t.scene_duration_ms}) must be at least window_ms ({sim.window_ms})"
+            )
         return self
 
 

@@ -15,7 +15,7 @@ from .events import EventStream, bin_events
 from .numerics import NARROW, Tensor
 from .snn import ConvBNBlock, snn_backbone_forward
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class HybridModel:

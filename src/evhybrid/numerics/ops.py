@@ -365,13 +365,9 @@ def batchnorm2d(x, mean_c, var_c, weight_c, bias_c, eps: float):
         raise NumericError("batchnorm2d: negative variance")
     if eps < 0 or np.any(vd + eps <= 0):
         raise NumericError("batchnorm2d: var + eps must be positive")
-    c = _data(x).shape[-3]
-    shape = (c, 1, 1)
-    inv_std = div(1.0, sqrt(add(var_c, eps))) if isinstance(var_c, Tensor) else 1.0 / np.sqrt(vd + eps)
-    scale = mul(weight_c, inv_std) if _needs_grad(weight_c, var_c) else _data(weight_c) * _data(inv_std)
-    centered = sub(x, reshape(mean_c, shape) if isinstance(mean_c, Tensor) else np.reshape(_data(mean_c), shape))
-    scaled = mul(centered, reshape(scale, shape) if isinstance(scale, Tensor) else np.reshape(_data(scale), shape))
-    return add(scaled, reshape(bias_c, shape) if isinstance(bias_c, Tensor) else np.reshape(_data(bias_c), shape))
+    shape = (_data(x).shape[-3], 1, 1)
+    scale = mul(weight_c, div(1.0, sqrt(add(var_c, eps))))
+    return add(mul(sub(x, reshape(mean_c, shape)), reshape(scale, shape)), reshape(bias_c, shape))
 
 
 def softmax_rows(m):

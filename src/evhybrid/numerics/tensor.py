@@ -63,12 +63,6 @@ class Tensor:
         # plain cast, not differentiable; use on leaves/constants only
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
+from .model import HybridModel
 from .snn import parse_layer_string
 
 # (name, MACs, ACs, energy in joules)
@@ -94,10 +95,9 @@ def _conv_out(h: int, w: int, k: int, p: int, s: int) -> tuple[int, int]:
     return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
 
-def count_dense_macs(
-    cfg: RunConfig, input_hw: tuple[int, int] | None = None, n_steps: int | None = None
-) -> OpCounters:
-    """Analytic dense-execution MACs (and parameter counts) per layer.
+def count_dense_macs(cfg: RunConfig) -> OpCounters:
+    """Analytic dense-execution MACs per layer, at the configured sensor size
+    and T, and each layer's parameter count from the model ``cfg`` builds.
 
     Spiking convs are charged once per timestep; bridge and dense layers once
     per detection window. Deformable sampling charges one kernel MAC plus
@@ -105,22 +105,18 @@ def count_dense_macs(
     combinations are counted analytically.
     """
     arch, sim = cfg.architecture, cfg.simulation
-    h, w = input_hw or (sim.sensor_height, sim.sensor_width)
-    t = n_steps or sim.T
+    h, w, t = sim.sensor_height, sim.sensor_width, sim.T
     counters = OpCounters()
 
     c_in = 2
     for i, spec in enumerate(arch.snn_layers, start=1):
         c, k, p, s = parse_layer_string(spec)
         h, w = _conv_out(h, w, k, p, s)
-        lc = counters.layer(f"snn{i}")
-        lc.macs = k * k * c_in * c * h * w * t
-        lc.params = c * c_in * k * k + c + 2 * c + 1  # conv + bias + bn affine + leak
+        counters.layer(f"snn{i}").macs = k * k * c_in * c * h * w * t
         c_in = c
 
     kb = arch.bridge_kernel
     j = kb * kb
-    lc = counters.layer("bridge")
     per_channel = (
         (kb * kb * t) * (2 * j * t) * h * w  # offset-predicting conv
         + 5 * j * t * h * w  # deformable conv: kernel MAC + 4-point interpolation
@@ -129,31 +125,22 @@ def count_dense_macs(
         + t * h * w  # temporal 1x1 combination
         + h * w  # event-rate gate multiply
     )
-    lc.macs = per_channel * c_in
-    lc.params = (
-        (2 * j * t) * t * j + 2 * j * t  # offset conv + bias
-        + t * j + t  # deformable kernels + bias
-        + 6 * arch.bridge_heads  # q/k/v gains and biases
-        + t + 1  # temporal combination
-    )
+    counters.layer("bridge").macs = per_channel * c_in
 
     for i, spec in enumerate(arch.ann_layers, start=1):
         c, k, p, s = parse_layer_string(spec)
         h, w = _conv_out(h, w, k, p, s)
-        lc = counters.layer(f"ann{i}")
-        lc.macs = k * k * c_in * c * h * w
-        lc.params = c * c_in * k * k + c + 2 * c
+        counters.layer(f"ann{i}").macs = k * k * c_in * c * h * w
         c_in = c
         if i in arch.lstm_positions:
-            lc = counters.layer(f"lstm{i}")
             c2 = 2 * c
-            lc.macs = (9 * c2 + c2 * 4 * c) * h * w
-            lc.params = c2 * 9 + c2 + 4 * c * c2 + 4 * c
+            counters.layer(f"lstm{i}").macs = (9 * c2 + c2 * 4 * c) * h * w
 
     if arch.head:
-        lc = counters.layer("head")
-        lc.macs = (9 * c_in * c_in + c_in * 5) * h * w
-        lc.params = c_in * c_in * 9 + c_in + 5 * c_in + 5
+        counters.layer("head").macs = (9 * c_in * c_in + c_in * 5) * h * w
+
+    for name, prm in HybridModel(cfg, seed=0).parameters().items():
+        counters.layer(name.split(".")[0]).params += prm.size
     return counters
 
 

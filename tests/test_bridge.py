@@ -209,7 +209,7 @@ def per_head_oracle(a, p):
     attended = []
     for hd in range(p.heads):
         single = params_for(t=g)
-        for name in ("q_gain", "q_bias", "k_gain", "k_bias", "v_gain", "v_bias"):
+        for name in ("q_gain", "q_bias", "k_gain", "v_gain", "v_bias"):
             getattr(single, name).data = getattr(p, name).data[hd : hd + 1].copy()
         single.scale_scores = p.scale_scores
         attended.append(attention_parts(Tensor(a[hd * g : (hd + 1) * g]), single)[1].data)
@@ -233,7 +233,7 @@ class TestMultiHead:
     def test_end_to_end_gradcheck_two_heads(self):
         rng = np.random.default_rng(15)
         p = params_for(t=4, heads=2, seed=15)
-        for name in ("q_gain", "q_bias", "k_gain", "k_bias", "v_gain", "v_bias"):
+        for name in ("q_gain", "q_bias", "k_gain", "v_gain", "v_bias"):
             getattr(p, name).data = getattr(p, name).data + 0.3 * rng.standard_normal(2)
         rep = bridge_gradcheck(p, rng, c=2, h=5, w=5)
         assert rep.passed, rep
@@ -337,8 +337,24 @@ class TestFullBridge:
         # fixes the optimizer's and the gradient clip's summation order
         assert list(params_for(t=2).parameters()) == [
             "offset_w", "offset_b", "tsdc_w", "tsdc_b", "q_gain", "q_bias",
-            "k_gain", "k_bias", "v_gain", "v_bias", "comb_w", "comb_b",
+            "k_gain", "v_gain", "v_bias", "comb_w", "comb_b",
         ]
+
+    def test_every_parameter_moves_the_output(self):
+        # a parameter the output ignores is dead weight: a per-head key bias
+        # shifts a whole score row, which the row softmax cancels
+        rng = np.random.default_rng(17)
+        p = params_for(t=4, heads=2, seed=17)
+        for prm in p.parameters().values():
+            prm.data = prm.data + 0.3 * rng.standard_normal(prm.shape)
+        spikes = rand_spikes(rng, 4, 3, 6, 6)
+        base = asab_forward(spikes, p).data
+        for name, prm in p.parameters().items():
+            orig = prm.data
+            prm.data = orig + 0.1
+            moved = np.abs(asab_forward(spikes, p).data - base).max()
+            prm.data = orig
+            assert moved > 1e-9, f"{name} moves the output by {moved:.1e}"
 
     def test_end_to_end_gradcheck_small_instance(self):
         rng = np.random.default_rng(12)

@@ -21,7 +21,6 @@ class TestDefaults:
         assert cfg.architecture.snn_layers == ["64c3p1s2", "128c3p1s2", "256c3p1s2", "256c3p1s1"]
         assert cfg.architecture.lstm_positions == [2, 4]
         assert cfg.simulation.bin_ms * cfg.simulation.T == cfg.simulation.window_ms
-        assert cfg.architecture.bridge_position == 5  # right after the spiking stack
 
 
 class TestRoundTrip:
@@ -113,12 +112,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="bits"):
             load_config(path)
 
-    def test_bridge_position_consistency(self):
-        cfg = RunConfig()
-        cfg.architecture.bridge_position = 3
-        with pytest.raises(ConfigError, match="bridge_position"):
-            cfg.validate()
-
     def test_heads_must_divide_steps(self):
         cfg = RunConfig()
         cfg.architecture.bridge_heads = 3
@@ -173,6 +166,59 @@ class TestValidation:
         cfg = RunConfig()
         cfg.training.lr = -0.1
         with pytest.raises(ConfigError, match="lr"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        ["lr", "clip_norm", "shape_size_min", "shape_size_max", "speed_min", "speed_max", "contrast", "noise_rate"],
+    )
+    def test_float_keys_must_be_finite(self, tmp_path, key, raw):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[training]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["clip_norm", "noise_rate"])
+    def test_rate_keys_non_negative(self, key):
+        cfg = RunConfig()
+        setattr(cfg.training, key, -1.0)
+        with pytest.raises(ConfigError, match=f"{key} must be at least 0"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_contrast_positive(self, value):
+        cfg = RunConfig()
+        cfg.training.contrast = value
+        with pytest.raises(ConfigError, match="contrast must be above 0"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("lo,hi", [(12.0, 10.0), (0.0, 10.0), (-1.0, 10.0)])
+    def test_shape_size_range(self, lo, hi):
+        cfg = RunConfig()
+        cfg.training.shape_size_min, cfg.training.shape_size_max = lo, hi
+        with pytest.raises(ConfigError, match="shape_size_min <= shape_size_max"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("lo,hi", [(300.0, 250.0), (-1.0, 250.0)])
+    def test_speed_range(self, lo, hi):
+        cfg = RunConfig()
+        cfg.training.speed_min, cfg.training.speed_max = lo, hi
+        with pytest.raises(ConfigError, match="speed_min <= speed_max"):
+            cfg.validate()
+
+    def test_equal_range_bounds_load(self):
+        cfg = RunConfig()
+        cfg.training.shape_size_min = cfg.training.shape_size_max = 8.0
+        cfg.training.speed_min = cfg.training.speed_max = 0.0
+        cfg.training.scene_duration_ms = cfg.simulation.window_ms
+        cfg.validate()
+
+    @pytest.mark.parametrize("ms", [20, 0])
+    def test_scene_holds_a_window(self, ms):
+        cfg = RunConfig()
+        cfg.training.scene_duration_ms = ms
+        with pytest.raises(ConfigError, match="scene_duration_ms"):
             cfg.validate()
 
 

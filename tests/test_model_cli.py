@@ -464,6 +464,26 @@ class TestCLI:
         assert res.returncode == 2
         assert "error[config]" in res.stderr and "T must be at least 1" in res.stderr
 
+    @pytest.mark.parametrize(
+        "line", ["speed_min = nan", "shape_size_min = 12.0", "scene_duration_ms = 20", "lr = nan"]
+    )
+    def test_bad_training_key_exit_code(self, tmp_path, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[training]\n{line}\n")
+        res = run_cli(["--config", str(bad), "--out", str(tmp_path / "gen"), "gen"], tmp_path)
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and line.split()[0] in res.stderr
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_training_without_head_exit_code(self, tmp_path, command):
+        cfg = toy_config(steps=2)
+        cfg.architecture.head = False
+        path = tmp_path / "nohead.ini"
+        save_config(cfg, path)
+        res = run_cli(["--config", str(path), "--out", str(tmp_path / "run"), command], tmp_path)
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and "head" in res.stderr
+
 
 class TestTrainingBehavior:
     def test_lr_zero_keeps_parameters(self):

@@ -31,7 +31,15 @@ def arch_config(snn, ann, bridge_kernel=3, lstm=()):
     cfg.architecture.ann_layers = list(ann)
     cfg.architecture.lstm_positions = list(lstm)
     cfg.architecture.bridge_kernel = bridge_kernel
-    cfg.architecture.bridge_position = 0
+    return cfg.validate()
+
+
+def at_size(cfg, hw, t=None):
+    """``cfg`` with an ``hw`` sensor and, if given, ``t`` timesteps."""
+    sim = cfg.simulation
+    sim.sensor_height, sim.sensor_width = hw
+    if t is not None:
+        sim.T, sim.window_ms = t, t * sim.bin_ms
     return cfg.validate()
 
 
@@ -39,7 +47,7 @@ class TestDenseMacs:
     def test_one_by_one_conv_closed_form(self):
         cfg = arch_config(["1c1p0s1"], [])
         cfg.architecture.head = False
-        counters = count_dense_macs(cfg, input_hw=(4, 4), n_steps=1)
+        counters = count_dense_macs(at_size(cfg, (4, 4), t=1))
         # 1x1 conv, 2 input polarities, 4x4 output: 1*2*1*16
         assert counters.per_layer["snn1"].macs == 2 * 16
 
@@ -47,20 +55,20 @@ class TestDenseMacs:
         # 3x3 conv, C_in=2, C_out=4, 8x8 output -> 9*2*4*64 = 4608 per step
         cfg = arch_config(["4c3p1s1"], [])
         cfg.architecture.head = False
-        counters = count_dense_macs(cfg, input_hw=(8, 8), n_steps=1)
+        counters = count_dense_macs(at_size(cfg, (8, 8), t=1))
         assert counters.per_layer["snn1"].macs == 4608
 
     def test_time_multiplier_on_spiking_layers(self):
         cfg = arch_config(["4c3p1s1"], [])
         cfg.architecture.head = False
-        a = count_dense_macs(cfg, input_hw=(8, 8), n_steps=1).per_layer["snn1"].macs
-        b = count_dense_macs(cfg, input_hw=(8, 8), n_steps=10).per_layer["snn1"].macs
+        a = count_dense_macs(at_size(cfg, (8, 8), t=1)).per_layer["snn1"].macs
+        b = count_dense_macs(at_size(cfg, (8, 8), t=10)).per_layer["snn1"].macs
         assert b == 10 * a
 
     def test_counts_depend_only_on_shapes(self):
         cfg = arch_config(["4c3p1s2", "8c3p1s1"], ["8c3p1s2"])
-        a = count_dense_macs(cfg, input_hw=(16, 16))
-        b = count_dense_macs(cfg, input_hw=(16, 16))
+        a = count_dense_macs(at_size(cfg, (16, 16)))
+        b = count_dense_macs(at_size(cfg, (16, 16)))
         assert a.per_layer.keys() == b.per_layer.keys()
         assert a.total_macs == b.total_macs
 
@@ -81,11 +89,13 @@ class TestDenseMacs:
 
     def test_analytic_params_match_model(self):
         cfg = arch_config(["4c3p1s2", "8c3p1s1"], ["8c3p1s2"], lstm=[1])
-        cfg.simulation.sensor_width = 16
-        cfg.simulation.sensor_height = 16
+        counters = count_dense_macs(at_size(cfg, (16, 16)))
         model = HybridModel(cfg, seed=0)
-        live = sum(p.size for p in model.parameters().values())
-        assert count_dense_macs(cfg).total_params == live
+        for name, blk in model._named_blocks():
+            lc = counters.per_layer[name]
+            assert lc.params == sum(p.size for p in blk.parameters().values())
+            assert lc.macs > 0
+        assert counters.total_params == sum(p.size for p in model.parameters().values())
 
 
 def brute_force_acs(mask, k, stride, padding, c_out, groups):
