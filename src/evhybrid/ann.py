@@ -1,6 +1,7 @@
-"""Dense back-end: conv -> norm -> ReLU blocks, optional depthwise-separable
-convolutional LSTM units between blocks, and a single-scale toy detection
-head (objectness + box regression on the final feature grid)."""
+"""Dense back-end: conv -> batchnorm -> ReLU blocks (``snn.ConvBNBlock``),
+optional depthwise-separable convolutional LSTM units between blocks, and a
+single-scale toy detection head (objectness + box regression on the final
+feature grid), which every model has."""
 
 from __future__ import annotations
 
@@ -10,44 +11,12 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .numerics import NARROW, Tensor, ops
-from .snn import ConvBNBlock, ConvSpec, conv_bn
+from .snn import ConvBNBlock, conv_bn
 
 
-NORMS = ("batch", "layer")
-
-
-@dataclass
-class ANNBlockConfig(ConvSpec):
-    norm: str = "batch"  # one of NORMS
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.norm not in NORMS:
-            raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
-
-
-class ANNBlock(ConvBNBlock):
-    """Parameters of one conv -> norm -> ReLU block; layer norm uses only the
-    affine ``bn_gamma``/``bn_beta`` and ``bn_eps``."""
-
-    @property
-    def batch_norm(self) -> bool:
-        return self.cfg.norm == "batch"
-
-
-def ann_block_forward(x: Tensor, block: ANNBlock, training: bool = False) -> Tensor:
-    """conv -> norm -> ReLU on a [C, H, W] map; output is non-negative."""
-    if block.batch_norm:
-        return ops.relu(conv_bn(x, block, training))
-    cfg = block.cfg
-    y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
-    # layer norm: one mean/variance over the whole map, per-channel affine
-    mu = ops.mean(y)
-    var = ops.mean((y - mu) ** 2.0)
-    c = y.shape[0]
-    inv = 1.0 / ops.sqrt(var + block.bn_eps)
-    y = (y - mu) * inv * ops.reshape(block.bn_gamma, (c, 1, 1)) + ops.reshape(block.bn_beta, (c, 1, 1))
-    return ops.relu(y)
+def ann_block_forward(x: Tensor, block: ConvBNBlock, training: bool = False) -> Tensor:
+    """conv -> batchnorm -> ReLU on a [C, H, W] map; output is non-negative."""
+    return ops.relu(conv_bn(x, block, training))
 
 
 @dataclass
@@ -105,7 +74,7 @@ def dwconvlstm_step(state: DWConvLSTMState, x: Tensor, unit: DWConvLSTM) -> tupl
 
 def ann_backbone_forward(
     x: Tensor,
-    blocks: list[ANNBlock],
+    blocks: list[ConvBNBlock],
     lstm_units: dict[int, DWConvLSTM] | None = None,
     lstm_states: dict[int, DWConvLSTMState] | None = None,
     training: bool = False,

@@ -11,8 +11,8 @@ per-channel):
 3. temporal self-attention: each of the heads takes G = T/heads consecutive
    planes, with one scalar query/key/value gain and query/value bias per head
    (no key bias: it shifts a whole score row, which the softmax cancels),
-   row-softmax scores [G, G] and a score-weighted sum of its value planes; a
-   learned 1x1 combination then collapses T -> 1;
+   row-softmax scores [G, G] of the unscaled logits and a score-weighted sum
+   of its value planes; a learned 1x1 combination then collapses T -> 1;
 4. a spatial gate: sigmoid of the time-summed spike rate multiplies the
    attended map elementwise.
 
@@ -22,7 +22,6 @@ block of 2*K^2 channels, tap-major pairs (dy, dx).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,7 +57,6 @@ class BridgeParams:
     v_bias: Tensor
     comb_w: Tensor
     comb_b: Tensor
-    scale_scores: bool = False
 
     @classmethod
     def init(
@@ -68,7 +66,6 @@ class BridgeParams:
         heads: int = 1,
         rng: np.random.Generator | None = None,
         dtype=NARROW,
-        scale_scores: bool = False,
     ) -> "BridgeParams":
         check_bridge_geometry(kernel, heads, n_steps)
         rng = rng or np.random.default_rng(0)
@@ -97,7 +94,6 @@ class BridgeParams:
             v_bias=param(np.zeros(heads)),
             comb_w=param(np.full((1, t, 1, 1), 1.0 / t)),
             comb_b=param(np.zeros(1)),
-            scale_scores=scale_scores,
         )
 
     def parameters(self):
@@ -175,9 +171,6 @@ def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, 
     key = a_m * vec(params.k_gain)
     val = a_m * vec(params.v_gain) + vec(params.v_bias)
     logits = ops.matmul(q, ops.transpose(key, (0, 1, 3, 2)))
-    if params.scale_scores:
-        # a Python float keeps float32 logits in float32
-        logits = logits * (1.0 / math.sqrt(h * w))
     scores = ops.reshape(ops.softmax_rows(ops.reshape(logits, (c * t, g))), (c, heads, g, g))
     attended = ops.reshape(ops.matmul(scores, val), (c, t, h, w))
     return scores, attended

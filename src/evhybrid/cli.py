@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, save_config
+from .config import QUANT_BITS, RunConfig, load_config, save_config
 from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
@@ -79,16 +79,29 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
+def _bits_flag(raw) -> list[int]:
+    """The comma-separated widths of a --bits flag, each one of QUANT_BITS."""
+    try:
+        widths = [int(v) for v in str(raw).split(",")]
+    except ValueError:
+        widths = []
+    if not widths or any(b not in QUANT_BITS for b in widths):
+        raise ConfigError(f"--bits takes widths from {QUANT_BITS}, got {raw!r}")
+    return widths
+
+
 def _eval_windows(cfg: RunConfig, model: HybridModel, n_scenes: int = 4, seed_offset: int = 104729):
     ds = make_dataset(cfg, n_scenes, seed=cfg.training.seed + seed_offset, stride=model.total_stride)
     return [s.counts for s in ds]
 
 
 def cmd_gen(args, cfg: RunConfig) -> int:
+    duration = cfg.training.scene_duration_ms if args.duration_ms is None else args.duration_ms
+    if duration < 1:
+        raise ConfigError(f"--duration-ms must be at least 1, got {duration}")
     out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg.training.seed)
     scene = _random_scene(cfg, rng, seed=cfg.training.seed)
-    duration = args.duration_ms or cfg.training.scene_duration_ms
     result = synthesize_moving_shapes(scene, duration, cfg.simulation.window_ms)
     ext = "evs" if args.format == "evs" else "csv"
     events_path = out / f"events.{ext}"
@@ -144,8 +157,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
+    bits = cfg.quantization.bits if args.bits is None else _bits_flag(args.bits)[0]
     out = _out_dir(args, cfg)
-    bits = args.bits or cfg.quantization.bits
     model = _build_model(cfg, args.checkpoint)
     windows = _eval_windows(cfg, model)
     fpm, report = run_quantize(model, bits, windows, out_base=out / "quantized")
@@ -187,12 +200,12 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 
 def cmd_fidelity(args, cfg: RunConfig) -> int:
+    widths = _bits_flag(args.bits)
     out = _out_dir(args, cfg)
     model = _build_model(cfg, args.checkpoint)
     windows = _eval_windows(cfg, model)
     sweep: dict[str, dict] = {}
-    for bits_s in args.bits.split(","):
-        bits = int(bits_s)
+    for bits in widths:
         _, report = run_quantize(model, bits, windows)
         sweep[f"int{bits}"] = report.as_dict()
         print(f"int{bits}: match rate {report.match_rate:.4f}")

@@ -15,10 +15,9 @@ import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .ann import NORMS, ANNBlockConfig
 from .bridge import check_bridge_geometry
 from .errors import ConfigError
-from .snn import SNNBlockConfig
+from .snn import ConvSpec
 
 QUANT_BITS = (2, 4, 6, 8)  # weight bit widths of the fixed-point path
 
@@ -30,20 +29,16 @@ class ArchitectureConfig:
     )
     bridge_kernel: int = 5
     bridge_heads: int = 1
-    bridge_scale_scores: bool = False
     ann_layers: list[str] = field(
         default_factory=lambda: ["256c3p1s1", "256c3p1s2", "256c3p1s1", "256c3p1s2"]
     )
     lstm_positions: list[int] = field(default_factory=lambda: [2, 4])
-    norm: str = "batch"
-    head: bool = True
 
 
 @dataclass
 class SimulationConfig:
     sensor_width: int = 240
     sensor_height: int = 304
-    bin_ms: int = 5
     T: int = 10
     window_ms: int = 50
 
@@ -88,27 +83,19 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         arch, sim, t = self.architecture, self.simulation, self.training
-        sizes = {k: getattr(sim, k) for k in ("T", "bin_ms", "window_ms", "sensor_width", "sensor_height")}
+        sizes = {k: getattr(sim, k) for k in ("T", "window_ms", "sensor_width", "sensor_height")}
         sizes.update(steps=t.steps, batch=t.batch, scenes=t.scenes, eval_scenes=t.eval_scenes)
         for key, v in sizes.items():
             if v < 1:
                 raise ConfigError(f"{key} must be at least 1, got {v}")
-        if arch.norm not in NORMS:
-            raise ConfigError(f"norm must be one of {NORMS}, got {arch.norm!r}")
-        for s in arch.snn_layers:
-            SNNBlockConfig.from_string(s)
-        for s in arch.ann_layers:
-            ANNBlockConfig.from_string(s, norm=arch.norm)
+        for s in arch.snn_layers + arch.ann_layers:
+            ConvSpec.from_string(s)
         if not arch.snn_layers:
             raise ConfigError("need at least one spiking layer")
         check_bridge_geometry(arch.bridge_kernel, arch.bridge_heads, sim.T)
         for p in arch.lstm_positions:
             if p < 1 or p > len(arch.ann_layers):
                 raise ConfigError(f"lstm position {p} outside 1..{len(arch.ann_layers)}")
-        if sim.bin_ms * sim.T != sim.window_ms:
-            raise ConfigError(
-                f"window_ms ({sim.window_ms}) must equal bin_ms*T ({sim.bin_ms}*{sim.T})"
-            )
         if self.quantization.bits not in QUANT_BITS:
             raise ConfigError(f"bits must be one of {QUANT_BITS}, got {self.quantization.bits}")
         for section, kind in _SECTIONS.items():
@@ -144,16 +131,10 @@ _SECTIONS = {
 
 
 def _parse_value(section: str, key: str, raw: str, kind):
-    """``raw`` as the annotated type ``kind``: a bool from its usual words, a list
-    from comma-separated items of its item type, else the type's constructor."""
+    """``raw`` as the annotated type ``kind``: a list from comma-separated items
+    of its item type, else the type's constructor."""
     raw = raw.strip()
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         if typing.get_origin(kind) is list:
             (item,) = typing.get_args(kind)
             return [item(v.strip()) for v in raw.split(",") if v.strip()]
@@ -163,8 +144,6 @@ def _parse_value(section: str, key: str, raw: str, kind):
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, list):
         return ", ".join(str(x) for x in v)
     return str(v)
@@ -215,9 +194,9 @@ def config_hash(cfg: RunConfig) -> str:
 
 def architecture_hash(cfg: RunConfig) -> str:
     """Hash of what trained weights are built for: the [architecture] section
-    and the time binning (T, bin_ms, window_ms). The sensor size and the
+    and the time binning (T, window_ms). The sensor size and the
     training knobs are left out: every layer is convolutional, so weights run
     at any sensor size."""
     sim = cfg.simulation
-    text = _dump_section(cfg.architecture) + f"T = {sim.T}\nbin_ms = {sim.bin_ms}\nwindow_ms = {sim.window_ms}\n"
+    text = _dump_section(cfg.architecture) + f"T = {sim.T}\nwindow_ms = {sim.window_ms}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

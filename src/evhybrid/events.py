@@ -29,6 +29,7 @@ EVS_MAGIC = b"EVS0"
 EVS_HEADER = struct.Struct("<4sIIQ")
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("r", "u1")])
 CSV_HEADER = "t_us,x,y,p"
+_INT64 = np.iinfo(np.int64)
 
 
 class Event(NamedTuple):
@@ -130,24 +131,33 @@ def read_events(source, geometry: tuple[int, int] | None = None) -> EventStream:
 
 def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
     width, height = geometry
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
-        cols: list[list[int]] = [[], [], [], []]
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                vals = [int(v) for v in parts]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from None
-            for c, v in zip(cols, vals):
-                c.append(v)
+    lines = path.read_bytes().splitlines()
+
+    def text(lineno: int) -> str:
+        try:
+            return lines[lineno - 1].decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}:{lineno}: non-ASCII byte at column {exc.start + 1}") from None
+
+    header = text(1) if lines else ""
+    if header != CSV_HEADER:
+        raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
+    cols: list[list[int]] = [[], [], [], []]
+    for lineno in range(2, len(lines) + 1):
+        line = text(lineno)
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            vals = [int(v) for v in parts]
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+        if min(vals) < _INT64.min or max(vals) > _INT64.max:
+            raise DataFormatError(f"{path}:{lineno}: field outside the int64 range in {line!r}")
+        for c, v in zip(cols, vals):
+            c.append(v)
     t, x, y, p = (np.asarray(c, dtype=np.int64) for c in cols)
     return EventStream(width, height, t, x, y, p)
 

@@ -10,12 +10,12 @@ import numpy as np
 from . import ann, bridge, snn
 from .arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from .config import RunConfig, architecture_hash, config_hash
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 from .events import EventStream, bin_events
 from .numerics import NARROW, Tensor
 from .snn import ConvBNBlock, snn_backbone_forward
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class HybridModel:
@@ -41,22 +41,21 @@ class HybridModel:
             heads=arch.bridge_heads,
             rng=rng,
             dtype=dtype,
-            scale_scores=arch.bridge_scale_scores,
         )
 
-        self.ann_blocks: list[ann.ANNBlock] = []
+        self.ann_blocks: list[ConvBNBlock] = []
         for spec in arch.ann_layers:
-            cfg = ann.ANNBlockConfig.from_string(spec, norm=arch.norm)
-            self.ann_blocks.append(ann.ANNBlock(in_ch, cfg, rng, dtype=dtype))
+            cfg = snn.ConvSpec.from_string(spec)
+            self.ann_blocks.append(ConvBNBlock(in_ch, cfg, rng, dtype=dtype))
             in_ch = cfg.out_channels
 
         self.lstm_units: dict[int, ann.DWConvLSTM] = {}
         for pos in arch.lstm_positions:
-            ch = ann.ANNBlockConfig.from_string(arch.ann_layers[pos - 1]).out_channels
+            ch = self.ann_blocks[pos - 1].cfg.out_channels
             self.lstm_units[pos] = ann.DWConvLSTM(ch, rng, dtype=dtype)
         self.lstm_states: dict[int, ann.DWConvLSTMState] = {}
 
-        self.head = ann.ToyHead(in_ch, rng, dtype=dtype) if arch.head else None
+        self.head = ann.ToyHead(in_ch, rng, dtype=dtype)
         self.variant = "full"
 
     # -- parameters ---------------------------------------------------------
@@ -67,8 +66,7 @@ class HybridModel:
         yield "bridge", self.bridge
         yield from ((f"ann{i}", blk) for i, blk in enumerate(self.ann_blocks, start=1))
         yield from ((f"lstm{pos}", unit) for pos, unit in sorted(self.lstm_units.items()))
-        if self.head is not None:
-            yield "head", self.head
+        yield "head", self.head
 
     def parameters(self) -> dict[str, Tensor]:
         return {f"{name}.{k}": v for name, blk in self._named_blocks() for k, v in blk.parameters().items()}
@@ -78,7 +76,7 @@ class HybridModel:
         return {
             f"{name}.{k}": getattr(blk, k)
             for name, blk in self._named_blocks()
-            if isinstance(blk, ConvBNBlock) and blk.batch_norm
+            if isinstance(blk, ConvBNBlock)
             for k in ("bn_mean", "bn_var")
         }
 
@@ -114,7 +112,7 @@ class HybridModel:
         feats = ann.ann_backbone_forward(
             f_out, self.ann_blocks, self.lstm_units, self.lstm_states, training=training
         )
-        det = ann.toy_head_forward(feats[-1], self.head) if self.head is not None else None
+        det = ann.toy_head_forward(feats[-1], self.head)
         return {"e_spike": e_spike, "f_out": f_out, "features": feats, "detection": det}
 
     # -- checkpointing ------------------------------------------------------
@@ -140,7 +138,7 @@ class HybridModel:
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(f"unsupported checkpoint version {meta.get('format_version')}")
         if meta.get("architecture_hash") != architecture_hash(self.config):
-            raise DataFormatError(f"{path}: checkpoint built for another [architecture] or T/bin_ms/window_ms")
+            raise DataFormatError(f"{path}: checkpoint built for another [architecture] or T/window_ms")
         params = self.parameters()
         expected = {f"param.{k}": v.shape for k, v in params.items()}
         expected.update({f"stat.{k}": v.shape for k, v in self.running_stats().items()})
@@ -232,8 +230,6 @@ def decode_detections(
 def run_infer(model: HybridModel, stream: EventStream, trace: list | None = None) -> list[Detection]:
     """One detection set per window; empty stream gives no detections.
     ``trace`` collects every window's spiking-layer input masks."""
-    if model.head is None:
-        raise ConfigError("inference needs the detection head enabled")
     model.reset_state()
     sim = model.config.simulation
     if (stream.width, stream.height) != (sim.sensor_width, sim.sensor_height):

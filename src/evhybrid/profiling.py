@@ -136,8 +136,7 @@ def count_dense_macs(cfg: RunConfig) -> OpCounters:
             c2 = 2 * c
             counters.layer(f"lstm{i}").macs = (9 * c2 + c2 * 4 * c) * h * w
 
-    if arch.head:
-        counters.layer("head").macs = (9 * c_in * c_in + c_in * 5) * h * w
+    counters.layer("head").macs = (9 * c_in * c_in + c_in * 5) * h * w
 
     for name, prm in HybridModel(cfg, seed=0).parameters().items():
         counters.layer(name.split(".")[0]).params += prm.size

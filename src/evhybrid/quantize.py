@@ -6,8 +6,8 @@ neuron's 1/tau factor fold into per-channel (scale, shift) applied to the
 integer conv output:
 
     scale[c] = q_scale[c] * bn_gamma[c] / (tau * sqrt(bn_var[c] + eps))
-    shift[c] = (conv_bias[c] - bn_mean[c]) * bn_gamma[c]
-               / (tau * sqrt(bn_var[c] + eps)) + bn_beta[c] / tau
+    shift[c] = bn_beta[c] / tau
+               - bn_mean[c] * bn_gamma[c] / (tau * sqrt(bn_var[c] + eps))
 
 so the fused membrane update V <- (1 - 1/tau) V + (scale*y_int + shift)
 + v_reset/tau reproduces the float conv -> batchnorm -> leaky-integrate
@@ -86,7 +86,6 @@ class FusedLIFParams:
 
 
 def fuse_bn_lif(
-    bias_conv: np.ndarray,
     mean_bn: np.ndarray,
     var_bn: np.ndarray,
     weight_bn: np.ndarray,
@@ -106,8 +105,7 @@ def fuse_bn_lif(
     denom = tau * np.sqrt(var_bn + eps_bn)
     weight_bn = np.asarray(weight_bn, dtype=np.float64)
     scale = np.asarray(q_scale, dtype=np.float64) * weight_bn / denom
-    shift = (np.asarray(bias_conv, np.float64) - np.asarray(mean_bn, np.float64)) * weight_bn / denom
-    shift = shift + np.asarray(bias_bn, np.float64) / tau
+    shift = np.asarray(bias_bn, np.float64) / tau - np.asarray(mean_bn, np.float64) * weight_bn / denom
     return FusedLIFParams(scale=scale, shift=shift)
 
 
@@ -226,7 +224,6 @@ class FixedPointModel:
             quant = quantize_per_channel(blk.conv_w.data, bits)
             leak = 1.0 / blk.plif.tau
             fused = fuse_bn_lif(
-                bias_conv=blk.conv_b.data,
                 mean_bn=blk.bn_mean,
                 var_bn=blk.bn_var,
                 weight_bn=blk.bn_gamma.data,

@@ -9,7 +9,8 @@ against finite differences.
 
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
 padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
-(``ConvSpec``, ``ConvBNBlock``, ``conv_bn``) is shared with the dense blocks.
+(``ConvSpec``, ``ConvBNBlock``, ``conv_bn``) is shared with the dense blocks;
+its conv has no bias, so batchnorm's ``bn_beta`` is the layer's one offset.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ class ConvSpec:
 
 class ConvBNBlock:
     """Conv weights, batchnorm affine parameters and running statistics of one
-    conv -> batchnorm layer; the spiking and dense blocks add their activation."""
-
-    batch_norm = True  # normalizes with batch and running statistics
+    conv -> batchnorm layer; the spiking and dense blocks add their activation.
+    The conv has no bias: batchnorm subtracts the mean of its output, so a
+    per-channel bias would cancel, and ``bn_beta`` is the layer's offset."""
 
     def __init__(self, in_channels: int, cfg: ConvSpec, rng: np.random.Generator, dtype=NARROW):
         self.cfg = cfg
@@ -73,7 +74,6 @@ class ConvBNBlock:
         k, c = cfg.kernel, cfg.out_channels
         bound = 1.0 / np.sqrt(in_channels * k * k)
         self.conv_w = Tensor(rng.uniform(-bound, bound, (c, in_channels, k, k)).astype(dtype), requires_grad=True)
-        self.conv_b = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
         self.bn_gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
         self.bn_beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
         self.bn_mean = np.zeros(c, dtype=dtype)
@@ -82,7 +82,7 @@ class ConvBNBlock:
         self.bn_momentum = 0.9  # keep 0.9 of the running stat per update
 
     def parameters(self):
-        return {"conv_w": self.conv_w, "conv_b": self.conv_b, "bn_gamma": self.bn_gamma, "bn_beta": self.bn_beta}
+        return {"conv_w": self.conv_w, "bn_gamma": self.bn_gamma, "bn_beta": self.bn_beta}
 
 
 def conv_bn(x: Tensor, block: ConvBNBlock, training: bool, update_stats: bool = True) -> Tensor:
@@ -94,7 +94,7 @@ def conv_bn(x: Tensor, block: ConvBNBlock, training: bool, update_stats: bool = 
     the running averages.
     """
     cfg = block.cfg
-    y = ops.conv2d(x, block.conv_w, block.conv_b, stride=cfg.stride, padding=cfg.padding)
+    y = ops.conv2d(x, block.conv_w, stride=cfg.stride, padding=cfg.padding)
     if not training:
         return ops.batchnorm2d(y, block.bn_mean, block.bn_var, block.bn_gamma, block.bn_beta, block.bn_eps)
     axes = tuple(i for i in range(y.ndim) if i != y.ndim - 3)

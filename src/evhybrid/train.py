@@ -224,8 +224,6 @@ def run_train_toy(
     quiet: bool = False,
 ) -> TrainResult:
     """Train the toy detector on synthetic squares; deterministic per seed."""
-    if not cfg.architecture.head:
-        raise ConfigError("training needs the detection head enabled (head = true)")
     tr = cfg.training
     model = HybridModel(cfg)
     model.variant = variant

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from evhybrid.ann import ANNBlock, ANNBlockConfig, ToyHead, ann_backbone_forward, toy_head_forward, toy_loss
+from evhybrid.ann import ToyHead, ann_backbone_forward, toy_head_forward, toy_loss
 from evhybrid.bridge import BridgeParams, asab_forward, attention_parts, temporal_attention, tsdc
 from evhybrid.config import RunConfig, save_config
 from evhybrid.events import EventStream, build_event_tensor
@@ -32,7 +32,7 @@ from evhybrid.profiling import (
     energy_estimate,
 )
 from evhybrid.quantize import FixedPointModel, fuse_bn_lif, quantize_per_channel, run_quantize
-from evhybrid.snn import SNNBlock, SNNBlockConfig, snn_backbone_forward
+from evhybrid.snn import ConvBNBlock, ConvSpec, SNNBlock, SNNBlockConfig, snn_backbone_forward
 from evhybrid.train import make_dataset, run_train_toy
 
 
@@ -222,7 +222,7 @@ def _build_toy_pipeline(seed):
     bridge.offset_b.data = rng.uniform(0.2, 0.4, bridge.offset_b.shape) * rng.choice(
         [-1.0, 1.0], bridge.offset_b.shape
     )
-    ann = ANNBlock(3, ANNBlockConfig.from_string("3c3p1s1"), rng, dtype=WIDE)
+    ann = ConvBNBlock(3, ConvSpec.from_string("3c3p1s1"), rng, dtype=WIDE)
     head = ToyHead(3, rng, dtype=WIDE)
     x = Tensor(rng.uniform(0.0, 1.0, (3, 2, 6, 6)), dtype=WIDE, requires_grad=True)
     tensors = [x]
@@ -391,7 +391,7 @@ def test_criterion_6_fused_quantization_fidelity(trained_toy):
 
 def test_criterion_7_bn_fusion_equivalence():
     fused = fuse_bn_lif(
-        bias_conv=np.zeros(1), mean_bn=np.ones(1), var_bn=np.full(1, 3.0),
+        mean_bn=np.ones(1), var_bn=np.full(1, 3.0),
         weight_bn=np.full(1, 2.0), bias_bn=np.full(1, 4.0), eps_bn=1.0, tau=2.0,
         q_scale=np.ones(1),
     )
@@ -403,7 +403,6 @@ def test_criterion_7_bn_fusion_equivalence():
         rng = np.random.default_rng(700 + seed)
         c_in, c_out = 2, 3
         w = rng.standard_normal((c_out, c_in, 3, 3))
-        bias = rng.standard_normal(c_out)
         mean = rng.standard_normal(c_out)
         var = rng.uniform(0.05, 2.0, c_out)
         gamma = rng.uniform(0.5, 1.5, c_out) * rng.choice([-1, 1], c_out)
@@ -411,11 +410,11 @@ def test_criterion_7_bn_fusion_equivalence():
         eps = float(rng.uniform(1e-5, 0.1))
         tau = float(rng.uniform(1.0, 5.0))
         q = quantize_per_channel(w, 8)
-        f = fuse_bn_lif(bias, mean, var, gamma, beta, eps, tau, q.q_scale)
+        f = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
         x = rng.integers(0, 4, (2, c_in, 5, 5))
         y_int, _ = int_conv2d(x, q.int_weights, 1, 1)
         fused_pre = y_int * f.scale.reshape(1, -1, 1, 1) + f.shift.reshape(1, -1, 1, 1)
-        y_f, _ = _float_conv(x.astype(np.float64), q.dequantize(), bias, 1, 1)
+        y_f, _ = _float_conv(x.astype(np.float64), q.dequantize(), None, 1, 1)
         bn = (y_f - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + eps).reshape(1, -1, 1, 1)
         bn = bn * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
         worst = max(worst, float(np.abs(fused_pre - bn / tau).max()))

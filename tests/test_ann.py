@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.ann import (
-    ANNBlock,
-    ANNBlockConfig,
     DWConvLSTM,
     DWConvLSTMState,
     ToyHead,
@@ -18,26 +16,25 @@ from evhybrid.ann import (
 )
 from evhybrid.errors import ConfigError
 from evhybrid.numerics import WIDE, Tensor, grad_check, ops
+from evhybrid.snn import ConvBNBlock, ConvSpec
 
 
-def make_block(in_ch, spec, seed=0, norm="batch"):
-    cfg = ANNBlockConfig.from_string(spec, norm=norm)
-    return ANNBlock(in_ch, cfg, np.random.default_rng(seed), dtype=WIDE)
+def make_block(in_ch, spec, seed=0):
+    return ConvBNBlock(in_ch, ConvSpec.from_string(spec), np.random.default_rng(seed), dtype=WIDE)
 
 
 class TestANNBlocks:
-    @given(seed=st.integers(0, 2**31 - 1), norm=st.sampled_from(["batch", "layer"]))
+    @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
-    def test_output_nonnegative(self, seed, norm):
+    def test_output_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
-        block = make_block(3, "4c3p1s1", seed=seed, norm=norm)
+        block = make_block(3, "4c3p1s1", seed=seed)
         out = ann_block_forward(Tensor(rng.standard_normal((3, 6, 6))), block, training=True)
         assert np.all(out.data >= 0)
 
     def test_identity_norm_identity_kernel_is_relu(self):
         block = make_block(1, "1c1p0s1")
         block.conv_w.data = np.ones((1, 1, 1, 1))
-        block.conv_b.data = np.zeros(1)
         x = np.random.default_rng(1).standard_normal((1, 5, 5))
         out = ann_block_forward(Tensor(x), block, training=False)  # running stats identity
         np.testing.assert_allclose(out.data, np.maximum(x, 0), atol=1e-5)
@@ -46,10 +43,6 @@ class TestANNBlocks:
         block = make_block(2, "4c3p1s2")
         out = ann_block_forward(Tensor(np.random.default_rng(2).standard_normal((2, 8, 12))), block)
         assert out.shape == (4, 4, 6)
-
-    def test_norm_kind_validated(self):
-        with pytest.raises(ConfigError):
-            ANNBlockConfig.from_string("4c3p1s1", norm="group")
 
 
 class TestDWConvLSTM:

@@ -16,7 +16,7 @@ from evhybrid.bridge import (
     tsdc,
 )
 from evhybrid.errors import ConfigError
-from evhybrid.numerics import NARROW, WIDE, GradTape, Tensor, grad_check, ops
+from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 
 
 def params_for(t, kernel=3, heads=1, seed=0, dtype=WIDE):
@@ -211,7 +211,6 @@ def per_head_oracle(a, p):
         single = params_for(t=g)
         for name in ("q_gain", "q_bias", "k_gain", "v_gain", "v_bias"):
             getattr(single, name).data = getattr(p, name).data[hd : hd + 1].copy()
-        single.scale_scores = p.scale_scores
         attended.append(attention_parts(Tensor(a[hd * g : (hd + 1) * g]), single)[1].data)
     planes = np.concatenate(attended)
     return np.tensordot(p.comb_w.data[0, :, 0, 0], planes, axes=1) + p.comb_b.data[0]
@@ -219,11 +218,9 @@ def per_head_oracle(a, p):
 
 class TestMultiHead:
     @pytest.mark.parametrize("heads", [2, 5])
-    @pytest.mark.parametrize("scale_scores", [False, True])
-    def test_matches_per_head_oracle(self, heads, scale_scores):
+    def test_matches_per_head_oracle(self, heads):
         rng = np.random.default_rng(heads)
         p = params_for(t=10, heads=heads, seed=heads)
-        p.scale_scores = scale_scores
         for prm in p.parameters().values():
             prm.data = prm.data + 0.5 * rng.standard_normal(prm.shape)
         a = rng.standard_normal((10, 4, 5))
@@ -359,28 +356,6 @@ class TestFullBridge:
     def test_end_to_end_gradcheck_small_instance(self):
         rng = np.random.default_rng(12)
         rep = bridge_gradcheck(params_for(t=3, seed=12), rng, c=2, h=6, w=6)
-        assert rep.passed, rep
-
-    def test_scaled_scores_keep_float32(self):
-        rng = np.random.default_rng(16)
-        p32 = params_for(t=4, seed=16, dtype=NARROW)
-        p32.scale_scores = True
-        p64 = params_for(t=4, seed=16)
-        p64.scale_scores = True
-        for name, prm in p32.parameters().items():
-            prm.data = (prm.data + 0.3 * rng.standard_normal(prm.shape)).astype(NARROW)
-            p64.parameters()[name].data = prm.data.astype(WIDE)
-        spikes = rand_spikes(rng, 4, 3, 6, 6, dtype=NARROW)
-        out32 = asab_forward(spikes, p32)
-        out64 = asab_forward(Tensor(spikes.data.astype(WIDE)), p64)
-        assert out32.data.dtype == NARROW
-        np.testing.assert_allclose(out32.data, out64.data, rtol=1e-5, atol=1e-5)
-
-    def test_end_to_end_gradcheck_scaled_scores(self):
-        rng = np.random.default_rng(17)
-        p = params_for(t=4, seed=17)
-        p.scale_scores = True
-        rep = bridge_gradcheck(p, rng, c=2, h=5, w=5)
         assert rep.passed, rep
 
 

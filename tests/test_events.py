@@ -116,6 +116,18 @@ class TestReadWrite:
         with pytest.raises(DataFormatError, match="non-integer"):
             read_events(path, geometry=(8, 8))
 
+    def test_csv_non_ascii_byte_is_data_error(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_bytes((CSV_HEADER + "\n0,1,2,1\n0,1,2,\u00e91\n").encode("utf-8"))
+        with pytest.raises(DataFormatError, match=r"u\.csv:3: non-ASCII"):
+            read_events(path, geometry=(8, 8))
+
+    def test_csv_field_past_int64_is_data_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(CSV_HEADER + "\n0,1,2,1\n99999999999999999999,1,1,1\n")
+        with pytest.raises(DataFormatError, match=r"big\.csv:3: field outside the int64 range"):
+            read_events(path, geometry=(8, 8))
+
     def test_evs_shorter_than_header(self, tmp_path):
         path = tmp_path / "h.evs"
         path.write_bytes(b"EVS0" + bytes(6))
@@ -180,6 +192,18 @@ class TestEventTensor:
             build_event_tensor(stream_from_rows([]), 10, 10, 4)
         with pytest.raises(ValueError):
             build_event_tensor(stream_from_rows([]), 0, 10, 0)
+
+    @pytest.mark.parametrize("n_bins", [7, 10])
+    def test_bins_tile_any_window(self, n_bins):
+        # a window need not be a multiple of T: with one event per microsecond
+        # of a 50 ms window, every event is counted once and the bin widths
+        # differ by at most 1 us (the last bin also holds the event at t_b)
+        t = np.arange(50_001)
+        zeros = np.zeros_like(t)
+        per_bin = build_event_tensor(EventStream(1, 1, t, zeros, zeros, zeros), 0, 50_000, n_bins).counts[:, 0, 0, 0]
+        assert per_bin.sum() == t.size
+        widths = per_bin - np.eye(n_bins, dtype=np.int64)[-1]
+        assert widths.max() - widths.min() <= 1
 
     @staticmethod
     def brute_force(stream, t_a, t_b, n_bins, w, h):

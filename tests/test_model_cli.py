@@ -14,7 +14,8 @@ from evhybrid.config import RunConfig, save_config
 from evhybrid.errors import ConfigError, DataFormatError
 from evhybrid.events import EventStream, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
-from evhybrid.numerics import Tensor
+from evhybrid.ann import toy_loss
+from evhybrid.numerics import WIDE, Tensor
 from evhybrid.snn import snn_backbone_forward
 from evhybrid import train
 from evhybrid.train import make_dataset, run_ablate, run_train_toy
@@ -75,33 +76,47 @@ class TestModel:
         for name, stat in model.running_stats().items():
             np.testing.assert_array_equal(stat, other.running_stats()[name])
 
-    @pytest.mark.parametrize("change", ["padding", "binning"])
+    @pytest.mark.parametrize("change", ["padding", "binning", "window"])
     def test_checkpoint_architecture_mismatch_rejected(self, tmp_path, change):
         path = tmp_path / "model.evck"
         HybridModel(toy_config(), seed=1).save_checkpoint(path)
         cfg = toy_config()
         if change == "padding":
             cfg.architecture.snn_layers = ["4c3p0s2", "6c3p1s2"]
+        elif change == "binning":
+            cfg.simulation.T = 5
         else:
-            cfg.simulation.T, cfg.simulation.bin_ms = 5, 10
+            cfg.simulation.window_ms = 100
         with pytest.raises(DataFormatError, match="architecture"):
             HybridModel(cfg.validate(), seed=1).load_checkpoint(path)
 
-    def test_layer_norm_checkpoint_has_no_dense_stats(self, tmp_path):
+    def test_every_parameter_moves_the_training_loss(self):
+        # a parameter the loss ignores is dead weight: a conv bias in front of
+        # a batch norm is subtracted again by the batch mean
         cfg = toy_config()
-        cfg.architecture.norm = "layer"
-        model = HybridModel(cfg.validate(), seed=1)
-        model.save_checkpoint(tmp_path / "m.evck")
-        _, arrays = read_bundle(tmp_path / "m.evck", CHECKPOINT_MAGIC)
-        assert not [k for k in arrays if k.startswith("stat.ann")]
-        assert "stat.snn1.bn_mean" in arrays
-        other = HybridModel(cfg, seed=2)
-        other.load_checkpoint(tmp_path / "m.evck")
-        counts = np.random.default_rng(1).poisson(0.2, (10, 2, 24, 24)).astype(np.int64)
-        np.testing.assert_array_equal(
-            model.forward_window(counts)["detection"].raw.data,
-            other.forward_window(counts)["detection"].raw.data,
-        )
+        cfg.architecture.lstm_positions = [1]
+        model = HybridModel(cfg.validate(), seed=5, dtype=WIDE)
+        counts = np.random.default_rng(5).poisson(0.5, (10, 2, 24, 24))
+        blocks = dict(model._named_blocks())
+        stats = {k: v.copy() for k, v in model.running_stats().items()}
+
+        def loss():
+            model.reset_state()
+            trace: list = []
+            out = model.forward_window(counts, training=True, trace=trace)
+            for key, v in stats.items():  # undo the running-average updates
+                name, stat = key.split(".")
+                setattr(blocks[name], stat, v.copy())
+            assert all(e["nonzero"].any() for e in trace[1:]) and out["e_spike"].data.any()
+            return float(toy_loss(out["detection"], [(2.5, 3.0, 2.0, 2.0)]).data)
+
+        base = loss()
+        for name, prm in model.parameters().items():
+            orig = prm.data
+            prm.data = orig + 0.1
+            moved = abs(loss() - base)
+            prm.data = orig
+            assert moved > 1e-9, f"{name} moves the loss by {moved:.1e}"
 
     def test_infer_trace_equals_backbone_pass(self):
         cfg = toy_config()
@@ -123,20 +138,15 @@ class TestModel:
             for k in a:
                 np.testing.assert_array_equal(a[k], b[k])
 
-    def test_checkpoint_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_checkpoint_version_mismatch_rejected(self, tmp_path, version):
         path = tmp_path / "model.evck"
         model = HybridModel(toy_config(), seed=1)
         model.save_checkpoint(path)
         meta, arrays = read_bundle(path, CHECKPOINT_MAGIC)
-        write_bundle(path, CHECKPOINT_MAGIC, {**meta, "format_version": 1}, arrays)
-        with pytest.raises(DataFormatError, match="unsupported checkpoint version 1"):
+        write_bundle(path, CHECKPOINT_MAGIC, {**meta, "format_version": version}, arrays)
+        with pytest.raises(DataFormatError, match=f"unsupported checkpoint version {version}"):
             model.load_checkpoint(path)
-
-    def test_infer_needs_head(self):
-        cfg = toy_config()
-        cfg.architecture.head = False
-        with pytest.raises(ConfigError, match="head"):
-            run_infer(HybridModel(cfg, seed=3), EventStream.empty(24, 24))
 
     def test_infer_rejects_stream_of_other_geometry(self):
         with pytest.raises(DataFormatError, match="geometry"):
@@ -474,15 +484,27 @@ class TestCLI:
         assert res.returncode == 2
         assert "error[config]" in res.stderr and line.split()[0] in res.stderr
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
-    def test_training_without_head_exit_code(self, tmp_path, command):
-        cfg = toy_config(steps=2)
-        cfg.architecture.head = False
-        path = tmp_path / "nohead.ini"
-        save_config(cfg, path)
-        res = run_cli(["--config", str(path), "--out", str(tmp_path / "run"), command], tmp_path)
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_bad_duration_flag_exit_code(self, tmp_path, value):
+        res = run_cli(["--out", str(tmp_path / "gen"), "gen", "--duration-ms", value], tmp_path)
         assert res.returncode == 2
-        assert "error[config]" in res.stderr and "head" in res.stderr
+        assert "error[config]" in res.stderr and "--duration-ms" in res.stderr
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize(
+        "command,value",
+        [("quantize", "0"), ("quantize", "3"), ("fidelity", "8,x"), ("fidelity", ""), ("fidelity", "8,5")],
+    )
+    def test_bad_bits_flag_exit_code(self, cli_workspace, tmp_path, command, value):
+        root, cfg_path = cli_workspace
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "out"), command,
+             "--checkpoint", str(root / "run" / "checkpoint.evck"), "--bits", value],
+            tmp_path,
+        )
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and "--bits" in res.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestTrainingBehavior:

@@ -39,14 +39,13 @@ def at_size(cfg, hw, t=None):
     sim = cfg.simulation
     sim.sensor_height, sim.sensor_width = hw
     if t is not None:
-        sim.T, sim.window_ms = t, t * sim.bin_ms
+        sim.T = t
     return cfg.validate()
 
 
 class TestDenseMacs:
     def test_one_by_one_conv_closed_form(self):
         cfg = arch_config(["1c1p0s1"], [])
-        cfg.architecture.head = False
         counters = count_dense_macs(at_size(cfg, (4, 4), t=1))
         # 1x1 conv, 2 input polarities, 4x4 output: 1*2*1*16
         assert counters.per_layer["snn1"].macs == 2 * 16
@@ -54,13 +53,11 @@ class TestDenseMacs:
     def test_three_by_three_closed_form(self):
         # 3x3 conv, C_in=2, C_out=4, 8x8 output -> 9*2*4*64 = 4608 per step
         cfg = arch_config(["4c3p1s1"], [])
-        cfg.architecture.head = False
         counters = count_dense_macs(at_size(cfg, (8, 8), t=1))
         assert counters.per_layer["snn1"].macs == 4608
 
     def test_time_multiplier_on_spiking_layers(self):
         cfg = arch_config(["4c3p1s1"], [])
-        cfg.architecture.head = False
         a = count_dense_macs(at_size(cfg, (8, 8), t=1)).per_layer["snn1"].macs
         b = count_dense_macs(at_size(cfg, (8, 8), t=10)).per_layer["snn1"].macs
         assert b == 10 * a

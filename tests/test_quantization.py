@@ -78,7 +78,7 @@ class TestQuantizePerChannel:
 class TestFuseBnLif:
     def test_identity_configuration(self):
         fused = fuse_bn_lif(
-            bias_conv=np.zeros(1), mean_bn=np.zeros(1), var_bn=np.ones(1),
+            mean_bn=np.zeros(1), var_bn=np.ones(1),
             weight_bn=np.ones(1), bias_bn=np.zeros(1), eps_bn=0.0, tau=1.0,
             q_scale=np.ones(1),
         )
@@ -87,7 +87,7 @@ class TestFuseBnLif:
 
     def test_worked_example(self):
         fused = fuse_bn_lif(
-            bias_conv=np.zeros(1), mean_bn=np.ones(1), var_bn=np.full(1, 3.0),
+            mean_bn=np.ones(1), var_bn=np.full(1, 3.0),
             weight_bn=np.full(1, 2.0), bias_bn=np.full(1, 4.0), eps_bn=1.0, tau=2.0,
             q_scale=np.ones(1),
         )
@@ -96,10 +96,10 @@ class TestFuseBnLif:
 
     def test_preconditions(self):
         with pytest.raises(NumericError):
-            fuse_bn_lif(np.zeros(1), np.zeros(1), np.full(1, -1.0), np.ones(1),
+            fuse_bn_lif(np.zeros(1), np.full(1, -1.0), np.ones(1),
                         np.zeros(1), 0.1, 2.0, np.ones(1))
         with pytest.raises(NumericError):
-            fuse_bn_lif(np.zeros(1), np.zeros(1), np.ones(1), np.ones(1),
+            fuse_bn_lif(np.zeros(1), np.ones(1), np.ones(1),
                         np.zeros(1), 0.1, 0.5, np.ones(1))
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -110,7 +110,6 @@ class TestFuseBnLif:
         rng = np.random.default_rng(seed)
         c_in, c_out, k = 2, 3, 3
         w = rng.standard_normal((c_out, c_in, k, k))
-        bias = rng.standard_normal(c_out)
         mean = rng.standard_normal(c_out)
         var = rng.uniform(0.1, 2.0, c_out)
         gamma = rng.uniform(0.5, 1.5, c_out)
@@ -118,7 +117,7 @@ class TestFuseBnLif:
         eps = 1e-5
         tau = float(rng.uniform(1.0, 4.0))
         q = quantize_per_channel(w, 8)
-        fused = fuse_bn_lif(bias, mean, var, gamma, beta, eps, tau, q.q_scale)
+        fused = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
 
         x = rng.integers(0, 4, (1, c_in, 6, 6))
         y_int, over = int_conv2d(x, q.int_weights, stride=1, padding=1)
@@ -129,7 +128,7 @@ class TestFuseBnLif:
         y_f = np.zeros_like(fused_pre)
         from evhybrid.quantize import _float_conv
 
-        y_f, _ = _float_conv(x.astype(np.float64), w_deq, bias, 1, 1)
+        y_f, _ = _float_conv(x.astype(np.float64), w_deq, None, 1, 1)
         bn = (y_f - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + eps).reshape(1, -1, 1, 1)
         bn = bn * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
         np.testing.assert_allclose(fused_pre, bn / tau, atol=1e-5)
@@ -561,7 +560,7 @@ def _oracle_spikes(model, counts):
         k, s, p = blk.cfg.kernel, blk.cfg.stride, blk.cfg.padding
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        y = np.einsum("tchwij,ocij->tohw", win, w) + blk.conv_b.data.astype(np.float64)[:, None, None]
+        y = np.einsum("tchwij,ocij->tohw", win, w)
         var = blk.bn_var.astype(np.float64)[:, None, None]
         y = (y - blk.bn_mean.astype(np.float64)[:, None, None]) / np.sqrt(var + blk.bn_eps)
         y = y * blk.bn_gamma.data.astype(np.float64)[:, None, None]
@@ -588,7 +587,6 @@ class TestFloatReference:
         for blk in model.snn_blocks:
             c = blk.cfg.out_channels
             blk.conv_w.data = (blk.conv_w.data * 3).astype(np.float32)
-            blk.conv_b.data = rng.uniform(-0.2, 0.2, c).astype(np.float32)
             blk.bn_gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
             blk.bn_beta.data = rng.uniform(0.0, 0.6, c).astype(np.float32)
             blk.bn_mean = rng.uniform(-0.1, 0.1, c).astype(np.float32)

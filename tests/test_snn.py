@@ -126,7 +126,6 @@ class TestConvBN:
         # updates with momentum 0.9, then inference on those averages
         rng = np.random.default_rng(11)
         block = ConvBNBlock(2, ConvSpec(3, kernel=1, padding=0), rng, dtype=WIDE)
-        block.conv_b.data = rng.standard_normal(3)
         block.bn_gamma.data = rng.uniform(0.5, 2.0, 3)
         block.bn_beta.data = rng.standard_normal(3)
         col = (slice(None), None, None)
@@ -134,7 +133,7 @@ class TestConvBN:
         axes = tuple(i for i in range(len(shape)) if i != len(shape) - 3)
 
         def conv(x):
-            return np.einsum("ci,...ihw->...chw", block.conv_w.data[:, :, 0, 0], x) + block.conv_b.data[col]
+            return np.einsum("ci,...ihw->...chw", block.conv_w.data[:, :, 0, 0], x)
 
         mean, var = np.zeros(3), np.ones(3)
         for _ in range(2):
@@ -205,7 +204,7 @@ class TestBlocks:
         block = make_block(2, "4c3p1s1", seed=8, dtype=np.float32)
         wide = block.astype(WIDE)
         arrays = [v for v in vars(wide).values() if isinstance(v, (Tensor, np.ndarray))]
-        assert len(arrays) == 6  # conv_w, conv_b, bn_gamma, bn_beta, bn_mean, bn_var
+        assert len(arrays) == 5  # conv_w, bn_gamma, bn_beta, bn_mean, bn_var
         for a in [*arrays, wide.plif.w]:
             assert a.dtype == WIDE
         np.testing.assert_array_equal(wide.conv_w.data, block.conv_w.data)
