@@ -22,7 +22,7 @@ from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
 from .profiling import EnergyModel, count_dense_macs, count_spike_acs, sparsity_report, write_profile
-from .quantize import FidelityReport, run_quantize
+from .quantize import run_quantize
 from .snn import snn_backbone_forward
 from .numerics import Tensor
 from .train import ABLATION_VARIANTS, make_dataset, run_ablate, run_train_toy, _random_scene
@@ -97,8 +97,8 @@ def _eval_windows(cfg: RunConfig, model: HybridModel, n_scenes: int = 4, seed_of
 
 def cmd_gen(args, cfg: RunConfig) -> int:
     duration = cfg.training.scene_duration_ms if args.duration_ms is None else args.duration_ms
-    if duration < 1:
-        raise ConfigError(f"--duration-ms must be at least 1, got {duration}")
+    if duration < cfg.simulation.window_ms:
+        raise ConfigError(f"--duration-ms ({duration}) must be at least window_ms ({cfg.simulation.window_ms})")
     out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg.training.seed)
     scene = _random_scene(cfg, rng, seed=cfg.training.seed)

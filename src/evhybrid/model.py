@@ -31,7 +31,7 @@ class HybridModel:
         self.snn_blocks: list[snn.SNNBlock] = []
         in_ch = 2
         for spec in arch.snn_layers:
-            cfg = snn.SNNBlockConfig.from_string(spec)
+            cfg = snn.ConvSpec.from_string(spec)
             self.snn_blocks.append(snn.SNNBlock(in_ch, cfg, rng, dtype=dtype))
             in_ch = cfg.out_channels
 

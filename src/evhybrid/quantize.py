@@ -10,8 +10,9 @@ integer conv output:
                - bn_mean[c] * bn_gamma[c] / (tau * sqrt(bn_var[c] + eps))
 
 so the fused membrane update V <- (1 - 1/tau) V + (scale*y_int + shift)
-+ v_reset/tau reproduces the float conv -> batchnorm -> leaky-integrate
-trajectory exactly when the integer weights are exact.
+reproduces the float conv -> batchnorm -> leaky-integrate trajectory exactly
+when the integer weights are exact. The neuron fires at snn.V_THRESHOLD and
+resets to snn.V_RESET = 0, as in training.
 
 The forward is event-driven. The integer conv gathers the (t, y, x) sites
 that hold input and, tap by tap, adds their rows times the tap's weights to
@@ -37,11 +38,11 @@ from .arrayio import _entry_dtype
 from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
-from .numerics import WIDE, Tensor, ops
-from .snn import snn_block_forward
+from .numerics import WIDE, Tensor
+from .snn import V_RESET, V_THRESHOLD, snn_block_forward
 
 INT32_MAX = np.int64(2**31 - 1)
-QUANT_FORMAT_VERSION = 1
+QUANT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -182,8 +183,6 @@ class FixedPointBlock:
     stride: int
     padding: int
     leak: float  # 1 / tau
-    v_threshold: float
-    v_reset: float
 
 
 # the fields a manifest layer stores as they are; the weights go to the blob
@@ -205,8 +204,6 @@ _SCALAR_CHECKS = {
     "stride": lambda v: _is_int(v) and v >= 1,
     "padding": lambda v: _is_int(v) and v >= 0,
     "leak": lambda v: _is_real(v) and 0 < v <= 1,
-    "v_threshold": _is_real,
-    "v_reset": _is_real,
 }
 
 
@@ -222,14 +219,13 @@ class FixedPointModel:
         fpm = cls(bits=bits)
         for i, blk in enumerate(model.snn_blocks, start=1):
             quant = quantize_per_channel(blk.conv_w.data, bits)
-            leak = 1.0 / blk.plif.tau
             fused = fuse_bn_lif(
                 mean_bn=blk.bn_mean,
                 var_bn=blk.bn_var,
                 weight_bn=blk.bn_gamma.data,
                 bias_bn=blk.bn_beta.data,
                 eps_bn=blk.bn_eps,
-                tau=blk.plif.tau,
+                tau=blk.tau,
                 q_scale=quant.q_scale,
             )
             fpm.blocks.append(
@@ -239,9 +235,7 @@ class FixedPointModel:
                     fused=fused,
                     stride=blk.cfg.stride,
                     padding=blk.cfg.padding,
-                    leak=leak,
-                    v_threshold=blk.plif.v_threshold,
-                    v_reset=blk.plif.v_reset,
+                    leak=1.0 / blk.tau,
                 )
             )
         return fpm
@@ -283,14 +277,13 @@ def _membrane(y: np.ndarray, live: np.ndarray, blk: FixedPointBlock) -> np.ndarr
     t, h, w, c = y.shape
     y = np.concatenate([y.reshape(t, h * w, c)[:, live], np.zeros((t, 1, c), dtype=np.int64)], axis=1)
     u = y.astype(np.float64) * blk.fused.scale + blk.fused.shift
-    v = np.full(y.shape[1:], blk.v_reset, dtype=np.float64)
+    v = np.full(y.shape[1:], V_RESET, dtype=np.float64)
     fired = np.empty(y.shape, dtype=bool)
     keep = 1.0 - blk.leak
-    base = blk.leak * blk.v_reset
     for step in range(t):
-        v = keep * v + u[step] + base
-        fired[step] = v >= blk.v_threshold
-        v = np.where(fired[step], blk.v_reset, v)
+        v = keep * v + u[step]
+        fired[step] = v >= V_THRESHOLD
+        v = np.where(fired[step], V_RESET, v)
     spikes = np.repeat(fired[:, -1, :, None], h * w, axis=2)
     spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
     return spikes.reshape(t, c, h, w)
@@ -312,10 +305,6 @@ def float_reference_spikes(
         x = snn_block_forward(x, blk.astype(WIDE), training=False, context=f"snn{i}")
         layers.append(x.data.astype(np.int64))
     return layers if collect_layers else layers[-1]
-
-
-def _float_conv(x, w, b, stride, padding):
-    return ops.conv2d(x, w, b, stride=stride, padding=padding).data, None
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +400,12 @@ def _channel_values(json_path, layer: dict, key: str, n: int) -> np.ndarray:
 
 def load_quantized(base_path) -> FixedPointModel:
     """Read what ``save_quantized`` wrote; a manifest that is not UTF-8 JSON,
-    lacks a field, holds a ``bits`` outside ``QUANT_BITS``, a scalar field of
-    the wrong type or range (see ``_SCALAR_CHECKS``), a weight entry that does
-    not describe its bytes (the check of checkpoint entries) or points past
-    the end of the weight blob, or a per-channel list that is not ``C_out``
-    finite numbers raises DataFormatError."""
+    has another ``format_version`` (version 1 stored a threshold and a reset
+    per layer), lacks a field, holds a ``bits`` outside ``QUANT_BITS``, a
+    scalar field of the wrong type or range (see ``_SCALAR_CHECKS``), a
+    weight entry that does not describe its bytes (the check of checkpoint
+    entries) or points past the end of the weight blob, or a per-channel list
+    that is not ``C_out`` finite numbers raises DataFormatError."""
     base = Path(base_path)
     json_path, bin_path = base.with_suffix(".json"), base.with_suffix(".bin")
     try:

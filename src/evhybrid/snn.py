@@ -1,11 +1,12 @@
 """Spiking front-end: conv -> batchnorm -> leaky integrate-and-fire blocks.
 
 Each block maps a [T, C, H, W] sequence to a strictly binary spike sequence.
-The neuron's leak is trainable through an unconstrained parameter w with
-1/tau = sigmoid(w), so tau >= 1 for every representable w. Training uses an
-arctan surrogate derivative for the threshold; a smooth mode replaces the
-hard threshold by the surrogate's primitive so whole networks can be checked
-against finite differences.
+The neuron is PLIF (Fang et al. 2021): it fires at V_THRESHOLD = 1 and
+hard-resets to V_RESET = 0, and its one trained value is the leak, through an
+unconstrained parameter w with 1/tau = sigmoid(w), so tau >= 1 for every
+representable w. Training uses an arctan surrogate derivative for the
+threshold; a smooth mode replaces the hard threshold by the surrogate's
+primitive so whole networks can be checked against finite differences.
 
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
 padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .errors import ConfigError, NumericError
 from .numerics import NARROW, Tensor, ops
 
 _LAYER_RE = re.compile(r"(\d+)c(\d+)p(\d+)s(\d+)")
+
+# plif_step and quantize._membrane drop the reset term, which needs V_RESET = 0
+V_THRESHOLD = 1.0
+V_RESET = 0.0
 
 
 def parse_layer_string(spec: str) -> tuple[int, int, int, int]:
@@ -54,9 +59,9 @@ class ConvSpec:
             raise ConfigError(f"block stride must be 1 or 2, got {self.stride}")
 
     @classmethod
-    def from_string(cls, spec: str, **extra):
+    def from_string(cls, spec: str) -> "ConvSpec":
         c, k, p, s = parse_layer_string(spec)
-        return cls(out_channels=c, kernel=k, padding=p, stride=s, **extra)
+        return cls(out_channels=c, kernel=k, padding=p, stride=s)
 
     def to_string(self) -> str:
         return f"{self.out_channels}c{self.kernel}p{self.padding}s{self.stride}"
@@ -107,115 +112,68 @@ def conv_bn(x: Tensor, block: ConvBNBlock, training: bool, update_stats: bool = 
     return ops.batchnorm2d(y, mu, var, block.bn_gamma, block.bn_beta, block.bn_eps)
 
 
-@dataclass
-class PLIFParams:
-    """Trainable leak parameter plus threshold/reset constants.
-
-    tau = 1 / sigmoid(w); defaults fire at 1.0 and hard-reset to 0.0.
-    """
-
-    w: Tensor
-    v_threshold: float = 1.0
-    v_reset: float = 0.0
-
-    @classmethod
-    def init(cls, dtype=NARROW, v_threshold: float = 1.0, v_reset: float = 0.0) -> "PLIFParams":
-        # w = 0 gives sigmoid(w) = 0.5, i.e. tau = 2
-        return cls(Tensor(np.zeros((), dtype=dtype), requires_grad=True), v_threshold, v_reset)
-
-    @property
-    def tau(self) -> float:
-        return float(1.0 / _sigmoid_scalar(float(self.w.data)))
-
-
-def _sigmoid_scalar(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
-
-
-@dataclass
-class PLIFState:
-    """Per-sequence membrane potential; reset before every new sequence."""
-
-    v: Tensor | None = None
-
-
-@dataclass
-class SNNBlockConfig(ConvSpec):
-    v_threshold: float = 1.0
-    v_reset: float = 0.0
-
-
-def surrogate_heaviside(u: Tensor, smooth: bool = False, alpha: float = 2.0) -> Tensor:
-    """Spike nonlinearity: hard Heaviside forward, arctan surrogate backward.
-
-    The surrogate derivative is alpha / (2 * (1 + (pi/2 * alpha * u)^2)); at
-    u = 0 it equals alpha / 2. ``smooth=True`` swaps in the surrogate's
-    primitive as the forward value for finite-difference checking.
-    """
-    return ops.spike(u, smooth=smooth, alpha=alpha)
-
-
 def plif_step(
-    state: PLIFState,
+    v: Tensor | None,
     x_t: Tensor,
-    params: PLIFParams,
+    w: Tensor,
     smooth: bool = False,
     context: str = "plif",
     t: int | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """One membrane update: V <- V + sigmoid(w) * (X - (V - v_reset)).
+    """One membrane update: V <- V + sigmoid(w) * (X - V), from rest when
+    ``v`` is None.
 
-    Fires where the candidate membrane reaches v_threshold, hard-resetting
-    those cells to v_reset. In hard mode the reset factor is detached from
-    the gradient; in smooth mode everything stays differentiable.
-    Returns (new membrane, spikes) and stores the membrane in ``state``.
+    Fires where the candidate membrane reaches V_THRESHOLD, hard-resetting
+    those cells to V_RESET = 0, so the reset is V <- V - spike * V. In hard
+    mode the reset factor is detached from the gradient; in smooth mode
+    everything stays differentiable. Returns (new membrane, spikes).
     """
-    leak = ops.sigmoid(params.w)
-    if state.v is None:
-        state.v = Tensor(np.full(x_t.shape, params.v_reset, dtype=x_t.data.dtype))
-    v = state.v
-    v_pre = v + leak * (x_t - (v - params.v_reset))
+    leak = ops.sigmoid(w)
+    if v is None:
+        v = Tensor(np.full(x_t.shape, V_RESET, dtype=x_t.data.dtype))
+    v_pre = v + leak * (x_t - v)
     if not np.all(np.isfinite(v_pre.data)):
         where = f" at t={t}" if t is not None else ""
         raise NumericError(f"non-finite membrane in {context}{where}")
-    spikes = surrogate_heaviside(v_pre - params.v_threshold, smooth=smooth)
+    spikes = ops.spike(v_pre - V_THRESHOLD, smooth=smooth)
     gate = spikes if smooth else spikes.detach()
-    v_new = v_pre - gate * (v_pre - params.v_reset)
-    state.v = v_new
-    return v_new, spikes
+    return v_pre - gate * v_pre, spikes
 
 
-def plif_sequence(
-    x: Tensor, params: PLIFParams, smooth: bool = False, context: str = "plif"
-) -> Tensor:
+def plif_sequence(x: Tensor, w: Tensor, smooth: bool = False, context: str = "plif") -> Tensor:
     """Run ``plif_step`` over the leading time axis of [T, ...]."""
-    state = PLIFState()
-    outs = []
+    v, outs = None, []
     for t in range(x.shape[0]):
-        _, s = plif_step(state, x[t], params, smooth=smooth, context=context, t=t)
+        v, s = plif_step(v, x[t], w, smooth=smooth, context=context, t=t)
         outs.append(s)
     return ops.stack(outs, axis=0)
 
 
 class SNNBlock(ConvBNBlock):
-    """Parameters of one conv -> batchnorm -> spiking-neuron block."""
+    """Parameters of one conv -> batchnorm -> spiking-neuron block. The
+    neuron's one parameter is ``plif_w``, with 1/tau = sigmoid(plif_w)."""
 
-    def __init__(self, in_channels: int, cfg: SNNBlockConfig, rng: np.random.Generator, dtype=NARROW):
+    def __init__(self, in_channels: int, cfg: ConvSpec, rng: np.random.Generator, dtype=NARROW):
         super().__init__(in_channels, cfg, rng, dtype=dtype)
-        self.plif = PLIFParams.init(dtype=dtype, v_threshold=cfg.v_threshold, v_reset=cfg.v_reset)
+        # w = 0 gives sigmoid(w) = 0.5, i.e. tau = 2
+        self.plif_w = Tensor(np.zeros((), dtype=dtype), requires_grad=True)
+
+    @property
+    def tau(self) -> float:
+        """The membrane time constant 1 / sigmoid(plif_w), in float64."""
+        return float(1.0 / ops.sigmoid(Tensor(self.plif_w.data.astype(np.float64))).data)
 
     def astype(self, dtype) -> "SNNBlock":
-        """Copy of the block with every Tensor and array attribute (weights and
-        running statistics) and the neuron's leak parameter cast to ``dtype``."""
+        """Copy of the block with every Tensor and array attribute (weights,
+        running statistics and the leak parameter) cast to ``dtype``."""
         out = copy.copy(self)
         for name, value in vars(self).items():
             if isinstance(value, (Tensor, np.ndarray)):
                 setattr(out, name, value.astype(dtype))
-        out.plif = replace(self.plif, w=self.plif.w.astype(dtype))
         return out
 
     def parameters(self):
-        return {**super().parameters(), "plif_w": self.plif.w}
+        return {**super().parameters(), "plif_w": self.plif_w}
 
 
 def snn_block_forward(
@@ -231,7 +189,7 @@ def snn_block_forward(
     batchnorm. smooth=True also bypasses running-stat updates.
     """
     y = conv_bn(x, block, training, update_stats=not smooth)
-    return plif_sequence(y, block.plif, smooth=smooth, context=context)
+    return plif_sequence(y, block.plif_w, smooth=smooth, context=context)
 
 
 def snn_backbone_forward(

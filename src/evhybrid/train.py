@@ -19,7 +19,7 @@ from .config import RunConfig
 from .errors import ConfigError
 from .events import ShapeSpec, SyntheticScene, build_event_tensor, synthesize_moving_shapes
 from .model import HybridModel
-from .numerics import GradTape, Tensor, ops
+from .numerics import GradTape, Tensor
 from .ann import toy_loss
 from .bridge import VARIANTS as ABLATION_VARIANTS
 

@@ -484,7 +484,7 @@ class TestCLI:
         assert res.returncode == 2
         assert "error[config]" in res.stderr and line.split()[0] in res.stderr
 
-    @pytest.mark.parametrize("value", ["-5", "0"])
+    @pytest.mark.parametrize("value", ["-5", "0", "10"])
     def test_bad_duration_flag_exit_code(self, tmp_path, value):
         res = run_cli(["--out", str(tmp_path / "gen"), "gen", "--duration-ms", value], tmp_path)
         assert res.returncode == 2

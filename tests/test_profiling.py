@@ -22,7 +22,7 @@ from evhybrid.profiling import (
     sparsity_report,
     _tap_counts,
 )
-from evhybrid.snn import SNNBlock, SNNBlockConfig, snn_backbone_forward
+from evhybrid.snn import ConvSpec, SNNBlock, snn_backbone_forward
 
 
 def arch_config(snn, ann, bridge_kernel=3, lstm=()):
@@ -160,7 +160,7 @@ class TestSpikeACs:
 
     def test_traced_forward_wires_into_counter(self):
         rng = np.random.default_rng(5)
-        block = SNNBlock(2, SNNBlockConfig.from_string("4c3p1s2"), rng)
+        block = SNNBlock(2, ConvSpec.from_string("4c3p1s2"), rng)
         x = rng.poisson(0.2, (3, 2, 8, 8)).astype(np.float32)
         trace = []
         snn_backbone_forward(Tensor(x), [block], trace=trace)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
+from evhybrid.numerics import ops
 from evhybrid.quantize import (
     FixedPointBlock,
     FixedPointModel,
@@ -124,11 +125,7 @@ class TestFuseBnLif:
         assert over == 0
         fused_pre = y_int * fused.scale.reshape(1, -1, 1, 1) + fused.shift.reshape(1, -1, 1, 1)
 
-        w_deq = q.dequantize()
-        y_f = np.zeros_like(fused_pre)
-        from evhybrid.quantize import _float_conv
-
-        y_f, _ = _float_conv(x.astype(np.float64), w_deq, None, 1, 1)
+        y_f = ops.conv2d(x.astype(np.float64), q.dequantize(), stride=1, padding=1).data
         bn = (y_f - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + eps).reshape(1, -1, 1, 1)
         bn = bn * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
         np.testing.assert_allclose(fused_pre, bn / tau, atol=1e-5)
@@ -284,12 +281,12 @@ class TestFixedPointPipeline:
         again = load_quantized(tmp_path / "q")
         assert again.bits == fpm.bits
         assert [f.name for f in fields(FixedPointBlock)] == [
-            "name", "quant", "fused", "stride", "padding", "leak", "v_threshold", "v_reset"
+            "name", "quant", "fused", "stride", "padding", "leak"
         ]
         assert len(again.blocks) == len(fpm.blocks)
         for a, b in zip(fpm.blocks, again.blocks):
             assert (a.name, a.stride, a.padding) == (b.name, b.stride, b.padding)
-            assert (a.leak, a.v_threshold, a.v_reset) == (b.leak, b.v_threshold, b.v_reset)
+            assert a.leak == b.leak
             assert a.quant.bits == b.quant.bits
             for x, y in [(a.quant.q_scale, b.quant.q_scale), (a.quant.int_weights, b.quant.int_weights),
                          (a.fused.scale, b.fused.scale), (a.fused.shift, b.fused.shift)]:
@@ -311,7 +308,8 @@ class TestFixedPointPipeline:
 def _dense_fixed_point(counts, fpm):
     """The dense fixed-point forward, the oracle of the event-driven one: an
     int64 im2col conv over every (t, y, x) site with int32 saturation, then
-    the fused membrane update of every cell. Returns (layers, saturations)."""
+    the fused membrane update of every cell, firing at 1 and resetting to 0.
+    Returns (layers, saturations)."""
     limit = 2**31 - 1
     x = np.asarray(counts, dtype=np.int64)
     layers, over = [], 0
@@ -325,12 +323,12 @@ def _dense_fixed_point(counts, fpm):
         y = np.clip(y, -limit, limit)
         c = y.shape[1]
         u = y.astype(np.float64) * blk.fused.scale.reshape(1, c, 1, 1) + blk.fused.shift.reshape(1, c, 1, 1)
-        v = np.full(y.shape[1:], blk.v_reset, dtype=np.float64)
+        v = np.zeros(y.shape[1:], dtype=np.float64)
         spikes = np.zeros(y.shape, dtype=np.int64)
         for t in range(y.shape[0]):
-            v = (1.0 - blk.leak) * v + u[t] + blk.leak * blk.v_reset
-            spikes[t] = v >= blk.v_threshold
-            v = np.where(spikes[t] == 1, blk.v_reset, v)
+            v = (1.0 - blk.leak) * v + u[t]
+            spikes[t] = v >= 1.0
+            v = np.where(spikes[t] == 1, 0.0, v)
         layers.append(spikes)
         x = spikes
     return layers, over
@@ -339,7 +337,7 @@ def _dense_fixed_point(counts, fpm):
 def _random_fpm(rng, bits, geometry):
     """A fixed-point model of 3x3 blocks (c_out, stride, padding) whose
     membranes fire on a few events; a quiet cell may fire too (its fixed point
-    shift/leak + v_reset can pass the threshold)."""
+    shift/leak can pass the threshold of 1)."""
     qmax = 2 ** (bits - 1) - 1
     fpm, c_in = FixedPointModel(bits=bits), 2
     for i, (c_out, stride, padding) in enumerate(geometry, start=1):
@@ -354,8 +352,6 @@ def _random_fpm(rng, bits, geometry):
                 stride=stride,
                 padding=padding,
                 leak=float(rng.uniform(0.2, 1.0)),
-                v_threshold=1.0,
-                v_reset=float(rng.uniform(-0.3, 0.3)),
             )
         )
         c_in = c_out
@@ -406,7 +402,7 @@ class TestEventDrivenForward:
     def test_zero_window_with_firing_quiet_trajectory(self, seed):
         fpm = _random_fpm(np.random.default_rng(seed), 8, [(4, 2, 1), (6, 1, 1)])
         first = fpm.blocks[0]
-        first.fused.shift[:2] = -0.1, first.leak * (first.v_threshold - first.v_reset) * 1.5
+        first.fused.shift[:2] = -0.1, first.leak * 1.5
         want = _assert_matches_dense(np.zeros((6, 2, 16, 16), dtype=np.int64), fpm)
         assert want[0][:, 1].any() and not want[0][:, 0].any()
 
@@ -440,7 +436,7 @@ class TestQuantizedFormat:
     @pytest.mark.parametrize(
         "missing",
         ["format_version", "bits", "layers", "name", "shape", "weights_offset", "weights_nbytes",
-         "q_scale", "scale", "shift", "stride", "padding", "leak", "v_threshold", "v_reset"],
+         "q_scale", "scale", "shift", "stride", "padding", "leak"],
     )
     def test_manifest_missing_field_is_data_error(self, base, missing):
         path = base.with_suffix(".json")
@@ -457,7 +453,7 @@ class TestQuantizedFormat:
         for layer in manifest["layers"]:
             assert set(layer) == {
                 "name", "shape", "weights_offset", "weights_nbytes", "q_scale", "scale", "shift",
-                "stride", "padding", "leak", "v_threshold", "v_reset",
+                "stride", "padding", "leak",
             }
 
     @staticmethod
@@ -474,8 +470,6 @@ class TestQuantizedFormat:
             ("stride", "2"), ("stride", 0), ("stride", 1.0), ("stride", True),
             ("padding", "1"), ("padding", -1), ("padding", False),
             ("leak", None), ("leak", "0.5"), ("leak", 0.0), ("leak", 1.5), ("leak", float("nan")),
-            ("v_threshold", None), ("v_threshold", "1"), ("v_threshold", float("inf")), ("v_threshold", True),
-            ("v_reset", None), ("v_reset", float("-inf")), ("v_reset", float("nan")),
         ],
     )
     def test_bad_scalar_field_is_data_error(self, base, key, value):
@@ -484,7 +478,7 @@ class TestQuantizedFormat:
             load_quantized(base)
 
     @pytest.mark.parametrize(
-        "key,value", [("stride", 1), ("padding", 0), ("leak", 1), ("leak", 1e-9), ("v_reset", -2), ("v_threshold", 0)]
+        "key,value", [("stride", 1), ("padding", 0), ("leak", 1), ("leak", 1e-9)]
     )
     def test_edge_scalar_field_loads(self, base, key, value):
         self._set_field(base, key, value)
@@ -549,10 +543,22 @@ class TestQuantizedFormat:
         with pytest.raises(DataFormatError, match="bits must be one of"):
             load_quantized(base)
 
+    def test_version_1_manifest_is_data_error(self, base):
+        """Format 1 stored a threshold and a reset per layer; format 2 fires at
+        1 and resets to 0, so a format-1 file is refused by its version."""
+        path = base.with_suffix(".json")
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 1
+        for layer in manifest["layers"]:
+            layer.update(v_threshold=1.0, v_reset=0.0)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match="version 1"):
+            load_quantized(base)
+
 
 def _oracle_spikes(model, counts):
-    """float64 conv, running-stat batchnorm and V <- V + (X - (V - v_reset))/tau
-    with hard reset, written out in numpy independently of the package."""
+    """float64 conv, running-stat batchnorm and V <- V + (X - V)/tau, firing at
+    1 with a hard reset to 0, written out in numpy independently of the package."""
     x = counts.astype(np.float64)
     layers = []
     for blk in model.snn_blocks:
@@ -565,14 +571,13 @@ def _oracle_spikes(model, counts):
         y = (y - blk.bn_mean.astype(np.float64)[:, None, None]) / np.sqrt(var + blk.bn_eps)
         y = y * blk.bn_gamma.data.astype(np.float64)[:, None, None]
         y = y + blk.bn_beta.data.astype(np.float64)[:, None, None]
-        tau = 1.0 + np.exp(-float(blk.plif.w.data))
-        v_th, v_reset = blk.plif.v_threshold, blk.plif.v_reset
-        v = np.full(y.shape[1:], v_reset)
+        tau = 1.0 + np.exp(-float(blk.plif_w.data))
+        v = np.zeros(y.shape[1:])
         spikes = np.zeros(y.shape, dtype=np.int64)
         for t in range(y.shape[0]):
-            v = v + (y[t] - (v - v_reset)) / tau
-            spikes[t] = v >= v_th
-            v[spikes[t] == 1] = v_reset
+            v = v + (y[t] - v) / tau
+            spikes[t] = v >= 1.0
+            v[spikes[t] == 1] = 0.0
         layers.append(spikes)
         x = spikes.astype(np.float64)
     return layers
@@ -591,7 +596,7 @@ class TestFloatReference:
             blk.bn_beta.data = rng.uniform(0.0, 0.6, c).astype(np.float32)
             blk.bn_mean = rng.uniform(-0.1, 0.1, c).astype(np.float32)
             blk.bn_var = rng.uniform(0.5, 1.5, c).astype(np.float32)
-            blk.plif.w.data = np.asarray(rng.uniform(-1.0, 1.0), dtype=np.float32)
+            blk.plif_w.data = np.asarray(rng.uniform(-1.0, 1.0), dtype=np.float32)
         counts = rng.poisson(0.5, (10, 2, 16, 16)).astype(np.int64)
         got = float_reference_spikes(model, counts, collect_layers=True)
         want = _oracle_spikes(model, counts)

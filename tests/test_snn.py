@@ -1,30 +1,26 @@
-"""Spiking front-end: neuron dynamics, surrogate gradients, block shapes."""
+"""Spiking front-end: neuron dynamics, block shapes, BPTT through the stack."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.errors import ConfigError, NumericError
-from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
+from evhybrid.numerics import WIDE, Tensor, grad_check, ops
 from evhybrid.snn import (
     ConvBNBlock,
     ConvSpec,
-    PLIFParams,
-    PLIFState,
     SNNBlock,
-    SNNBlockConfig,
     conv_bn,
     parse_layer_string,
     plif_sequence,
     plif_step,
     snn_backbone_forward,
     snn_block_forward,
-    surrogate_heaviside,
 )
 
 
-def plif(w_value=0.0, threshold=1.0, reset=0.0):
-    return PLIFParams(Tensor(np.asarray(w_value, dtype=WIDE), requires_grad=True), threshold, reset)
+def plif(w_value=0.0):
+    return Tensor(np.asarray(w_value, dtype=WIDE), requires_grad=True)
 
 
 class TestLayerGrammar:
@@ -32,7 +28,7 @@ class TestLayerGrammar:
         assert parse_layer_string("64c3p1s2") == (64, 3, 1, 2)
 
     def test_roundtrip(self):
-        cfg = SNNBlockConfig.from_string("128c5p2s1")
+        cfg = ConvSpec.from_string("128c5p2s1")
         assert cfg.to_string() == "128c5p2s1"
 
     def test_malformed_reports_position(self):
@@ -41,81 +37,62 @@ class TestLayerGrammar:
 
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigError, match="stride"):
-            SNNBlockConfig.from_string("8c3p1s3")
+            ConvSpec.from_string("8c3p1s3")
 
 
 class TestPLIF:
     def test_rest_stays_at_rest(self):
-        state = PLIFState()
-        v, s = plif_step(state, Tensor(np.zeros((1, 2, 2))), plif())
+        v, s = plif_step(None, Tensor(np.zeros((1, 2, 2))), plif())
         assert not np.any(v.data) and not np.any(s.data)
 
     def test_subthreshold_integration(self):
         # sigmoid(0) = 0.5 so tau = 2; V = 0 + 0.5*(1 - 0) = 0.5, no spike
-        state = PLIFState()
-        v, s = plif_step(state, Tensor(np.ones((1, 1, 1))), plif())
+        v, s = plif_step(None, Tensor(np.ones((1, 1, 1))), plif())
         assert v.data.item() == pytest.approx(0.5)
         assert s.data.item() == 0.0
 
     def test_spike_and_hard_reset(self):
         # V_pre = 0.9 + 0.5*(2 - 0.9) = 1.45 >= 1 -> spike, reset to 0
-        state = PLIFState(v=Tensor(np.full((1, 1, 1), 0.9)))
-        v, s = plif_step(state, Tensor(np.full((1, 1, 1), 2.0)), plif())
+        v, s = plif_step(Tensor(np.full((1, 1, 1), 0.9)), Tensor(np.full((1, 1, 1), 2.0)), plif())
         assert s.data.item() == 1.0
         assert v.data.item() == 0.0
 
     def test_tau_at_least_one(self):
+        block = make_block(2, "4c3p1s1")
         for w in (-20.0, -1.0, 0.0, 5.0, 20.0):
-            assert plif(w).tau >= 1.0
+            block.plif_w.data = np.asarray(w, dtype=WIDE)
+            assert block.tau >= 1.0
 
     def test_convex_combination_bound(self):
-        # v_reset = 0, non-negative input: min(V,X) <= V_pre <= max(V,X)
+        # non-negative input below the threshold of 1: no cell fires, and
+        # min(V,X) <= V_pre <= max(V,X)
         rng = np.random.default_rng(0)
         v0 = rng.uniform(0, 0.9, (3, 3))
-        x = rng.uniform(0, 3.0, (3, 3))
-        state = PLIFState(v=Tensor(v0.copy()))
-        params = plif(w_value=rng.uniform(-3, 3), threshold=1e9)  # never fire
-        v, _ = plif_step(state, Tensor(x), params)
+        x = rng.uniform(0, 0.99, (3, 3))
+        v, s = plif_step(Tensor(v0.copy()), Tensor(x), plif(w_value=rng.uniform(-3, 3)))
+        assert not s.data.any()
         lo, hi = np.minimum(v0, x), np.maximum(v0, x)
         assert np.all(v.data >= lo - 1e-12) and np.all(v.data <= hi + 1e-12)
 
     def test_sequence_equals_successive_steps(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((5, 2, 3, 3)))
-        params = plif(0.3)
-        seq = plif_sequence(x, params)
-        state = PLIFState()
-        singles = [plif_step(state, x[t], params)[1].data for t in range(5)]
+        w = plif(0.3)
+        seq = plif_sequence(x, w)
+        v, singles = None, []
+        for t in range(5):
+            v, s = plif_step(v, x[t], w)
+            singles.append(s.data)
         np.testing.assert_array_equal(seq.data, np.stack(singles))
 
     def test_nonfinite_membrane_named(self):
-        state = PLIFState()
         bad = Tensor(np.full((1, 1, 1), np.inf))
         with pytest.raises(NumericError, match="snn2.*t=4"):
-            plif_step(state, bad, plif(), context="snn2", t=4)
-
-
-class TestSurrogate:
-    def test_forward_is_heaviside(self):
-        u = Tensor(np.asarray([-0.5, 0.0, 0.5]))
-        np.testing.assert_array_equal(surrogate_heaviside(u).data, [0.0, 1.0, 1.0])
-
-    def test_derivative_closed_form_at_zero(self):
-        u = Tensor(np.asarray(0.0, dtype=WIDE), requires_grad=True)
-        with GradTape() as tape:
-            s = surrogate_heaviside(u)
-            (g,) = tape.gradients(s, [u])
-        assert g == pytest.approx(1.0)
-
-    def test_smooth_primitive_gradcheck(self):
-        rng = np.random.default_rng(2)
-        u = Tensor(rng.standard_normal((4, 4)), dtype=WIDE, requires_grad=True)
-        rep = grad_check(lambda u: surrogate_heaviside(u, smooth=True), [u], rng=rng)
-        assert rep.passed and rep.max_rel_error < 1e-4
+            plif_step(None, bad, plif(), context="snn2", t=4)
 
 
 def make_block(in_ch, spec, seed=0, dtype=WIDE):
-    return SNNBlock(in_ch, SNNBlockConfig.from_string(spec), np.random.default_rng(seed), dtype=dtype)
+    return SNNBlock(in_ch, ConvSpec.from_string(spec), np.random.default_rng(seed), dtype=dtype)
 
 
 class TestConvBN:
@@ -204,11 +181,11 @@ class TestBlocks:
         block = make_block(2, "4c3p1s1", seed=8, dtype=np.float32)
         wide = block.astype(WIDE)
         arrays = [v for v in vars(wide).values() if isinstance(v, (Tensor, np.ndarray))]
-        assert len(arrays) == 5  # conv_w, bn_gamma, bn_beta, bn_mean, bn_var
-        for a in [*arrays, wide.plif.w]:
+        assert len(arrays) == 6  # conv_w, bn_gamma, bn_beta, bn_mean, bn_var, plif_w
+        for a in arrays:
             assert a.dtype == WIDE
         np.testing.assert_array_equal(wide.conv_w.data, block.conv_w.data)
-        assert block.conv_w.dtype == block.bn_var.dtype == block.plif.w.dtype == np.float32
+        assert block.conv_w.dtype == block.bn_var.dtype == block.plif_w.dtype == np.float32
 
     def test_bn_running_stats_move_in_training(self):
         block = make_block(2, "4c3p1s1", seed=7)
