@@ -28,6 +28,9 @@ from .numerics import Tensor
 from .train import ABLATION_VARIANTS, make_dataset, run_ablate, run_train_toy, _random_scene
 
 _EXIT_CODES = {"config": 2, "data": 3, "shape": 4, "numeric": 5, "internal": 1}
+# the held-out scenes whose windows `quantize` and `fidelity` compare on
+EVAL_SCENES = 4
+EVAL_SEED_OFFSET = 104729
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,8 +93,8 @@ def _bits_flag(raw) -> list[int]:
     return widths
 
 
-def _eval_windows(cfg: RunConfig, model: HybridModel, n_scenes: int = 4, seed_offset: int = 104729):
-    ds = make_dataset(cfg, n_scenes, seed=cfg.training.seed + seed_offset, stride=model.total_stride)
+def _eval_windows(cfg: RunConfig, model: HybridModel):
+    ds = make_dataset(cfg, EVAL_SCENES, seed=cfg.training.seed + EVAL_SEED_OFFSET, stride=model.total_stride)
     return [s.counts for s in ds]
 
 

@@ -3,19 +3,22 @@
 Two on-disk formats are supported, chosen by the file suffix (``.evs`` for
 EVS binary, CSV otherwise):
 
-* CSV: header line ``t_us,x,y,p``, one event per line, decimal integers.
+* CSV: header line ``t_us,x,y,p``, one event per line, decimal integers
+  (optionally signed digit strings).
 * EVS binary: magic ``EVS0``, little-endian u32 width, u32 height, u64 event
   count, then per event u64 t_us, u16 x, u16 y, u8 p, u8 reserved (must be 0
   on write, ignored on read).
 
-The count tensor bins events into ``n_bins`` equal time slices of a window
-[t_a, t_b), one channel per polarity: shape [T, 2, H, W]. An event exactly at
-t_b is clamped into the last bin so every in-window event is counted.
+``bin_events`` bins the events of a window [t_a, t_b] into ``n_bins`` equal
+time slices, one channel per polarity: shape [T, 2, H, W]. An event exactly
+at t_b is clamped into the last bin. Which events a window holds is
+``model.stream_windows``' rule.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +32,7 @@ EVS_MAGIC = b"EVS0"
 EVS_HEADER = struct.Struct("<4sIIQ")
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("r", "u1")])
 CSV_HEADER = "t_us,x,y,p"
+_CSV_FIELD = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
 
@@ -55,36 +59,33 @@ class EventStream:
     sort_applied: bool = False
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.int64)
-        self.x = np.asarray(self.x, dtype=np.int32)
-        self.y = np.asarray(self.y, dtype=np.int32)
-        self.p = np.asarray(self.p, dtype=np.int8)
-        n = len(self.t)
-        for name, col in (("x", self.x), ("y", self.y), ("p", self.p)):
+        cols = [np.asarray(c, dtype=np.int64) for c in (self.t, self.x, self.y, self.p)]
+        n = len(cols[0])
+        for name, col in zip("xyp", cols[1:]):
             if len(col) != n:
                 raise DataFormatError(f"column {name} has {len(col)} entries, t has {n}")
+        self.t, self.x, self.y, self.p = cols
+        # validated at int64, before narrowing could wrap a value into range
         self._validate()
+        self.x, self.y, self.p = self.x.astype(np.int32), self.y.astype(np.int32), self.p.astype(np.int8)
         if n > 1 and np.any(np.diff(self.t) < 0):
             order = np.argsort(self.t, kind="stable")
             self.t, self.x, self.y, self.p = self.t[order], self.x[order], self.y[order], self.p[order]
             self.sort_applied = True
 
     def _validate(self):
-        bad = np.flatnonzero(
-            (self.x < 0) | (self.x >= self.width) | (self.y < 0) | (self.y >= self.height)
+        rules = (
+            (
+                (self.x < 0) | (self.x >= self.width) | (self.y < 0) | (self.y >= self.height),
+                lambda i: f"at ({self.x[i]}, {self.y[i]}) outside {self.width}x{self.height} sensor",
+            ),
+            ((self.p != 0) & (self.p != 1), lambda i: f"has polarity {self.p[i]}, expected 0 or 1"),
+            (self.t < 0, lambda i: f"has negative timestamp {self.t[i]}"),
         )
-        if bad.size:
-            i = int(bad[0])
-            raise DataFormatError(
-                f"event {i} at ({int(self.x[i])}, {int(self.y[i])}) outside "
-                f"{self.width}x{self.height} sensor"
-            )
-        bad_p = np.flatnonzero((self.p != 0) & (self.p != 1))
-        if bad_p.size:
-            i = int(bad_p[0])
-            raise DataFormatError(f"event {i} has polarity {int(self.p[i])}, expected 0 or 1")
-        if np.any(self.t < 0):
-            raise DataFormatError("negative timestamp")
+        for bad, message in rules:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise BadEventError(i, message(i))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -101,18 +102,13 @@ class EventStream:
         return cls(width, height, z, z, z, z)
 
 
-@dataclass
-class EventTensor:
-    """Non-negative integer counts of shape [T, 2, H, W] over [t_a, t_b]."""
+class BadEventError(DataFormatError):
+    """An event outside the sensor, the polarities or the time axis;
+    ``index`` is its position in the columns as given."""
 
-    counts: np.ndarray
-    t_a: int
-    t_b: int
-    n_bins: int
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def __init__(self, index: int, message: str):
+        super().__init__(f"event {index} {message}")
+        self.index = index
 
 
 def read_events(source, geometry: tuple[int, int] | None = None) -> EventStream:
@@ -143,6 +139,7 @@ def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
     if header != CSV_HEADER:
         raise DataFormatError(f"{path}: expected header {CSV_HEADER!r}, got {header!r}")
     cols: list[list[int]] = [[], [], [], []]
+    linenos: list[int] = []
     for lineno in range(2, len(lines) + 1):
         line = text(lineno)
         if not line:
@@ -150,16 +147,18 @@ def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
         parts = line.split(",")
         if len(parts) != 4:
             raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            vals = [int(v) for v in parts]
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+        if not all(_CSV_FIELD.fullmatch(v) for v in parts):
+            raise DataFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
+        vals = [int(v) for v in parts]
         if min(vals) < _INT64.min or max(vals) > _INT64.max:
             raise DataFormatError(f"{path}:{lineno}: field outside the int64 range in {line!r}")
         for c, v in zip(cols, vals):
             c.append(v)
-    t, x, y, p = (np.asarray(c, dtype=np.int64) for c in cols)
-    return EventStream(width, height, t, x, y, p)
+        linenos.append(lineno)
+    try:
+        return EventStream(width, height, *cols)
+    except BadEventError as exc:
+        raise DataFormatError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def _read_evs(path: Path, geometry: tuple[int, int] | None) -> EventStream:
@@ -178,14 +177,7 @@ def _read_evs(path: Path, geometry: tuple[int, int] | None) -> EventStream:
         raise DataFormatError(f"{path}: expected {expect} bytes, found {len(blob)}")
     rec = np.frombuffer(blob, dtype=EVENT_DTYPE, count=count, offset=EVS_HEADER.size)
     # reserved byte is ignored on read by contract
-    return EventStream(
-        width,
-        height,
-        rec["t"].astype(np.int64),
-        rec["x"].astype(np.int64),
-        rec["y"].astype(np.int64),
-        rec["p"].astype(np.int64),
-    )
+    return EventStream(width, height, rec["t"], rec["x"], rec["y"], rec["p"])
 
 
 def write_events(stream: EventStream, dest) -> None:
@@ -201,21 +193,6 @@ def write_events(stream: EventStream, dest) -> None:
         for i in range(len(stream)):
             buf.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
         path.write_text(buf.getvalue(), encoding="ascii")
-
-
-def build_event_tensor(stream: EventStream, t_a: int, t_b: int, n_bins: int) -> EventTensor:
-    """Bin the window [t_a, t_b] of a stream into [T, 2, H, W] counts.
-
-    Bin index is floor((t - t_a) / (t_b - t_a) * T) computed in exact integer
-    arithmetic; events at exactly t_b land in bin T-1, events outside the
-    window are ignored.
-    """
-    if t_b <= t_a:
-        raise ValueError(f"window end {t_b} must exceed start {t_a}")
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got {n_bins}")
-    inside = (stream.t >= t_a) & (stream.t <= t_b)
-    return EventTensor(bin_events(stream, inside, t_a, t_b, n_bins), t_a, t_b, n_bins)
 
 
 def bin_events(stream: EventStream, index, t_a: int, t_b: int, n_bins: int) -> np.ndarray:

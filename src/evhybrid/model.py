@@ -117,11 +117,9 @@ class HybridModel:
 
     # -- checkpointing ------------------------------------------------------
 
-    def save_checkpoint(self, path, optimizer_state: dict[str, np.ndarray] | None = None) -> None:
+    def save_checkpoint(self, path) -> None:
         arrays: dict[str, np.ndarray] = {f"param.{k}": v.data for k, v in self.parameters().items()}
         arrays.update({f"stat.{k}": v for k, v in self.running_stats().items()})
-        if optimizer_state:
-            arrays.update({f"opt.{k}": v for k, v in optimizer_state.items()})
         meta = {
             "format_version": CHECKPOINT_VERSION,
             "config_hash": config_hash(self.config),
@@ -184,8 +182,9 @@ def stream_windows(stream: EventStream, config: RunConfig):
 
     Every event has one owner: window 0 owns [0, w] and window i >= 1 owns
     (i*w, (i+1)*w], so an event at a window's end lands in that window's last
-    bin, as in training windows. A stream whose events all sit at t = 0 gives
-    one window."""
+    bin, at the ground-truth box time. Training, evaluation and the
+    quantization windows are cut by this rule too. A stream whose events all
+    sit at t = 0 gives one window."""
     sim = config.simulation
     win_us = sim.window_ms * 1000
     if len(stream) == 0:

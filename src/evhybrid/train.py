@@ -2,14 +2,16 @@
 
 Adaptive-moment updates with a one-cycle-shaped schedule (short linear
 warmup, then linear decay from the configured maximum). Each training sample
-is one detection window; ground truth is the shape's box at the window end,
-so the net must weight late time bins to localize well. Windows are treated
+is one detection window, cut from its scene's stream by ``stream_windows``
+as in inference; ground truth is the shape's box at the window end, so the
+net must weight late time bins to localize well. Windows are treated
 independently during training (recurrent state reset per sample).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -17,11 +19,13 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError
-from .events import ShapeSpec, SyntheticScene, build_event_tensor, synthesize_moving_shapes
-from .model import HybridModel
+from .events import ShapeSpec, SyntheticScene, synthesize_moving_shapes
+from .model import HybridModel, stream_windows
 from .numerics import GradTape, Tensor
 from .ann import toy_loss
 from .bridge import VARIANTS as ABLATION_VARIANTS
+
+LOG_EVERY = 50  # training steps between printed losses
 
 
 class Adam:
@@ -47,12 +51,6 @@ class Adam:
             v_hat = self.v[k] / (1 - b2**self.t)
             p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
             p.grad = None
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"m.{k}": v for k, v in self.m.items()}
-        out.update({f"v.{k}": v for k, v in self.v.items()})
-        out["t"] = np.asarray([self.t], dtype=np.int64)
-        return out
 
 
 def one_cycle_lr(step: int, total_steps: int, lr_max: float, warmup_frac: float = 0.05) -> float:
@@ -89,7 +87,6 @@ def _clip_gradients(params: dict[str, Tensor], max_norm: float) -> None:
 class WindowSample:
     counts: np.ndarray
     boxes_cells: list[tuple[float, float, float, float]]
-    scene_id: int
     window: int
 
 
@@ -142,10 +139,11 @@ def _feasible_start(rng, extent, margin, disp) -> float:
 
 
 def make_dataset(cfg: RunConfig, n_scenes: int, seed: int, stride: int) -> list[WindowSample]:
-    """Pre-binned windows with ground-truth boxes in feature-cell units."""
+    """The ``stream_windows`` windows of each scene that hold a ground-truth
+    box, with the boxes in feature-cell units. A box window after the
+    stream's last event holds no events."""
     sim = cfg.simulation
     rng = np.random.default_rng(seed)
-    win_us = sim.window_ms * 1000
     samples: list[WindowSample] = []
     for s in range(n_scenes):
         scene = _random_scene(cfg, rng, seed=seed * 100003 + s)
@@ -153,10 +151,14 @@ def make_dataset(cfg: RunConfig, n_scenes: int, seed: int, stride: int) -> list[
         by_window: dict[int, list] = {}
         for b in result.boxes:
             by_window.setdefault(b.window, []).append(b)
+        # the box windows are 0 .. k-1; later windows are never binned
+        windows = dict(islice(stream_windows(result.stream, cfg), len(by_window)))
         for i, boxes in sorted(by_window.items()):
-            counts = build_event_tensor(result.stream, i * win_us, (i + 1) * win_us, sim.T).counts
+            counts = windows.get(i)
+            if counts is None:
+                counts = np.zeros((sim.T, 2, sim.sensor_height, sim.sensor_width), dtype=np.int64)
             cells = [(b.cy / stride, b.cx / stride, b.h / stride, b.w / stride) for b in boxes]
-            samples.append(WindowSample(counts, cells, scene_id=s, window=i))
+            samples.append(WindowSample(counts, cells, window=i))
     return samples
 
 
@@ -220,7 +222,6 @@ def run_train_toy(
     cfg: RunConfig,
     out_dir: str | Path | None = None,
     variant: str = "full",
-    log_every: int = 50,
     quiet: bool = False,
 ) -> TrainResult:
     """Train the toy detector on synthetic squares; deterministic per seed."""
@@ -249,7 +250,7 @@ def run_train_toy(
         _clip_gradients(params, tr.clip_norm)
         opt.step(one_cycle_lr(step, tr.steps, tr.lr))
         losses.append(float(total.data))
-        if not quiet and (step % log_every == 0 or step == tr.steps - 1):
+        if not quiet and (step % LOG_EVERY == 0 or step == tr.steps - 1):
             print(f"step {step:5d}  loss {losses[-1]:.4f}")
     metrics = evaluate(model, eval_ds)
     ckpt_path = None
@@ -257,7 +258,7 @@ def run_train_toy(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         ckpt_path = str(out / "checkpoint.evck")
-        model.save_checkpoint(ckpt_path, optimizer_state=opt.state_arrays())
+        model.save_checkpoint(ckpt_path)
         curve = "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(losses))
         (out / "loss_curve.csv").write_text(curve)
         (out / "metrics.json").write_text(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))

@@ -10,7 +10,7 @@ from evhybrid.events import (
     EventStream,
     ShapeSpec,
     SyntheticScene,
-    build_event_tensor,
+    bin_events,
     read_events,
     synthesize_moving_shapes,
     write_events,
@@ -23,6 +23,11 @@ def stream_from_rows(rows, w=8, h=8):
     else:
         t = x = y = p = np.zeros(0, dtype=np.int64)
     return EventStream(w, h, t, x, y, p)
+
+
+def window_counts(stream, t_a, t_b, n_bins):
+    """``bin_events`` over the events in [t_a, t_b]."""
+    return bin_events(stream, (stream.t >= t_a) & (stream.t <= t_b), t_a, t_b, n_bins)
 
 
 class TestReadWrite:
@@ -78,9 +83,7 @@ class TestReadWrite:
         again = read_events(p1)
         write_events(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        tensor1 = build_event_tensor(stream, 0, 10**6, 10)
-        tensor2 = build_event_tensor(again, 0, 10**6, 10)
-        np.testing.assert_array_equal(tensor1.counts, tensor2.counts)
+        np.testing.assert_array_equal(window_counts(stream, 0, 10**6, 10), window_counts(again, 0, 10**6, 10))
 
     def test_csv_roundtrip(self, tmp_path):
         stream = stream_from_rows([(0, 1, 2, 1), (10, 3, 4, 0)])
@@ -128,6 +131,24 @@ class TestReadWrite:
         with pytest.raises(DataFormatError, match=r"big\.csv:3: field outside the int64 range"):
             read_events(path, geometry=(8, 8))
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("10,4294967299,2,1", r"event 1 at \(4294967299, 2\) outside 8x8 sensor"),
+            ("10,2,4294967299,1", r"event 1 at \(2, 4294967299\) outside 8x8 sensor"),
+            ("20,1,2,257", "event 1 has polarity 257"),
+            ("1_000,1,2,1", "non-integer field"),
+        ],
+        ids=["x", "y", "p", "underscore"],
+    )
+    def test_csv_value_narrowing_would_wrap_is_data_error(self, tmp_path, row, message):
+        # x and y are held as int32 and p as int8: 2**32 + 3 and 257 used to
+        # wrap to 3 and 1 and pass; int() also read 1_000 as 1000
+        path = tmp_path / "w.csv"
+        path.write_text(CSV_HEADER + "\n0,1,2,1\n\n" + row + "\n")
+        with pytest.raises(DataFormatError, match=r"w\.csv:4: " + message):
+            read_events(path, geometry=(8, 8))
+
     def test_evs_shorter_than_header(self, tmp_path):
         path = tmp_path / "h.evs"
         path.write_bytes(b"EVS0" + bytes(6))
@@ -164,34 +185,28 @@ class TestStreamChecks:
 
 class TestEventTensor:
     def test_empty_stream_all_zero(self):
-        tensor = build_event_tensor(stream_from_rows([]), 0, 1000, 10)
-        assert tensor.counts.shape == (10, 2, 8, 8)
-        assert tensor.total == 0
+        counts = window_counts(stream_from_rows([]), 0, 1000, 10)
+        assert counts.shape == (10, 2, 8, 8)
+        assert counts.sum() == 0
 
     def test_single_event_placement(self):
-        tensor = build_event_tensor(stream_from_rows([(0, 3, 2, 1)]), 0, 50_000, 10)
-        assert tensor.counts[0, 1, 2, 3] == 1
-        assert tensor.total == 1
+        counts = window_counts(stream_from_rows([(0, 3, 2, 1)]), 0, 50_000, 10)
+        assert counts[0, 1, 2, 3] == 1
+        assert counts.sum() == 1
 
     def test_three_events_same_cell(self):
         rows = [(20_000, 5, 5, 0)] * 3  # bin 4 of 10 over 50 ms
-        tensor = build_event_tensor(stream_from_rows(rows), 0, 50_000, 10)
-        assert tensor.counts[4, 0, 5, 5] == 3
+        counts = window_counts(stream_from_rows(rows), 0, 50_000, 10)
+        assert counts[4, 0, 5, 5] == 3
 
     def test_boundary_event_clamped_into_last_bin(self):
-        tensor = build_event_tensor(stream_from_rows([(50_000, 0, 0, 1)]), 0, 50_000, 10)
-        assert tensor.counts[9, 1, 0, 0] == 1
+        counts = window_counts(stream_from_rows([(50_000, 0, 0, 1)]), 0, 50_000, 10)
+        assert counts[9, 1, 0, 0] == 1
 
     def test_outside_window_ignored(self):
         rows = [(10, 0, 0, 1), (99, 1, 1, 1), (200, 2, 2, 1)]
-        tensor = build_event_tensor(stream_from_rows(rows), 20, 100, 4)
-        assert tensor.total == 1
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            build_event_tensor(stream_from_rows([]), 10, 10, 4)
-        with pytest.raises(ValueError):
-            build_event_tensor(stream_from_rows([]), 0, 10, 0)
+        counts = window_counts(stream_from_rows(rows), 20, 100, 4)
+        assert counts.sum() == 1
 
     @pytest.mark.parametrize("n_bins", [7, 10])
     def test_bins_tile_any_window(self, n_bins):
@@ -200,7 +215,7 @@ class TestEventTensor:
         # differ by at most 1 us (the last bin also holds the event at t_b)
         t = np.arange(50_001)
         zeros = np.zeros_like(t)
-        per_bin = build_event_tensor(EventStream(1, 1, t, zeros, zeros, zeros), 0, 50_000, n_bins).counts[:, 0, 0, 0]
+        per_bin = window_counts(EventStream(1, 1, t, zeros, zeros, zeros), 0, 50_000, n_bins)[:, 0, 0, 0]
         assert per_bin.sum() == t.size
         widths = per_bin - np.eye(n_bins, dtype=np.int64)[-1]
         assert widths.max() - widths.min() <= 1
@@ -226,11 +241,11 @@ class TestEventTensor:
             rng.integers(0, 8, n),
             rng.integers(0, 2, n),
         )
-        tensor = build_event_tensor(stream, 5_000, 55_000, 10)
+        counts = window_counts(stream, 5_000, 55_000, 10)
         oracle = self.brute_force(stream, 5_000, 55_000, 10, 8, 8)
-        np.testing.assert_array_equal(tensor.counts, oracle)
+        np.testing.assert_array_equal(counts, oracle)
         in_window = int(((stream.t >= 5_000) & (stream.t <= 55_000)).sum())
-        assert tensor.total == in_window
+        assert counts.sum() == in_window
 
 
 class TestSyntheticScenes:

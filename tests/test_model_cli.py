@@ -4,21 +4,24 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
-from evhybrid.config import RunConfig, save_config
+from evhybrid.config import RunConfig, load_config, save_config
 from evhybrid.errors import ConfigError, DataFormatError
-from evhybrid.events import EventStream, write_events
+from evhybrid.events import EventStream, synthesize_moving_shapes, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
 from evhybrid.ann import toy_loss
 from evhybrid.numerics import WIDE, Tensor
 from evhybrid.snn import snn_backbone_forward
 from evhybrid import train
 from evhybrid.train import make_dataset, run_ablate, run_train_toy
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def toy_config(seed=0, steps=8):
@@ -164,6 +167,32 @@ class TestModel:
         ds = make_dataset(cfg, 1, seed=5, stride=model.total_stride)
         windows = list(stream_windows_from(ds, cfg))
         assert len(windows) >= 1
+
+    def test_dataset_windows_are_stream_windows(self):
+        # every training window is the inference window of its scene's
+        # stream; a window's start event belongs to the window before it
+        cfg = load_config(CONFIG_DIR / "toy.ini")
+        tr, sim = cfg.training, cfg.simulation
+        stride = HybridModel(cfg).total_stride
+        ds = make_dataset(cfg, tr.scenes, seed=tr.seed, stride=stride)
+        rng = np.random.default_rng(tr.seed)
+        expected = []
+        for s in range(tr.scenes):
+            scene = train._random_scene(cfg, rng, seed=tr.seed * 100003 + s)
+            result = synthesize_moving_shapes(scene, tr.scene_duration_ms, sim.window_ms)
+            windows = dict(stream_windows(result.stream, cfg))
+            expected += [(i, windows[i]) for i in sorted({b.window for b in result.boxes})]
+        assert len(ds) == len(expected) == 2 * tr.scenes
+        for sample, (i, counts) in zip(ds, expected):
+            assert sample.window == i
+            np.testing.assert_array_equal(sample.counts, counts)
+
+    def test_box_window_after_the_last_event_is_empty(self):
+        cfg = toy_config()
+        cfg.training.speed_min = cfg.training.speed_max = 0.0  # a still shape emits no events
+        ds = make_dataset(cfg.validate(), 2, seed=5, stride=4)
+        assert [s.window for s in ds] == [0, 1] * 2
+        assert all(s.counts.shape == (10, 2, 24, 24) and not s.counts.any() for s in ds)
 
     def test_stream_ending_at_time_zero_gives_one_window(self):
         stream = EventStream(24, 24, t=[0, 0], x=[3, 5], y=[4, 6], p=[1, 0])
@@ -341,6 +370,25 @@ class TestCLI:
         assert isinstance(dets, list)
         profile = json.loads((root / "infer" / "profile.json").read_text())
         assert profile["total.macs"] > 0 and profile["total.acs"] > 0
+
+    def test_trained_checkpoint_holds_parameters_and_statistics_only(self, cli_workspace):
+        root, cfg_path = cli_workspace
+        _, arrays = read_bundle(root / "run" / "checkpoint.evck", CHECKPOINT_MAGIC)
+        model = HybridModel(load_config(cfg_path))
+        expected = {f"param.{k}" for k in model.parameters()} | {f"stat.{k}" for k in model.running_stats()}
+        assert set(arrays) == expected
+
+    @pytest.mark.parametrize("row", ["10,4294967299,2,1", "20,1,2,257"], ids=["x", "p"])
+    def test_infer_csv_value_narrowing_would_wrap_exit_code(self, cli_workspace, tmp_path, row):
+        _, cfg_path = cli_workspace
+        events = tmp_path / "events.csv"
+        events.write_text(f"t_us,x,y,p\n{row}\n")
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "infer"), "infer", "--events", str(events)],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert f"error[data]: {events}:2: event 0" in res.stderr
 
     def test_quantize_fidelity(self, cli_workspace):
         root, cfg_path = cli_workspace
