@@ -325,27 +325,25 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     def pull(g):
         gm = (g[None] if squeeze else g).reshape(n, groups, c_out // groups, h_out * w_out)
         g_w = np.matmul(gm, cols_m.transpose(0, 1, 3, 2)).sum(axis=0).reshape(wd.shape)
-        g_cols = np.matmul(w_m.transpose(0, 2, 1)[None], gm)
-        g_cols = g_cols.reshape(n, c_in, kh, kw, h_out, w_out)
-        gxp = np.zeros(
-            (n, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype
-        )
-        for ky in range(kh):
-            for kx in range(kw):
-                gxp[
-                    :, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride
-                ] += g_cols[:, :, ky, kx]
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        if squeeze:
-            gx = gx[0]
+        gx = None
+        if _needs_grad(x):  # e.g. the count tensor into the first spiking conv needs none
+            g_cols = np.matmul(w_m.transpose(0, 2, 1)[None], gm)
+            g_cols = g_cols.reshape(n, c_in, kh, kw, h_out, w_out)
+            gxp = np.zeros(
+                (n, c_in, h + 2 * padding, w + 2 * padding), dtype=g.dtype
+            )
+            for ky in range(kh):
+                for kx in range(kw):
+                    gxp[
+                        :, :, ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride
+                    ] += g_cols[:, :, ky, kx]
+            gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
+            if squeeze:
+                gx = gx[0]
         g_b = None
         if bias is not None and isinstance(bias, Tensor):
             g_b = (g[None] if squeeze else g).sum(axis=(0, 2, 3))
-        return (
-            gx if isinstance(x, Tensor) else None,
-            g_w if isinstance(weight, Tensor) else None,
-            g_b,
-        )
+        return (gx, g_w if isinstance(weight, Tensor) else None, g_b)
 
     return _emit("conv2d", out, (x, weight, bias), pull)
 
@@ -590,15 +588,90 @@ def spike(u, smooth: bool = False, alpha: float = 2.0):
     making the whole network finite-difference checkable.
     """
     ud = _data(u)
+    return _emit("spike", _spike_value(ud, smooth, alpha), (u,), lambda g: (g * _spike_slope(ud, alpha),))
+
+
+def _spike_value(ud, smooth: bool, alpha: float = 2.0):
     if smooth:
-        out = np.arctan(math.pi * alpha * ud / 2.0) / math.pi + 0.5
-    else:
-        out = (ud >= 0).astype(ud.dtype)
+        return np.arctan(math.pi * alpha * ud / 2.0) / math.pi + 0.5
+    return (ud >= 0).astype(ud.dtype)
+
+
+def _spike_slope(ud, alpha: float = 2.0):
+    return alpha / (2.0 * (1.0 + (math.pi / 2.0 * alpha * ud) ** 2))
+
+
+def plif_scan(x, w, smooth: bool = False, context: str = "plif"):
+    """Spikes [T, ...] of a PLIF neuron layer driven by ``x`` [T, ...]: the
+    whole time loop as one tape node.
+
+    From rest (membrane 0), each step t computes, with leak = sigmoid(w),
+    ``v_pre = v + leak * (x[t] - v)``, the spikes ``spike(v_pre - 1)`` of
+    :func:`spike` (threshold 1) and the hard reset to 0,
+    ``v = v_pre - s * v_pre``. The pullback is backpropagation through time
+    written out by hand: the arctan surrogate at the threshold, a reset gate
+    detached in hard mode and differentiated in smooth mode, and the ``w``
+    adjoint summed over steps, latest first. It adds every term in the order
+    the tape adds the same arithmetic recorded op by op, so the spikes, the
+    ``x`` adjoint and one call's ``w`` adjoint are those of ``snn.plif_step``
+    looped over T. The membranes before reset are kept only while a tape
+    records the op.
+
+    A non-finite membrane stays non-finite, so one check of the last one
+    finds any; the error names ``context`` and the first bad step.
+    """
+    xd = _data(x)
+    leak = _logistic(np.asarray(_data(w)))
+    keep = active_tape() is not None and _needs_grad(x, w)
+    spikes, v_pre, last = _plif_forward(xd, leak, smooth, keep)
+    if not np.isfinite(last).all():
+        if v_pre is None:
+            v_pre = _plif_forward(xd, leak, smooth, True)[1]
+        bad = ~np.isfinite(v_pre.reshape(len(v_pre), -1)).all(axis=1)
+        raise NumericError(f"non-finite membrane in {context} at t={int(np.argmax(bad))}")
 
     def pull(g):
-        return (g * (alpha / (2.0 * (1.0 + (math.pi / 2.0 * alpha * ud) ** 2))),)
+        return _plif_pullback(g, xd, leak, spikes, v_pre, smooth)
 
-    return _emit("spike", out, (u,), pull)
+    return _emit("plif_scan", spikes, (x, w), pull)
+
+
+def _plif_forward(xd, leak, smooth, keep):
+    """(spikes, membranes before reset [T, ...] or None, last membrane
+    before reset) of :func:`plif_scan`."""
+    dtype = np.result_type(xd, leak)
+    spikes = np.empty(xd.shape, dtype)
+    v_pre = np.empty(xd.shape, dtype) if keep else None
+    v = np.zeros(xd.shape[1:], dtype)
+    # a non-finite membrane makes inf - inf at the reset; plif_scan reports it
+    with np.errstate(invalid="ignore"):
+        for t in range(len(xd)):
+            vp = np.subtract(xd[t], v, out=None if v_pre is None else v_pre[t])
+            vp *= leak
+            vp += v
+            spikes[t] = _spike_value(vp - 1.0, smooth)
+            v = vp - spikes[t] * vp
+    return spikes, v_pre, vp
+
+
+def _plif_pullback(g, xd, leak, spikes, v_pre, smooth):
+    """(x, w) adjoints of :func:`plif_scan` from its spikes' adjoint ``g``."""
+    g_x = np.empty(xd.shape, g.dtype)
+    g_w = g_v = None
+    for t in range(len(xd) - 1, -1, -1):
+        vp, s = v_pre[t], spikes[t]
+        g_s = g[t]
+        if smooth and g_v is not None:
+            g_s = g_s + (-g_v) * vp  # the reset gate is the spikes themselves
+        g_vp = g_s * _spike_slope(vp - 1.0)
+        if g_v is not None:
+            g_vp = (g_v + (-g_v) * s) + g_vp
+        d = xd[t] - (v_pre[t - 1] - spikes[t - 1] * v_pre[t - 1]) if t else xd[t]
+        term = _unbroadcast(g_vp * d, leak.shape) * leak * (1.0 - leak)
+        g_w = term if g_w is None else g_w + term
+        g_x[t] = g_d = g_vp * leak
+        g_v = g_vp + (-g_d)
+    return g_x, g_w
 
 
 # ---------------------------------------------------------------------------

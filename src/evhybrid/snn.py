@@ -8,6 +8,11 @@ representable w. Training uses an arctan surrogate derivative for the
 threshold; a smooth mode replaces the hard threshold by the surrogate's
 primitive so whole networks can be checked against finite differences.
 
+A block's time loop is one op, ``ops.plif_scan``: a numpy loop over T in the
+forward and a hand-written backpropagation-through-time pullback, one tape
+node per block call. ``plif_step`` is the one-step update written op by op;
+the tests loop it over T as the oracle for ``plif_scan``.
+
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
 padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
 (``ConvSpec``, ``ConvBNBlock``, ``conv_bn``) is shared with the dense blocks;
@@ -27,7 +32,8 @@ from .numerics import NARROW, Tensor, ops
 
 _LAYER_RE = re.compile(r"(\d+)c(\d+)p(\d+)s(\d+)")
 
-# plif_step and quantize._membrane drop the reset term, which needs V_RESET = 0
+# ops.plif_scan has both values written in; it, plif_step and
+# quantize._membrane drop the reset term, which needs V_RESET = 0
 V_THRESHOLD = 1.0
 V_RESET = 0.0
 
@@ -141,12 +147,12 @@ def plif_step(
 
 
 def plif_sequence(x: Tensor, w: Tensor, smooth: bool = False, context: str = "plif") -> Tensor:
-    """Run ``plif_step`` over the leading time axis of [T, ...]."""
-    v, outs = None, []
-    for t in range(x.shape[0]):
-        v, s = plif_step(v, x[t], w, smooth=smooth, context=context, t=t)
-        outs.append(s)
-    return ops.stack(outs, axis=0)
+    """Spikes of ``plif_step`` run over the leading time axis of [T, ...],
+    from rest. The loop is one op, ``ops.plif_scan``, with a hand-written
+    BPTT pullback; its spikes and input gradients equal those of
+    ``plif_step`` looped op by op. A non-finite membrane raises a
+    ``NumericError`` naming ``context`` and the first bad step."""
+    return ops.plif_scan(x, w, smooth=smooth, context=context)
 
 
 class SNNBlock(ConvBNBlock):

@@ -16,7 +16,7 @@ from evhybrid.errors import ConfigError, DataFormatError
 from evhybrid.events import EventStream, synthesize_moving_shapes, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
 from evhybrid.ann import toy_loss
-from evhybrid.numerics import WIDE, Tensor
+from evhybrid.numerics import WIDE, GradTape, Tensor
 from evhybrid.snn import snn_backbone_forward
 from evhybrid import train
 from evhybrid.train import make_dataset, run_ablate, run_train_toy
@@ -163,10 +163,31 @@ class TestModel:
 
     def test_one_detection_set_per_window(self):
         cfg = toy_config()
+        win_ms = cfg.simulation.window_ms
         model = HybridModel(cfg, seed=4)
-        ds = make_dataset(cfg, 1, seed=5, stride=model.total_stride)
-        windows = list(stream_windows_from(ds, cfg))
-        assert len(windows) >= 1
+        scene = train._random_scene(cfg, np.random.default_rng(5), seed=5)
+        stream = synthesize_moving_shapes(scene, 2 * win_ms + 20, win_ms).stream
+        windows = [i for i, _ in stream_windows(stream, cfg)]
+        assert windows == [0, 1, 2]
+        dets = run_infer(model, stream)
+        assert [d.window for d in dets] == sorted(d.window for d in dets)
+        assert {d.window for d in dets} == set(windows)
+        for d in dets:
+            assert d.t_us == (d.window + 1) * win_ms * 1000
+
+    def test_toy_training_step_tape_size(self):
+        # each spiking block's time loop is one tape node: the first step of
+        # configs/toy.ini (3 windows and their losses) records at most 300
+        cfg = load_config(CONFIG_DIR / "toy.ini")
+        model = HybridModel(cfg, seed=cfg.training.seed)
+        ds = make_dataset(cfg, 2, seed=cfg.training.seed, stride=model.total_stride)
+        assert len(ds) >= cfg.training.batch
+        with GradTape() as tape:
+            for sample in ds[: cfg.training.batch]:
+                model.reset_state()
+                out = model.forward_window(sample.counts, training=True)
+                toy_loss(out["detection"], sample.boxes_cells)
+        assert len(tape) <= 300
 
     def test_dataset_windows_are_stream_windows(self):
         # every training window is the inference window of its scene's
@@ -311,10 +332,6 @@ def write_raw_bundle(path, manifest, payload=b""):
     raw = json.dumps(manifest).encode("utf-8")
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(raw)) + raw + payload)
     return path
-
-
-def stream_windows_from(ds, cfg):
-    return [(s.window, s.counts) for s in ds]
 
 
 def run_cli(args, cwd):

@@ -1,11 +1,13 @@
 """Spiking front-end: neuron dynamics, block shapes, BPTT through the stack."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.errors import ConfigError, NumericError
-from evhybrid.numerics import WIDE, Tensor, grad_check, ops
+from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 from evhybrid.snn import (
     ConvBNBlock,
     ConvSpec,
@@ -78,17 +80,47 @@ class TestPLIF:
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((5, 2, 3, 3)))
         w = plif(0.3)
-        seq = plif_sequence(x, w)
-        v, singles = None, []
-        for t in range(5):
-            v, s = plif_step(v, x[t], w)
-            singles.append(s.data)
-        np.testing.assert_array_equal(seq.data, np.stack(singles))
+        np.testing.assert_array_equal(plif_sequence(x, w).data, step_loop(x, w).data)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        smooth=st.booleans(),
+        shape=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sequence_gradients_equal_step_loop(self, seed, dtype, smooth, shape):
+        # plif_scan's hand-written pullback against plif_step looped over T
+        # on the tape; in hard mode it adds the same terms in the same order
+        rng = np.random.default_rng(seed)
+        xd = (1.5 * rng.standard_normal(shape) + 0.5).astype(dtype)
+        wd = np.asarray(rng.uniform(-3.0, 3.0), dtype=dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        results = []
+        for fn in (plif_sequence, step_loop):
+            x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+            with GradTape() as tape:
+                out = fn(x, w, smooth=smooth)
+                results.append([out.data, *tape.gradients(out, [x, w], seed=g)])
+        for got, want in zip(*results):
+            if smooth:
+                np.testing.assert_allclose(got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_nonfinite_membrane_named(self):
         bad = Tensor(np.full((1, 1, 1), np.inf))
         with pytest.raises(NumericError, match="snn2.*t=4"):
             plif_step(None, bad, plif(), context="snn2", t=4)
+
+
+def step_loop(x, w, smooth=False):
+    """``plif_step`` looped over T op by op: the oracle for ``plif_sequence``."""
+    v, outs = None, []
+    for t in range(x.shape[0]):
+        v, s = plif_step(v, x[t], w, smooth=smooth)
+        outs.append(s)
+    return ops.stack(outs, axis=0)
 
 
 def make_block(in_ch, spec, seed=0, dtype=WIDE):
@@ -163,6 +195,27 @@ class TestBlocks:
         a = snn_backbone_forward(x, [block])
         b = snn_block_forward(x, block)
         np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["inference", "tape"])
+    def test_nonfinite_input_named_with_its_step(self, taped):
+        # running statistics keep the other steps finite, so the first
+        # non-finite membrane is at t = 4
+        block = make_block(2, "4c3p1s1", seed=3)
+        x = np.random.default_rng(3).poisson(0.5, (6, 2, 5, 5)).astype(WIDE)
+        x[4, 0, 2, 2] = np.inf
+        with GradTape() if taped else nullcontext(), pytest.raises(NumericError, match="snn2.*t=4"):
+            snn_block_forward(Tensor(x), block, context="snn2")
+
+    def test_tape_size_independent_of_time_steps(self):
+        # the T loop is one tape node, so T = 10 records what T = 2 does
+        block = make_block(2, "4c3p1s2")
+        sizes = []
+        for t in (2, 10):
+            x = Tensor(np.random.default_rng(t).poisson(0.5, (t, 2, 8, 8)).astype(WIDE))
+            with GradTape() as tape:
+                snn_block_forward(x, block, training=True)
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1]
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ConfigError):
