@@ -22,7 +22,7 @@ from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
 from .profiling import EnergyModel, count_dense_macs, count_spike_acs, sparsity_report, write_profile
-from .quantize import run_quantize
+from .quantize import reference_layers, run_quantize
 from .snn import snn_backbone_forward
 from .numerics import Tensor
 from .train import ABLATION_VARIANTS, make_dataset, run_ablate, run_train_toy, _random_scene
@@ -207,9 +207,10 @@ def cmd_fidelity(args, cfg: RunConfig) -> int:
     out = _out_dir(args, cfg)
     model = _build_model(cfg, args.checkpoint)
     windows = _eval_windows(cfg, model)
+    refs = reference_layers(model, windows)
     sweep: dict[str, dict] = {}
     for bits in widths:
-        _, report = run_quantize(model, bits, windows)
+        _, report = run_quantize(model, bits, windows, ref_layers=refs)
         sweep[f"int{bits}"] = report.as_dict()
         print(f"int{bits}: match rate {report.match_rate:.4f}")
     (out / "fidelity_sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))

@@ -318,7 +318,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
     out = out.reshape(n, c_out, h_out, w_out)
     bd = _data(bias) if bias is not None else None
     if bd is not None:
-        out = out + bd.reshape(1, c_out, 1, 1)
+        out += bd.reshape(1, c_out, 1, 1)
     if squeeze:
         out = out[0]
 
@@ -439,9 +439,10 @@ def bilinear_sample(map_, x, y):
 # rounding of the weight gradient, summed over chunks, depends on it.
 DEFORM_CHUNK_BYTES = 64 << 20
 # bytes one sampled tap (one element of a call's [C*T, K^2, H, W])
-# holds at the forward's peak, in itemsizes of the planes' dtype: the float
-# stacks, their temporaries and the index arrays (measured: 17 for float64,
-# 19 for float32)
+# holds at the untaped forward's peak, in itemsizes of the planes' dtype: the
+# coordinates, the intp index and the corner values (measured: 12 for
+# float32). 20 is the figure of the former stacked corner weights, kept so
+# that the chunking, and with it the weight gradient's rounding, stays put.
 _DEFORM_TAP_ITEMS = 20
 
 
@@ -482,11 +483,17 @@ def deform_conv(planes, offsets, weight):
     into a zero-bordered stack [C*T, H+4, W+4]; floor(y) is clipped to [-2, H]
     and floor(x) to [-2, W], which moves a 2x2 corner block only when all
     four true corners lie outside the plane, and then wholly into the border.
-    One int32 flat index of each block's top-left corner reaches the others
-    at +1, +W+4 and +W+5: the forward gathers through it and the pullback
-    scatters through it in one bincount. The four corners are added left to
-    right and the taps in order 0..K^2-1. The corner stacks are kept for the
-    pullback only while a tape records the op.
+    One intp flat index of each block's top-left corner reaches the others
+    at +1, +W+4 and +W+5. The forward gathers all four corners at once,
+    corner-major, from the four shifted views of the bordered planes, and
+    weighs corner (a, b) by wy[a] * wx[b] one corner at a time. The pullback
+    scatters corner 0 with a float64 bincount and corners 1-3 with three
+    ordered ``np.add.at`` passes, so each cell's sum runs in corner order.
+    The four corners are added left to right and the taps in order
+    0..K^2-1. Only while a tape records the op, it keeps the index, the two
+    wy and the two wx planes, the corner values and the samples; the
+    pullback recomputes the corner weights. A call's padded planes must fit
+    an int32 flat index, the bound :func:`deform_chunk` sizes chunks by.
     """
     pd, od, wd = _data(planes), _data(offsets), _data(weight)
     if pd.ndim != 4:
@@ -527,55 +534,62 @@ def _deform_forward(pd, od, w5, grid, keep):
         raise NumericError("deform_conv: non-finite sampling coordinate")
     y0, x0 = np.floor(ys), np.floor(xs)
     fy, fx = np.subtract(ys, y0, out=ys), np.subtract(xs, x0, out=xs)
-    idx = np.arange(g_count, dtype=np.int32).reshape(g_count, 1, 1, 1) * (hp * wp)
-    idx = idx + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
-    idx += np.clip(x0, -2, w).astype(np.int32) + 2
-    del y0, x0
-    # corner-major [4, C*T, K^2, H, W] stacks, corners in the order 00, 01, 10, 11
-    wy = np.stack((1 - fy, fy))
-    wx = np.stack((1 - fx, fx))
-    del fy, fx
-    wgt = (wy[:, None] * wx).reshape((4,) + idx.shape)
+    # plane base + border + clipped floors; floor(x) is added through float64,
+    # exact below the int32 bound, which spares an intp temporary
+    idx = np.clip(y0, -2, h, out=y0).astype(np.intp)
+    idx *= wp
+    idx += np.arange(g_count, dtype=np.intp).reshape(g_count, 1, 1, 1) * (hp * wp) + 2 * wp + 2
+    np.add(idx, np.clip(x0, -2, w, out=x0), out=idx, casting="unsafe")
     padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
     padded.reshape(c, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
-    v = _corner_values(padded.ravel(), idx, wp)
-    kept = (idx, wy, wx, wgt, v) if keep else None
-    del idx, wy, wx  # the rest of the forward needs only wgt and v
-    terms = wgt * v
-    samples = terms[0] + terms[1]  # the corners added left to right
-    samples += terms[2]
-    samples += terms[3]
-    del terms
-    samples = samples.reshape(c, t, j, h, w)
-    return np.sum(samples * w5, axis=2), (kept + (samples,) if keep else None)
-
-
-def _corner_values(flat: np.ndarray, idx: np.ndarray, wp: int) -> np.ndarray:
-    """[4, ...] values of the corners 00, 01, 10, 11 of the 2x2 blocks whose
-    top-left corners sit at the flat indices ``idx``. One gather of 4-value
-    rows runs several times faster than four gathers from the flat planes,
-    and numpy gathers and scatters several times faster through an intp
-    index than through an int32 one."""
+    flat = padded.ravel()
     n = flat.size - wp - 1
-    blocks = np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :]), axis=1)
-    return np.moveaxis(blocks.take(idx.astype(np.intp), axis=0), -1, 0)
+    # [4, C*T, K^2, H, W] corner values, corners in the order 00, 01, 10, 11
+    v = np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :])).take(idx, axis=1)
+    del padded, flat
+    # corner q = 2a + b weighs wy[a] * wx[b]; the four terms are added left to right
+    wy, wx = (np.subtract(1, fy, out=y0), fy), (np.subtract(1, fx, out=x0), fx)
+    samples = np.multiply(wy[0], wx[0], out=np.empty(idx.shape, np.result_type(wy[0], v)))
+    samples *= v[0]
+    term = np.empty_like(samples)
+    for q in (1, 2, 3):
+        np.multiply(wy[q >> 1], wx[q & 1], out=term)
+        term *= v[q]
+        samples += term
+    del term
+    samples = samples.reshape(c, t, j, h, w)
+    return np.sum(samples * w5, axis=2), ((idx, wy, wx, v, samples) if keep else None)
 
 
 def _deform_pullback(state, g, w5):
     """(planes, offsets, weight) adjoints of :func:`deform_conv` from its
     output adjoint ``g`` [C, T, H, W]."""
-    idx, wy, wx, wgt, v, samples = state
+    idx, wy, wx, v, samples = state
     c, t, j, h, w = samples.shape
     g_count, hp, wp = c * t, h + 4, w + 4
     g5 = np.broadcast_to(g[:, :, None], samples.shape)
     g_w = np.sum(g5 * samples, axis=(0, 3, 4))
     gs = (g5 * w5).reshape(g_count, j, h, w)
-    corners = idx.astype(np.intp) + np.array([0, 1, wp, wp + 1]).reshape(4, 1, 1, 1, 1)
-    acc = np.bincount(corners.ravel(), (gs * wgt).ravel(), minlength=g_count * hp * wp)
+    wgt = np.empty(gs.shape, np.result_type(gs, wy[0]))
+    vals = np.empty(gs.shape, np.float64)
+
+    def corner_adjoint(q):
+        np.multiply(wy[q >> 1], wx[q & 1], out=wgt)
+        return np.multiply(gs, wgt, out=vals).ravel()  # computed in wgt's dtype
+
+    # float64 scatter in corner order, corner q at idx + (0, 1, W+4, W+5)[q]:
+    # add.at adds in sequence, so every padded cell gets the same sum in the
+    # same order as one bincount over the four corners' indices. add.at takes
+    # its fast path only for a 1-D index and values of the target's dtype.
+    flat = idx.ravel()
+    acc = np.bincount(flat, corner_adjoint(0), minlength=g_count * hp * wp)
+    for q, shift in ((1, 1), (2, wp), (3, wp + 1)):
+        np.add.at(acc[shift:], flat, corner_adjoint(q))
+    del wgt, vals
     g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(v.dtype, copy=False)
-    g_y = gs * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]))
-    g_x = gs * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]))
-    g_off = np.stack((g_y, g_x), axis=2)  # [C*T, K^2, 2, H, W]
+    g_off = np.empty((g_count, j, 2, h, w), np.result_type(gs, wx[0], v))
+    np.multiply(gs, wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]), out=g_off[:, :, 0])
+    np.multiply(gs, wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]), out=g_off[:, :, 1])
     return g_planes, g_off, g_w
 
 

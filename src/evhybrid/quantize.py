@@ -446,20 +446,31 @@ def load_quantized(base_path) -> FixedPointModel:
     return fpm
 
 
+def reference_layers(model: HybridModel, eval_windows: list[np.ndarray]) -> list[list[np.ndarray]]:
+    """Each window's float reference spikes, one array per spiking layer: what
+    :func:`run_quantize` compares every bit width against."""
+    return [float_reference_spikes(model, counts, collect_layers=True) for counts in eval_windows]
+
+
 def run_quantize(
     model: HybridModel,
     bits: int,
     eval_windows: list[np.ndarray],
     out_base=None,
+    ref_layers: list[list[np.ndarray]] | None = None,
 ) -> tuple[FixedPointModel, FidelityReport]:
     """Quantize a trained model and measure spike fidelity on held-out
-    windows (all spiking layers pooled)."""
+    windows (all spiking layers pooled). The float reference does not depend
+    on the width, so a sweep passes its :func:`reference_layers` as
+    ``ref_layers``; without them it is computed here."""
     fpm = FixedPointModel.from_model(model, bits)
+    if ref_layers is None:
+        ref_layers = reference_layers(model, eval_windows)
     refs: list[np.ndarray] = []
     tests: list[np.ndarray] = []
     names: list[str] = []
-    for counts in eval_windows:
-        refs += float_reference_spikes(model, counts, collect_layers=True)
+    for counts, layers in zip(eval_windows, ref_layers, strict=True):
+        refs += layers
         tests += fixed_point_forward(counts, fpm, collect_layers=True)
         names += [blk.name for blk in fpm.blocks]
     report = fidelity_from_layers(refs, tests, names)

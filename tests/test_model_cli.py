@@ -15,10 +15,11 @@ from evhybrid.config import RunConfig, load_config, save_config
 from evhybrid.errors import ConfigError, DataFormatError
 from evhybrid.events import EventStream, synthesize_moving_shapes, write_events
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
+from evhybrid.quantize import run_quantize
 from evhybrid.ann import toy_loss
 from evhybrid.numerics import WIDE, GradTape, Tensor
 from evhybrid.snn import snn_backbone_forward
-from evhybrid import train
+from evhybrid import cli, quantize, train
 from evhybrid.train import make_dataset, run_ablate, run_train_toy
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -422,6 +423,27 @@ class TestCLI:
         assert 0.0 <= rep["match_rate"] <= 1.0
         assert (root / "quant" / "quantized.json").exists()
         assert (root / "quant" / "quantized.bin").exists()
+
+    def test_fidelity_sweep_computes_one_float_reference_per_window(self, cli_workspace, tmp_path, monkeypatch):
+        root, cfg_path = cli_workspace
+        checkpoint = str(root / "run" / "checkpoint.evck")
+        cfg = load_config(cfg_path)
+        model = cli._build_model(cfg, checkpoint)
+        windows = cli._eval_windows(cfg, model)
+        want = {f"int{bits}": run_quantize(model, bits, windows)[1].as_dict() for bits in (8, 6, 4, 2)}
+        calls = []
+        float_reference = quantize.float_reference_spikes
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return float_reference(*args, **kwargs)
+
+        monkeypatch.setattr(quantize, "float_reference_spikes", counted)
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path), "fidelity", "--checkpoint", checkpoint]
+        assert cli.main(argv + ["--bits", "8,6,4,2"]) == 0
+        assert len(calls) == len(windows) > 1
+        # the same sweep as one run_quantize per width, each with its own reference
+        assert json.loads((tmp_path / "fidelity_sweep.json").read_text()) == want
 
     def test_profile_without_events_is_analytic(self, cli_workspace):
         root, cfg_path = cli_workspace

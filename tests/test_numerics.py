@@ -260,6 +260,56 @@ def _deform_conv_chain(planes, offsets, weight):
     return ops.sum(weighted, axis=2)
 
 
+def _deform_conv_stacked(planes, offsets, weight):
+    """``deform_conv`` as it was before it stopped stacking its corner
+    weights, kept as the op's float32 oracle: an int32 index, a row gather of
+    [n, 4] corner blocks, [4, ...] weight stacks, and a pullback that scatters
+    all four corners in one float64 bincount."""
+    pd, od, wd = planes.data, offsets.data, weight.data
+    c, t, h, w = pd.shape
+    k = wd.shape[2]
+    j = k * k
+    w5 = wd.reshape(1, t, j, 1, 1)
+    grid = _grid(k, h, w).astype(pd.dtype)
+    g_count, hp, wp = c * t, h + 4, w + 4
+    off = od.reshape(c, t, j, 2, h, w)
+    ys = (off[:, :, :, 0] + grid[0]).reshape(g_count, j, h, w)
+    xs = (off[:, :, :, 1] + grid[1]).reshape(g_count, j, h, w)
+    y0, x0 = np.floor(ys), np.floor(xs)
+    fy, fx = ys - y0, xs - x0
+    idx = np.arange(g_count, dtype=np.int32).reshape(g_count, 1, 1, 1) * (hp * wp)
+    idx = idx + (np.clip(y0, -2, h).astype(np.int32) + 2) * wp
+    idx += np.clip(x0, -2, w).astype(np.int32) + 2
+    wy = np.stack((1 - fy, fy))
+    wx = np.stack((1 - fx, fx))
+    wgt = (wy[:, None] * wx).reshape((4,) + idx.shape)
+    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
+    padded.reshape(c, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
+    flat = padded.ravel()
+    n = flat.size - wp - 1
+    blocks = np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :]), axis=1)
+    v = np.moveaxis(blocks.take(idx.astype(np.intp), axis=0), -1, 0)
+    terms = wgt * v
+    samples = terms[0] + terms[1]
+    samples += terms[2]
+    samples += terms[3]
+    samples = samples.reshape(c, t, j, h, w)
+
+    def pull(g):
+        g5 = np.broadcast_to(g[:, :, None], samples.shape)
+        g_w = np.sum(g5 * samples, axis=(0, 3, 4))
+        gs = (g5 * w5).reshape(g_count, j, h, w)
+        corners = idx.astype(np.intp) + np.array([0, 1, wp, wp + 1]).reshape(4, 1, 1, 1, 1)
+        acc = np.bincount(corners.ravel(), (gs * wgt).ravel(), minlength=g_count * hp * wp)
+        g_planes = acc.reshape(g_count, hp, wp)[:, 2:-2, 2:-2].astype(v.dtype, copy=False)
+        g_y = gs * (wx[0] * (v[2] - v[0]) + wx[1] * (v[3] - v[1]))
+        g_x = gs * (wy[0] * (v[1] - v[0]) + wy[1] * (v[3] - v[2]))
+        g_off = np.stack((g_y, g_x), axis=2)
+        return g_planes.reshape(pd.shape), g_off.reshape(od.shape), g_w.reshape(wd.shape)
+
+    return ops._emit("deform_conv", np.sum(samples * w5, axis=2), (planes, offsets, weight), pull)
+
+
 def _deform_run(fn, planes, offsets, weight, g_out):
     """(output, [planes, offsets, weight] adjoints) of ``fn`` seeded by g_out."""
     inputs = [Tensor(a, requires_grad=True) for a in (planes, offsets, weight)]
@@ -321,6 +371,36 @@ class TestDeformSample:
         np.testing.assert_array_equal(out, want)
         for got, ref in zip(grads, want_grads):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "c, t, h, w, k, spread",
+        [(16, 10, 10, 10, 3, 0.3), (16, 10, 10, 10, 3, 3.0), (2, 10, 38, 30, 5, 1.0)],
+        ids=["toy", "toy-border", "gen1-chunk"],
+    )
+    def test_float32_bit_identical_to_stacked_oracle(self, c, t, h, w, k, spread):
+        # the float32 path training runs; _deform_conv_chain computes in float64
+        planes, offsets, weight, g_out = _deform_inputs(k + c, c, t, h, w, k, np.float32, spread)
+        untaped = ops.deform_conv(planes, offsets, weight).data
+        out, grads = _deform_run(ops.deform_conv, planes, offsets, weight, g_out)
+        want, want_grads = _deform_run(_deform_conv_stacked, planes, offsets, weight, g_out)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(untaped, want)
+        for got, ref in zip(grads, want_grads):
+            assert got.dtype == ref.dtype == np.float32
+            np.testing.assert_array_equal(got, ref)
+
+    def test_taped_peak_memory_per_tap(self):
+        # forward plus pullback under a tape at the toy bridge's shape; the
+        # [4, ...] weight stacks and the int64 corner index took 143 B/tap
+        c, t, h, w, k = 16, 10, 10, 10, 3
+        planes, offsets, weight, g_out = _deform_inputs(5, c, t, h, w, k, np.float32, 0.3)
+        tracemalloc.start()
+        try:
+            _deform_run(ops.deform_conv, planes, offsets, weight, g_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (c * t * k * k * h * w) < 100
 
     def test_float32_stays_float32(self):
         inputs = _deform_inputs(6, 2, 3, 5, 5, 3, dtype=np.float32)
