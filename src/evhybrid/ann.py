@@ -27,15 +27,20 @@ class DWConvLSTMState:
     c: Tensor | None = None
 
 
-class DWConvLSTM:
-    """Convolutional LSTM with depthwise 3x3 + pointwise 1x1 gate convs."""
+# side of the ConvLSTM's depthwise kernel
+LSTM_KERNEL = 3
 
-    def __init__(self, channels: int, rng: np.random.Generator, kernel: int = 3, dtype=NARROW):
+
+class DWConvLSTM:
+    """Convolutional LSTM with depthwise LSTM_KERNEL x LSTM_KERNEL +
+    pointwise 1x1 gate convs."""
+
+    def __init__(self, channels: int, rng: np.random.Generator, dtype=NARROW):
         self.channels = channels
-        self.kernel = kernel
+        k = LSTM_KERNEL
         c2 = 2 * channels
-        bound_dw = 1.0 / np.sqrt(kernel * kernel)
-        self.dw_w = Tensor(rng.uniform(-bound_dw, bound_dw, (c2, 1, kernel, kernel)).astype(dtype), requires_grad=True)
+        bound_dw = 1.0 / np.sqrt(k * k)
+        self.dw_w = Tensor(rng.uniform(-bound_dw, bound_dw, (c2, 1, k, k)).astype(dtype), requires_grad=True)
         self.dw_b = Tensor(np.zeros(c2, dtype=dtype), requires_grad=True)
         bound_pw = 1.0 / np.sqrt(c2)
         self.pw_w = Tensor(rng.uniform(-bound_pw, bound_pw, (4 * channels, c2, 1, 1)).astype(dtype), requires_grad=True)
@@ -59,7 +64,7 @@ def dwconvlstm_step(state: DWConvLSTMState, x: Tensor, unit: DWConvLSTM) -> tupl
         state.h = Tensor(zeros.copy())
         state.c = Tensor(zeros.copy())
     z = ops.concat([state.h, x], axis=0)
-    z = ops.conv2d(z, unit.dw_w, unit.dw_b, padding=unit.kernel // 2, groups=2 * c)
+    z = ops.conv2d(z, unit.dw_w, unit.dw_b, padding=LSTM_KERNEL // 2, groups=2 * c)
     z = ops.conv2d(z, unit.pw_w, unit.pw_b)
     i_g = ops.sigmoid(z[0:c])
     f_g = ops.sigmoid(z[c : 2 * c])

@@ -113,19 +113,13 @@ def predict_offsets(a_c: Tensor, params: BridgeParams) -> Tensor:
     return ops.conv2d(a_c, params.offset_w, params.offset_b, stride=1, padding=(k - 1) // 2)
 
 
-def tsdc(a_c: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
-    """Time-separable deformable convolution of one channel group.
+def tsdc(a: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
+    """Time-separable deformable convolution of [C, T, H, W] channel groups.
 
-    ``a_c``: [T, H, W]; ``offsets``: [2*K^2*T, H, W]. Each timestep is
-    convolved only with its own plane (independent groups), sampling at
-    grid + offset with zero padding outside the plane.
+    ``offsets``: [C, 2*K^2*T, H, W]. Each timestep is convolved only with its
+    own plane (independent groups), sampling at grid + offset with zero
+    padding outside the plane.
     """
-    a = ops.reshape(a_c, (1,) + tuple(a_c.shape))
-    off = ops.reshape(offsets, (1,) + tuple(offsets.shape))
-    return _tsdc_batched(a, off, params)[0]
-
-
-def _tsdc_batched(a: Tensor, offsets: Tensor, params: BridgeParams) -> Tensor:
     t = params.n_steps
     return ops.deform_conv(a, offsets, params.tsdc_w) + ops.reshape(params.tsdc_b, (1, t, 1, 1))
 
@@ -136,32 +130,14 @@ def _deformable_branch(a: Tensor, params: BridgeParams) -> Tensor:
     c, t, h, w = a.shape
     step = ops.deform_chunk(t, params.kernel, h, w, a.dtype)
     chunks = [a] if step >= c else [a[c0 : c0 + step] for c0 in range(0, c, step)]
-    outs = [_tsdc_batched(a_k, predict_offsets(a_k, params), params) for a_k in chunks]
+    outs = [tsdc(a_k, predict_offsets(a_k, params), params) for a_k in chunks]
     return outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
 
 
-def temporal_attention(a_sc: Tensor, params: BridgeParams) -> Tensor:
-    """Self-attention over the T planes of [T, H, W], collapsed to [H, W]."""
-    out = _temporal_attention_batched(ops.reshape(a_sc, (1,) + tuple(a_sc.shape)), params)
-    return out[0]
-
-
-def attention_parts(a_sc: Tensor, params: BridgeParams) -> tuple[Tensor, Tensor]:
-    """(scores [T, T], attended planes [T, H, W]) before the 1x1 combination.
-
-    Only defined for a single head; used by the equivariance checks.
-    """
-    if params.heads != 1:
-        raise ConfigError("attention_parts is single-head only")
-    a = ops.reshape(a_sc, (1,) + tuple(a_sc.shape))
-    scores, attended = _attention_scores_batched(a, params)
-    t, h, w = a_sc.shape
-    return ops.reshape(scores, (t, t)), ops.reshape(attended, (t, h, w))
-
-
-def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, Tensor]:
-    """Scores [C, heads, G, G] and the attended planes [C, T, H, W], where
-    head ``hd`` attends over its own G = T/heads consecutive planes."""
+def attention_parts(a: Tensor, params: BridgeParams) -> tuple[Tensor, Tensor]:
+    """Scores [C, heads, G, G] and the attended planes [C, T, H, W] of
+    [C, T, H, W] planes, before the 1x1 combination; head ``hd`` attends over
+    its own G = T/heads consecutive planes."""
     c, t, h, w = a.shape
     heads = params.heads
     g = t // heads
@@ -176,9 +152,10 @@ def _attention_scores_batched(a: Tensor, params: BridgeParams) -> tuple[Tensor, 
     return scores, attended
 
 
-def _temporal_attention_batched(a: Tensor, params: BridgeParams) -> Tensor:
+def temporal_attention(a: Tensor, params: BridgeParams) -> Tensor:
+    """Self-attention over the T planes of [C, T, H, W], collapsed to [C, H, W]."""
     c, t, h, w = a.shape
-    _, attended = _attention_scores_batched(a, params)
+    _, attended = attention_parts(a, params)
     out = ops.conv2d(attended, params.comb_w, params.comb_b)
     return ops.reshape(out, (c, h, w))
 
@@ -224,7 +201,7 @@ def asab_forward(e_spike: Tensor, params: BridgeParams, variant: str = "full") -
         c, t, h, w = a_sc.shape
         a_out = ops.reshape(ops.conv2d(a_sc, params.comb_w, params.comb_b), (c, h, w))
     else:
-        a_out = _temporal_attention_batched(a_sc, params)
+        a_out = temporal_attention(a_sc, params)
     if variant == "no-ers":
         return a_out
     return ers_gate(e_spike, a_out)

@@ -88,8 +88,11 @@ class RunConfig:
         for key, v in sizes.items():
             if v < 1:
                 raise ConfigError(f"{key} must be at least 1, got {v}")
+        h, w = sim.sensor_height, sim.sensor_width
         for s in arch.snn_layers + arch.ann_layers:
-            ConvSpec.from_string(s)
+            h, w = ConvSpec.from_string(s).out_size(h, w)
+            if h < 1 or w < 1:
+                raise ConfigError(f"layer {s!r} leaves no output at the {sim.sensor_height}x{sim.sensor_width} sensor")
         if not arch.snn_layers:
             raise ConfigError("need at least one spiking layer")
         check_bridge_geometry(arch.bridge_kernel, arch.bridge_heads, sim.T)

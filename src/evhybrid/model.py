@@ -197,15 +197,17 @@ def stream_windows(stream: EventStream, config: RunConfig):
         start = end
 
 
-def decode_detections(
-    det: ann.ToyDetection, window: int, t_us: int, stride: int, threshold: float = 0.5
-) -> list[Detection]:
-    """Cells with objectness above threshold (always at least the argmax
-    cell) decoded back to pixel coordinates."""
+# objectness probability at which a cell becomes a detection
+DETECTION_THRESHOLD = 0.5
+
+
+def decode_detections(det: ann.ToyDetection, window: int, t_us: int, stride: int) -> list[Detection]:
+    """Cells with objectness at or above DETECTION_THRESHOLD (always at least
+    the argmax cell) decoded back to pixel coordinates."""
     logits = det.objectness.data
     boxes = det.boxes.data
     prob = 1.0 / (1.0 + np.exp(-logits.astype(np.float64)))
-    cells = list(zip(*np.nonzero(prob >= threshold)))
+    cells = list(zip(*np.nonzero(prob >= DETECTION_THRESHOLD)))
     if not cells:
         cells = [np.unravel_index(int(np.argmax(prob)), prob.shape)]
     out = []

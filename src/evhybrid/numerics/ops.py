@@ -106,11 +106,6 @@ def power(a, p: float):
     return _emit("power", ad**p, (a,), lambda g: (g * p * ad ** (p - 1),))
 
 
-def exp(a):
-    out = np.exp(_data(a))
-    return _emit("exp", out, (a,), lambda g: (g * out,))
-
-
 def log(a):
     ad = _data(a)
     return _emit("log", np.log(ad), (a,), lambda g: (g / ad,))
@@ -145,11 +140,6 @@ def relu(a):
     ad = _data(a)
     mask = ad > 0
     return _emit("relu", ad * mask, (a,), lambda g: (g * mask,))
-
-
-def abs_(a):
-    ad = _data(a)
-    return _emit("abs", np.abs(ad), (a,), lambda g: (g * np.sign(ad),))
 
 
 def softplus(a):
@@ -593,26 +583,31 @@ def _deform_pullback(state, g, w5):
     return g_planes, g_off, g_w
 
 
-def spike(u, smooth: bool = False, alpha: float = 2.0):
+# sharpness of the arctan surrogate: its slope at the threshold is alpha / 2
+SURROGATE_ALPHA = 2.0
+
+
+def spike(u, smooth: bool = False):
     """Threshold nonlinearity for spiking neurons.
 
     Hard mode: exact Heaviside(u >= 0) forward with an arctan surrogate
-    derivative alpha / (2 * (1 + (pi/2 * alpha * u)^2)). Smooth mode replaces
-    the forward by the surrogate's primitive arctan(pi*alpha*u/2)/pi + 1/2,
-    making the whole network finite-difference checkable.
+    derivative alpha / (2 * (1 + (pi/2 * alpha * u)^2)), alpha =
+    SURROGATE_ALPHA. Smooth mode replaces the forward by the surrogate's
+    primitive arctan(pi*alpha*u/2)/pi + 1/2, making the whole network
+    finite-difference checkable.
     """
     ud = _data(u)
-    return _emit("spike", _spike_value(ud, smooth, alpha), (u,), lambda g: (g * _spike_slope(ud, alpha),))
+    return _emit("spike", _spike_value(ud, smooth), (u,), lambda g: (g * _spike_slope(ud),))
 
 
-def _spike_value(ud, smooth: bool, alpha: float = 2.0):
+def _spike_value(ud, smooth: bool):
     if smooth:
-        return np.arctan(math.pi * alpha * ud / 2.0) / math.pi + 0.5
+        return np.arctan(math.pi * SURROGATE_ALPHA * ud / 2.0) / math.pi + 0.5
     return (ud >= 0).astype(ud.dtype)
 
 
-def _spike_slope(ud, alpha: float = 2.0):
-    return alpha / (2.0 * (1.0 + (math.pi / 2.0 * alpha * ud) ** 2))
+def _spike_slope(ud):
+    return SURROGATE_ALPHA / (2.0 * (1.0 + (math.pi / 2.0 * SURROGATE_ALPHA * ud) ** 2))
 
 
 def plif_scan(x, w, smooth: bool = False, context: str = "plif"):

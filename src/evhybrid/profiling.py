@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .ann import LSTM_KERNEL
 from .config import RunConfig
 from .model import HybridModel
-from .snn import parse_layer_string
+from .snn import ConvSpec
 
 # (name, MACs, ACs, energy in joules)
 ENERGY_DATAPOINTS = [
@@ -91,10 +92,6 @@ class OpCounters:
         return out
 
 
-def _conv_out(h: int, w: int, k: int, p: int, s: int) -> tuple[int, int]:
-    return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-
-
 def count_dense_macs(cfg: RunConfig) -> OpCounters:
     """Analytic dense-execution MACs per layer, at the configured sensor size
     and T, and each layer's parameter count from the model ``cfg`` builds.
@@ -110,8 +107,9 @@ def count_dense_macs(cfg: RunConfig) -> OpCounters:
 
     c_in = 2
     for i, spec in enumerate(arch.snn_layers, start=1):
-        c, k, p, s = parse_layer_string(spec)
-        h, w = _conv_out(h, w, k, p, s)
+        conv = ConvSpec.from_string(spec)
+        c, k = conv.out_channels, conv.kernel
+        h, w = conv.out_size(h, w)
         counters.layer(f"snn{i}").macs = k * k * c_in * c * h * w * t
         c_in = c
 
@@ -128,13 +126,14 @@ def count_dense_macs(cfg: RunConfig) -> OpCounters:
     counters.layer("bridge").macs = per_channel * c_in
 
     for i, spec in enumerate(arch.ann_layers, start=1):
-        c, k, p, s = parse_layer_string(spec)
-        h, w = _conv_out(h, w, k, p, s)
+        conv = ConvSpec.from_string(spec)
+        c, k = conv.out_channels, conv.kernel
+        h, w = conv.out_size(h, w)
         counters.layer(f"ann{i}").macs = k * k * c_in * c * h * w
         c_in = c
         if i in arch.lstm_positions:
             c2 = 2 * c
-            counters.layer(f"lstm{i}").macs = (9 * c2 + c2 * 4 * c) * h * w
+            counters.layer(f"lstm{i}").macs = (LSTM_KERNEL * LSTM_KERNEL * c2 + c2 * 4 * c) * h * w
 
     counters.layer("head").macs = (9 * c_in * c_in + c_in * 5) * h * w
 
@@ -160,7 +159,7 @@ def count_spike_acs(trace: list[dict]) -> OpCounters:
         k, s, p = entry["kernel"], entry["stride"], entry["padding"]
         c_out, g = entry["out_channels"], entry["groups"]
         h, w = mask.shape[-2:]
-        h_out, w_out = _conv_out(h, w, k, p, s)
+        h_out, w_out = ConvSpec(c_out, k, p, s).out_size(h, w)
         taps_y = _tap_counts(h, h_out, k, p, s)
         taps_x = _tap_counts(w, w_out, k, p, s)
         cells = mask.reshape(-1, h, w).sum(axis=0)  # nonzero (t, c) per (y, x)

@@ -110,7 +110,7 @@ def fuse_bn_lif(
     return FusedLIFParams(scale=scale, shift=shift)
 
 
-def _event_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
+def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold input.
 
     The active sites are the (t, y, x) positions with any nonzero channel.
@@ -160,19 +160,6 @@ def _event_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tupl
         over = int(np.count_nonzero(np.abs(out) > INT32_MAX))
         out = np.clip(out, -INT32_MAX, INT32_MAX)
     return out.reshape(n, h_out, w_out, c_out), np.flatnonzero(touched), over
-
-
-def int_conv2d(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: int
-) -> tuple[np.ndarray, int]:
-    """Exact integer conv whose outputs saturate to the int32 range.
-
-    The event-driven rulebook conv of ``_event_conv``: only the sites of
-    ``x`` [N, C_in, H, W] that hold input are gathered and multiplied, tap by
-    tap. Returns (the [N, C_out, H', W'] int64 output, saturation count).
-    """
-    y, _, over = _event_conv(x, w, stride, padding)
-    return y.transpose(0, 3, 1, 2), over
 
 
 @dataclass
@@ -258,7 +245,7 @@ def fixed_point_forward(
         raise NumericError("fixed-point input must be integer event counts")
     layers = []
     for blk in fpm.blocks:
-        y, live, over = _event_conv(x, blk.quant.int_weights, blk.stride, blk.padding)
+        y, live, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
         fpm.overflow_count += over
         x = _membrane(y, live, blk)
         layers.append(x.astype(np.int64))
@@ -320,15 +307,6 @@ class FidelityReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def spike_fidelity(a, b, layer: str = "E_spike") -> FidelityReport:
-    """Exact cellwise agreement between two binary spike tensors."""
-    a = np.asarray(a.data if hasattr(a, "data") else a)
-    b = np.asarray(b.data if hasattr(b, "data") else b)
-    if a.shape != b.shape:
-        raise ShapeError(f"spike tensors differ in shape: {a.shape} vs {b.shape}")
-    return fidelity_from_layers([a], [b], [layer])
 
 
 def fidelity_from_layers(

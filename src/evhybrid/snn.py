@@ -61,6 +61,9 @@ class ConvSpec:
     stride: int = 1
 
     def __post_init__(self):
+        for key in ("out_channels", "kernel"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"layer {key} must be at least 1, got {getattr(self, key)}")
         if self.stride not in (1, 2):
             raise ConfigError(f"block stride must be 1 or 2, got {self.stride}")
 
@@ -69,8 +72,11 @@ class ConvSpec:
         c, k, p, s = parse_layer_string(spec)
         return cls(out_channels=c, kernel=k, padding=p, stride=s)
 
-    def to_string(self) -> str:
-        return f"{self.out_channels}c{self.kernel}p{self.padding}s{self.stride}"
+    def out_size(self, h: int, w: int) -> tuple[int, int]:
+        """Output (height, width) of the conv on an [h, w] input; an extent
+        below 1 means the layer leaves no output."""
+        k, p, s = self.kernel, self.padding, self.stride
+        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
 
 
 class ConvBNBlock:
@@ -146,15 +152,6 @@ def plif_step(
     return v_pre - gate * v_pre, spikes
 
 
-def plif_sequence(x: Tensor, w: Tensor, smooth: bool = False, context: str = "plif") -> Tensor:
-    """Spikes of ``plif_step`` run over the leading time axis of [T, ...],
-    from rest. The loop is one op, ``ops.plif_scan``, with a hand-written
-    BPTT pullback; its spikes and input gradients equal those of
-    ``plif_step`` looped op by op. A non-finite membrane raises a
-    ``NumericError`` naming ``context`` and the first bad step."""
-    return ops.plif_scan(x, w, smooth=smooth, context=context)
-
-
 class SNNBlock(ConvBNBlock):
     """Parameters of one conv -> batchnorm -> spiking-neuron block. The
     neuron's one parameter is ``plif_w``, with 1/tau = sigmoid(plif_w)."""
@@ -195,7 +192,7 @@ def snn_block_forward(
     batchnorm. smooth=True also bypasses running-stat updates.
     """
     y = conv_bn(x, block, training, update_stats=not smooth)
-    return plif_sequence(y, block.plif_w, smooth=smooth, context=context)
+    return ops.plif_scan(y, block.plif_w, smooth=smooth, context=context)
 
 
 def snn_backbone_forward(

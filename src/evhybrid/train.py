@@ -28,19 +28,26 @@ from .bridge import VARIANTS as ABLATION_VARIANTS
 LOG_EVERY = 50  # training steps between printed losses
 
 
+# Adam's moment decays and denominator floor (Kingma and Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# share of the steps that one_cycle_lr spends warming up
+WARMUP_FRAC = 0.05
+
+
 class Adam:
     """Adaptive-moment estimation over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data, dtype=np.float64) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data, dtype=np.float64) for k, p in params.items()}
         self.t = 0
 
     def step(self, lr: float):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -49,13 +56,14 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
             m_hat = self.m[k] / (1 - b1**self.t)
             v_hat = self.v[k] / (1 - b2**self.t)
-            p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            p.data = p.data - (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
             p.grad = None
 
 
-def one_cycle_lr(step: int, total_steps: int, lr_max: float, warmup_frac: float = 0.05) -> float:
-    """Linear warmup to lr_max, then linear decay to 1% of it."""
-    warmup = max(1, int(total_steps * warmup_frac))
+def one_cycle_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """Linear warmup to lr_max over WARMUP_FRAC of the steps, then linear
+    decay to 1% of it."""
+    warmup = max(1, int(total_steps * WARMUP_FRAC))
     if step < warmup:
         return lr_max * (step + 1) / warmup
     frac = (step - warmup) / max(1, total_steps - warmup)

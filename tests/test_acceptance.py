@@ -18,7 +18,7 @@ import pytest
 
 from conftest import record_criterion
 from evhybrid.ann import ToyHead, ann_backbone_forward, toy_head_forward, toy_loss
-from evhybrid.bridge import BridgeParams, asab_forward, attention_parts, temporal_attention, tsdc
+from evhybrid.bridge import BridgeParams, asab_forward, attention_parts, tsdc
 from evhybrid.config import RunConfig, save_config
 from evhybrid.events import EventStream, bin_events
 from evhybrid.model import HybridModel
@@ -149,13 +149,11 @@ def _op_cases(rng):
         ("div", ops.div, [a34(), _wide(rng, (3, 4), 0.5, 2.0)]),
         ("neg", ops.neg, [a34()]),
         ("power", lambda t: ops.power(t, 3.0), [a34()]),
-        ("exp", ops.exp, [a34()]),
         ("log", ops.log, [_wide(rng, (3, 4), 0.5, 3.0)]),
         ("sqrt", ops.sqrt, [_wide(rng, (3, 4), 0.5, 3.0)]),
         ("sigmoid", ops.sigmoid, [a34()]),
         ("tanh", ops.tanh, [a34()]),
         ("relu", ops.relu, [_wide(rng, (3, 4), 0.2, 1.0)]),
-        ("abs", ops.abs_, [_wide(rng, (3, 4), 0.2, 1.0)]),
         ("softplus", ops.softplus, [a34()]),
         ("sum", lambda t: ops.sum(t, axis=1), [a34()]),
         ("mean", lambda t: ops.mean(t, axis=(0,)), [a34()]),
@@ -279,8 +277,8 @@ def test_criterion_3_deformable_equivalence():
         k = int(rng.choice([1, 3, 5]))
         h, w = int(rng.integers(4, 10)), int(rng.integers(4, 10))
         p = BridgeParams.init(t, kernel=k, rng=rng, dtype=WIDE)
-        a = Tensor(rng.standard_normal((t, h, w)))
-        out = tsdc(a, Tensor(np.zeros((2 * k * k * t, h, w))), p)
+        a = Tensor(rng.standard_normal((t, h, w))[None])
+        out = tsdc(a, Tensor(np.zeros((1, 2 * k * k * t, h, w))), p)
         ref = ops.conv2d(a, p.tsdc_w, p.tsdc_b, stride=1, padding=(k - 1) // 2, groups=t)
         worst = max(worst, float(np.abs(out.data - ref.data).max()))
     elapsed = time.monotonic() - t0
@@ -298,13 +296,13 @@ def test_criterion_4_time_separability():
         rng = np.random.default_rng(40 + seed)
         t, k, h, w = 5, 3, 6, 6
         p = BridgeParams.init(t, kernel=k, rng=rng, dtype=WIDE)
-        offsets = Tensor(rng.uniform(-1.2, 1.2, (2 * k * k * t, h, w)))
+        offsets = Tensor(rng.uniform(-1.2, 1.2, (2 * k * k * t, h, w))[None])
         a = rng.standard_normal((t, h, w))
-        base = tsdc(Tensor(a), offsets, p).data
+        base = tsdc(Tensor(a[None]), offsets, p).data[0]
         for step in range(t):
             bumped = a.copy()
             bumped[step] += rng.standard_normal((h, w))
-            out = tsdc(Tensor(bumped), offsets, p).data
+            out = tsdc(Tensor(bumped[None]), offsets, p).data[0]
             others = [s for s in range(t) if s != step]
             ok &= bool(np.array_equal(out[others], base[others]))
     record_criterion(4, ok, "tsdc timestep perturbations stay in their group (exact)")
@@ -321,17 +319,17 @@ def test_criterion_5_attention_invariants():
         t = 5
         p = BridgeParams.init(t, kernel=3, rng=rng, dtype=WIDE)
         a = rng.standard_normal((t, 4, 4))
-        scores, attended = attention_parts(Tensor(a), p)
-        ok &= bool(np.allclose(scores.data.sum(axis=1), 1.0, atol=1e-6))
+        scores, attended = attention_parts(Tensor(a[None]), p)
+        ok &= bool(np.allclose(scores.data.sum(axis=-1), 1.0, atol=1e-6))
         perm = rng.permutation(t)
-        scores_p, attended_p = attention_parts(Tensor(a[perm]), p)
-        ok &= bool(np.allclose(scores_p.data, scores.data[np.ix_(perm, perm)], atol=1e-6))
-        ok &= bool(np.allclose(attended_p.data, attended.data[perm], atol=1e-6))
+        scores_p, attended_p = attention_parts(Tensor(a[perm][None]), p)
+        ok &= bool(np.allclose(scores_p.data[0, 0], scores.data[0, 0][np.ix_(perm, perm)], atol=1e-6))
+        ok &= bool(np.allclose(attended_p.data[0], attended.data[0][perm], atol=1e-6))
     p1 = BridgeParams.init(1, kernel=3, rng=np.random.default_rng(0), dtype=WIDE)
-    a1 = Tensor(np.random.default_rng(1).standard_normal((1, 4, 4)))
+    a1 = Tensor(np.random.default_rng(1).standard_normal((1, 4, 4))[None])
     scores1, attended1 = attention_parts(a1, p1)
     value = a1.data * float(p1.v_gain.data[0]) + float(p1.v_bias.data[0])
-    ok &= bool(np.allclose(scores1.data, [[1.0]]))
+    ok &= bool(np.allclose(scores1.data[0, 0], [[1.0]]))
     ok &= bool(np.allclose(attended1.data, value, atol=1e-12))
     record_criterion(5, ok, "score rows sum to 1, permutation-equivariant, T=1 degenerate")
     assert ok
@@ -417,7 +415,7 @@ def test_criterion_7_bn_fusion_equivalence():
         q = quantize_per_channel(w, 8)
         f = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
         x = rng.integers(0, 4, (2, c_in, 5, 5))
-        y_int, _ = int_conv2d(x, q.int_weights, 1, 1)
+        y_int = int_conv2d(x, q.int_weights, 1, 1)[0].transpose(0, 3, 1, 2)
         fused_pre = y_int * f.scale.reshape(1, -1, 1, 1) + f.shift.reshape(1, -1, 1, 1)
         y_f = ops.conv2d(x.astype(np.float64), q.dequantize(), stride=1, padding=1).data
         bn = (y_f - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + eps).reshape(1, -1, 1, 1)

@@ -108,8 +108,8 @@ class TestTSDC:
     def test_zero_offsets_equal_grouped_conv(self, seed, t, kernel, h, w):
         rng = np.random.default_rng(seed)
         p = params_for(t=t, kernel=kernel, seed=seed)
-        a_c = Tensor(rng.standard_normal((t, h, w)))
-        zero_off = Tensor(np.zeros((2 * kernel * kernel * t, h, w)))
+        a_c = Tensor(rng.standard_normal((t, h, w))[None])
+        zero_off = Tensor(np.zeros((1, 2 * kernel * kernel * t, h, w)))
         out = tsdc(a_c, zero_off, p)
         ref = grouped_conv_reference(a_c, p)
         assert np.abs(out.data - ref.data).max() < 1e-6
@@ -125,11 +125,11 @@ class TestTSDC:
         a[:, :, 0] = 0.0
         off = np.zeros((t, k * k, 2, h, w))
         off[:, :, 1] = 1.0  # dx = +1 everywhere
-        out = tsdc(Tensor(a), Tensor(off.reshape(2 * k * k * t, h, w)), p)
+        out = tsdc(Tensor(a[None]), Tensor(off.reshape(1, 2 * k * k * t, h, w)), p)
         shifted = np.zeros_like(a)
         shifted[:, :, :-1] = a[:, :, 1:]  # shift left, zero fill on the right
         ref = grouped_conv_reference(Tensor(shifted), p)
-        np.testing.assert_allclose(out.data, ref.data, atol=1e-6)
+        np.testing.assert_allclose(out.data[0], ref.data, atol=1e-6)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -139,13 +139,13 @@ class TestTSDC:
         rng = np.random.default_rng(seed)
         t, k, h, w = 4, 3, 5, 5
         p = params_for(t=t, kernel=k, seed=seed)
-        offsets = Tensor(rng.uniform(-1.5, 1.5, (2 * k * k * t, h, w)))
+        offsets = Tensor(rng.uniform(-1.5, 1.5, (2 * k * k * t, h, w))[None])
         a = rng.standard_normal((t, h, w))
-        base = tsdc(Tensor(a), offsets, p).data
+        base = tsdc(Tensor(a[None]), offsets, p).data[0]
         for step in range(t):
             bumped = a.copy()
             bumped[step] += rng.standard_normal((h, w))
-            out = tsdc(Tensor(bumped), offsets, p).data
+            out = tsdc(Tensor(bumped[None]), offsets, p).data[0]
             others = [s for s in range(t) if s != step]
             np.testing.assert_array_equal(out[others], base[others])
             assert np.any(out[step] != base[step])
@@ -154,11 +154,11 @@ class TestTSDC:
 class TestTemporalAttention:
     def test_single_step_degenerates_to_value_plane(self):
         p = params_for(t=1)
-        a = Tensor(np.random.default_rng(5).standard_normal((1, 4, 4)))
+        a = Tensor(np.random.default_rng(5).standard_normal((1, 4, 4))[None])
         scores, attended = attention_parts(a, p)
-        np.testing.assert_allclose(scores.data, [[1.0]])
+        np.testing.assert_allclose(scores.data[0, 0], [[1.0]])
         value = a.data * float(p.v_gain.data[0]) + float(p.v_bias.data[0])
-        np.testing.assert_allclose(attended.data, value[None][0], atol=1e-12)
+        np.testing.assert_allclose(attended.data, value, atol=1e-12)
         out = temporal_attention(a, p)
         expected = value[0] * p.comb_w.data[0, 0, 0, 0] + p.comb_b.data[0]
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -166,7 +166,7 @@ class TestTemporalAttention:
     def test_identical_timesteps_give_uniform_scores(self):
         p = params_for(t=5)
         plane = np.random.default_rng(6).standard_normal((4, 4))
-        a = Tensor(np.broadcast_to(plane, (5, 4, 4)).copy())
+        a = Tensor(np.broadcast_to(plane, (5, 4, 4)).copy()[None])
         scores, _ = attention_parts(a, p)
         np.testing.assert_allclose(scores.data, 0.2, atol=1e-6)
 
@@ -175,9 +175,9 @@ class TestTemporalAttention:
     def test_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
         p = params_for(t=4, seed=seed)
-        a = Tensor(rng.standard_normal((4, 5, 5)))
+        a = Tensor(rng.standard_normal((4, 5, 5))[None])
         scores, _ = attention_parts(a, p)
-        np.testing.assert_allclose(scores.data.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(scores.data.sum(axis=-1), 1.0, atol=1e-6)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -187,32 +187,40 @@ class TestTemporalAttention:
         p = params_for(t=t, seed=seed)
         a = rng.standard_normal((t, 4, 4))
         perm = rng.permutation(t)
-        scores, attended = attention_parts(Tensor(a), p)
-        scores_p, attended_p = attention_parts(Tensor(a[perm]), p)
-        np.testing.assert_allclose(scores_p.data, scores.data[np.ix_(perm, perm)], atol=1e-6)
-        np.testing.assert_allclose(attended_p.data, attended.data[perm], atol=1e-6)
+        scores, attended = attention_parts(Tensor(a[None]), p)
+        scores_p, attended_p = attention_parts(Tensor(a[perm][None]), p)
+        np.testing.assert_allclose(scores_p.data[0, 0], scores.data[0, 0][np.ix_(perm, perm)], atol=1e-6)
+        np.testing.assert_allclose(attended_p.data[0], attended.data[0][perm], atol=1e-6)
 
     def test_multihead_channel_split(self):
         rng = np.random.default_rng(7)
         p = params_for(t=6, heads=2, seed=7)
-        a = Tensor(rng.standard_normal((6, 3, 3)))
+        a = Tensor(rng.standard_normal((6, 3, 3))[None])
         out = temporal_attention(a, p)
-        assert out.shape == (3, 3)
+        assert out.shape == (1, 3, 3)
         with pytest.raises(Exception):
             params_for(t=5, heads=2)
+
+
+def single_head_parts(a, p):
+    """Per head hd, the (scores [G, G], attended [G, H, W]) of a single-head
+    bridge holding head hd's gains, run on its own G = T/heads planes of the
+    [T, H, W] planes ``a``."""
+    g = p.n_steps // p.heads
+    parts = []
+    for hd in range(p.heads):
+        single = params_for(t=g)
+        for name in ("q_gain", "q_bias", "k_gain", "v_gain", "v_bias"):
+            getattr(single, name).data = getattr(p, name).data[hd : hd + 1].copy()
+        scores, attended = attention_parts(Tensor(a[None, hd * g : (hd + 1) * g]), single)
+        parts.append((scores.data[0, 0], attended.data[0]))
+    return parts
 
 
 def per_head_oracle(a, p):
     """temporal_attention of [T, H, W] planes built from single-head parts:
     head hd attends over its own G = T/heads planes with its own gains."""
-    g = p.n_steps // p.heads
-    attended = []
-    for hd in range(p.heads):
-        single = params_for(t=g)
-        for name in ("q_gain", "q_bias", "k_gain", "v_gain", "v_bias"):
-            getattr(single, name).data = getattr(p, name).data[hd : hd + 1].copy()
-        attended.append(attention_parts(Tensor(a[hd * g : (hd + 1) * g]), single)[1].data)
-    planes = np.concatenate(attended)
+    planes = np.concatenate([attended for _, attended in single_head_parts(a, p)])
     return np.tensordot(p.comb_w.data[0, :, 0, 0], planes, axes=1) + p.comb_b.data[0]
 
 
@@ -224,8 +232,25 @@ class TestMultiHead:
         for prm in p.parameters().values():
             prm.data = prm.data + 0.5 * rng.standard_normal(prm.shape)
         a = rng.standard_normal((10, 4, 5))
-        out = temporal_attention(Tensor(a), p)
-        np.testing.assert_allclose(out.data, per_head_oracle(a, p), rtol=1e-12, atol=1e-12)
+        out = temporal_attention(Tensor(a[None]), p)
+        np.testing.assert_allclose(out.data[0], per_head_oracle(a, p), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [2, 5])
+    def test_scores_match_single_head_blocks(self, heads):
+        # every head's [G, G] block is a row-stochastic score matrix, equal
+        # to that of a single-head bridge holding the head's gains
+        rng = np.random.default_rng(heads)
+        p = params_for(t=10, heads=heads, seed=heads)
+        for prm in p.parameters().values():
+            prm.data = prm.data + 0.5 * rng.standard_normal(prm.shape)
+        a = rng.standard_normal((2, 10, 4, 5))
+        scores, _ = attention_parts(Tensor(a), p)
+        g = 10 // heads
+        assert scores.shape == (2, heads, g, g)
+        np.testing.assert_allclose(scores.data.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        for c in range(2):
+            for hd, (want, _) in enumerate(single_head_parts(a[c], p)):
+                np.testing.assert_allclose(scores.data[c, hd], want, rtol=1e-12, atol=1e-12)
 
     def test_end_to_end_gradcheck_two_heads(self):
         rng = np.random.default_rng(15)
@@ -283,7 +308,7 @@ class TestFullBridge:
         out = asab_forward(spikes, p)
         # zero input: the deformable conv emits its bias planes, attention
         # mixes them (same for every channel), gate is sigmoid(0) = 0.5
-        bias_planes = Tensor(np.zeros((4, 5, 5))) + ops.reshape(p.tsdc_b, (4, 1, 1))
+        bias_planes = Tensor(np.zeros((1, 4, 5, 5))) + ops.reshape(p.tsdc_b, (1, 4, 1, 1))
         a_out = temporal_attention(bias_planes, p)
         expected = 0.5 * np.broadcast_to(a_out.data, (3, 5, 5))
         np.testing.assert_allclose(out.data, expected, atol=1e-9)

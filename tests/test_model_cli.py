@@ -562,6 +562,22 @@ class TestCLI:
         assert "error[config]" in res.stderr and "T must be at least 1" in res.stderr
 
     @pytest.mark.parametrize(
+        "layers",
+        # a zero kernel, zero out-channels, and a kernel wider than the
+        # padded 40x40 sensor, which leaves an empty output
+        ["8c0p0s1, 8c3p1s2", "0c3p1s1, 16c3p1s2", "8c41p0s1, 16c3p1s2"],
+    )
+    def test_bad_layer_string_config_exit_code(self, tmp_path, layers):
+        text = (CONFIG_DIR / "toy.ini").read_text()
+        assert "snn_layers = 8c3p1s2, 16c3p1s2\n" in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("snn_layers = 8c3p1s2, 16c3p1s2\n", f"snn_layers = {layers}\n"))
+        res = run_cli(["--config", str(bad), "--out", str(tmp_path / "prof"), "profile"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "error[config]" in res.stderr
+        assert not (tmp_path / "prof").exists()
+
+    @pytest.mark.parametrize(
         "line", ["speed_min = nan", "shape_size_min = 12.0", "scene_duration_ms = 20", "lr = nan"]
     )
     def test_bad_training_key_exit_code(self, tmp_path, line):

@@ -26,7 +26,6 @@ from evhybrid.quantize import (
     quantize_per_channel,
     run_quantize,
     save_quantized,
-    spike_fidelity,
 )
 
 
@@ -121,7 +120,8 @@ class TestFuseBnLif:
         fused = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
 
         x = rng.integers(0, 4, (1, c_in, 6, 6))
-        y_int, over = int_conv2d(x, q.int_weights, stride=1, padding=1)
+        y_int, _, over = int_conv2d(x, q.int_weights, stride=1, padding=1)
+        y_int = y_int.transpose(0, 3, 1, 2)
         assert over == 0
         fused_pre = y_int * fused.scale.reshape(1, -1, 1, 1) + fused.shift.reshape(1, -1, 1, 1)
 
@@ -136,7 +136,8 @@ class TestIntConv:
         rng = np.random.default_rng(0)
         x = rng.integers(0, 3, (2, 2, 6, 6))
         w = rng.integers(-127, 128, (4, 2, 3, 3))
-        y, over = int_conv2d(x, w, stride=2, padding=1)
+        y, _, over = int_conv2d(x, w, stride=2, padding=1)
+        y = y.transpose(0, 3, 1, 2)
         assert over == 0
         assert y.shape == (2, 4, 3, 3)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -161,7 +162,8 @@ class TestIntConv:
         rng = np.random.default_rng(seed)
         x = rng.integers(-(2**x_bits), 2**x_bits + 1, (2, 2, h, w))
         wt = rng.integers(-(2**w_bits), 2**w_bits + 1, (3, 2, 3, 3))
-        y, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        y, _, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        y = y.transpose(0, 3, 1, 2)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         h_out = (h + 2 * padding - 3) // stride + 1
         w_out = (w + 2 * padding - 3) // stride + 1
@@ -186,7 +188,7 @@ class TestIntConv:
     def test_saturation_counted(self):
         x = np.full((1, 1, 3, 3), 2**28, dtype=np.int64)
         w = np.full((1, 1, 3, 3), 100, dtype=np.int64)
-        y, over = int_conv2d(x, w, stride=1, padding=0)
+        y, _, over = int_conv2d(x, w, stride=1, padding=0)
         assert over == 1
         assert y.max() == 2**31 - 1
 
@@ -194,7 +196,7 @@ class TestIntConv:
 class TestFidelity:
     def test_identical_tensors(self):
         a = np.random.default_rng(0).integers(0, 2, (4, 2, 3, 3))
-        rep = spike_fidelity(a, a.copy())
+        rep = fidelity_from_layers([a], [a.copy()], ["spikes"])
         assert rep.match_rate == 1.0
         assert rep.first_divergence_t is None
 
@@ -202,13 +204,13 @@ class TestFidelity:
         a = np.zeros((4, 1, 5, 5), dtype=np.int64)
         b = a.copy()
         b[2, 0, 1, 1] = 1
-        rep = spike_fidelity(a, b)
+        rep = fidelity_from_layers([a], [b], ["spikes"])
         assert rep.match_rate == pytest.approx(0.99)
         assert rep.first_divergence_t == 2
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            spike_fidelity(np.zeros((2, 1, 2, 2)), np.zeros((3, 1, 2, 2)))
+            fidelity_from_layers([np.zeros((2, 1, 2, 2))], [np.zeros((3, 1, 2, 2))], ["spikes"])
 
     def test_multi_layer_merge(self):
         a = [np.zeros((2, 1, 2, 2), dtype=int), np.zeros((2, 1, 2, 2), dtype=int)]
@@ -265,7 +267,7 @@ class TestFixedPointPipeline:
         counts = rng.poisson(0.3, (10, 2, 16, 16)).astype(np.int64)
         ref = float_reference_spikes(model, counts)
         test = fixed_point_forward(counts, FixedPointModel.from_model(model, 8))
-        rep = spike_fidelity(ref, test)
+        rep = fidelity_from_layers([ref], [test], ["snn2"])
         assert rep.match_rate >= 0.98
 
     def test_fixed_point_requires_integer_input(self):

@@ -14,7 +14,6 @@ from evhybrid.snn import (
     SNNBlock,
     conv_bn,
     parse_layer_string,
-    plif_sequence,
     plif_step,
     snn_backbone_forward,
     snn_block_forward,
@@ -29,9 +28,8 @@ class TestLayerGrammar:
     def test_parse(self):
         assert parse_layer_string("64c3p1s2") == (64, 3, 1, 2)
 
-    def test_roundtrip(self):
-        cfg = ConvSpec.from_string("128c5p2s1")
-        assert cfg.to_string() == "128c5p2s1"
+    def test_from_string_fields(self):
+        assert ConvSpec.from_string("128c5p2s1") == ConvSpec(out_channels=128, kernel=5, padding=2, stride=1)
 
     def test_malformed_reports_position(self):
         with pytest.raises(ConfigError, match="position 2"):
@@ -80,7 +78,7 @@ class TestPLIF:
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((5, 2, 3, 3)))
         w = plif(0.3)
-        np.testing.assert_array_equal(plif_sequence(x, w).data, step_loop(x, w).data)
+        np.testing.assert_array_equal(ops.plif_scan(x, w).data, step_loop(x, w).data)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -97,7 +95,7 @@ class TestPLIF:
         wd = np.asarray(rng.uniform(-3.0, 3.0), dtype=dtype)
         g = rng.standard_normal(shape).astype(dtype)
         results = []
-        for fn in (plif_sequence, step_loop):
+        for fn in (ops.plif_scan, step_loop):
             x, w = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
             with GradTape() as tape:
                 out = fn(x, w, smooth=smooth)
@@ -115,7 +113,7 @@ class TestPLIF:
 
 
 def step_loop(x, w, smooth=False):
-    """``plif_step`` looped over T op by op: the oracle for ``plif_sequence``."""
+    """``plif_step`` looped over T op by op: the oracle for ``ops.plif_scan``."""
     v, outs = None, []
     for t in range(x.shape[0]):
         v, s = plif_step(v, x[t], w, smooth=smooth)
