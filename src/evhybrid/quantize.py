@@ -23,6 +23,12 @@ counted, never silent). Only the output sites a tap reached carry their own
 membranes; every other cell of a channel sees the same input, shift[c], at
 every step, so all of them share one quiet trajectory per channel, computed
 once. Membranes stay in real arithmetic.
+
+The float reference that fidelity reports compare against is event-driven
+too, with the same structure: the same rulebook conv, in float64, then the
+training math's inference neurons (batchnorm with running statistics and the
+PLIF scan) at the live sites plus one quiet trajectory per channel. The two
+paths differ only in the per-site arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +45,8 @@ from .arrayio import _entry_dtype
 from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
-from .numerics import WIDE, Tensor
-from .snn import V_RESET, V_THRESHOLD, snn_block_forward
+from .numerics import WIDE, Tensor, ops
+from .snn import V_RESET, V_THRESHOLD, SNNBlock
 
 INT32_MAX = np.int64(2**31 - 1)
 QUANT_FORMAT_VERSION = 2
@@ -110,40 +117,36 @@ def fuse_bn_lif(
     return FusedLIFParams(scale=scale, shift=shift)
 
 
-def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold input.
+def _rulebook_conv(
+    x: np.ndarray, w: np.ndarray, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conv of the sites of ``x`` [N, C_in, H, W] that hold input, computed in
+    the dtype of the weights ``w`` [C_out, C_in, K, K].
 
     The active sites are the (t, y, x) positions with any nonzero channel.
     For each tap (ky, kx), the rulebook keeps the sites whose
     (y + padding - ky, x + padding - kx) lands on the stride grid inside the
     output, and adds their rows times ``w[:, :, ky, kx].T`` to those output
-    cells in int64. Within one tap no two sites share an output, so the
-    fancy-index ``+=`` is exact. Partial sums are bounded by
-    max|x| * max_c sum|w[c]|; a bound of 2**53 or more raises NumericError,
-    so every partial sum is exact in float64 too. Cells beyond the int32 range
-    are clamped and counted. Returns the [N, H', W', C_out] int64 output, the
-    flat H'*W' output sites that some tap reached, and the saturation count.
+    cells. Within one tap no two sites share an output, so the fancy-index
+    ``+=`` adds each cell once, and every cell sums its taps in (ky, kx)
+    order. Returns the [N, H', W', C_out] output, the flat H'*W' output
+    sites that some tap reached, and the gathered [S, C_in] input rows.
     """
     if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"integer conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
+        raise ShapeError(f"rulebook conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
     n, c_in, h, wd = x.shape
     c_out, c_w, kh, kw = w.shape
     if stride < 1 or padding < 0:
-        raise ShapeError(f"integer conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
+        raise ShapeError(f"rulebook conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
     if c_w != c_in:
         raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {c_in}")
     h_out = (h + 2 * padding - kh) // stride + 1
     w_out = (wd + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
-        raise ShapeError(f"integer conv output spatial axis empty: ({h_out}, {w_out})")
+        raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
     t, ys, xs = np.nonzero(x.any(axis=1))
-    rows = x[t, :, ys, xs].astype(np.int64)  # [S, C_in]
-    w = w.astype(np.int64)
-    x_peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
-    bound = x_peak * int(np.abs(w).reshape(c_out, -1).sum(axis=1).max(initial=0))
-    if bound >= 2**53:
-        raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
-    out = np.zeros((n * h_out * w_out, c_out), dtype=np.int64)
+    rows = x[t, :, ys, xs].astype(w.dtype)  # [S, C_in]
+    out = np.zeros((n * h_out * w_out, c_out), dtype=w.dtype)
     touched = np.zeros(h_out * w_out, dtype=bool)
     oy, ry = np.divmod(ys[None] + padding - np.arange(kh)[:, None], stride)
     ox, rx = np.divmod(xs[None] + padding - np.arange(kw)[:, None], stride)
@@ -155,11 +158,30 @@ def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple
             site = oy[ky, ok] * w_out + ox[kx, ok]
             touched[site] = True
             out[t[ok] * (h_out * w_out) + site] += rows[ok] @ w[:, :, ky, kx].T
+    return out.reshape(n, h_out, w_out, c_out), np.flatnonzero(touched), rows
+
+
+def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold
+    input: the rulebook conv (``_rulebook_conv``) in int64.
+
+    Partial sums are bounded by max|x| * max_c sum|w[c]|; a bound of 2**53 or
+    more raises NumericError, so every partial sum is exact in float64 too.
+    Cells beyond the int32 range are clamped and counted. Returns the
+    [N, H', W', C_out] int64 output, the flat H'*W' output sites that some tap
+    reached, and the saturation count.
+    """
+    w = w.astype(np.int64)
+    out, live, rows = _rulebook_conv(x, w, stride, padding)
+    x_peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    bound = x_peak * int(np.abs(w).reshape(len(w), -1).sum(axis=1).max(initial=0))
+    if bound >= 2**53:
+        raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
     over = 0
     if bound > INT32_MAX:  # otherwise no cell can leave the int32 range
         over = int(np.count_nonzero(np.abs(out) > INT32_MAX))
         out = np.clip(out, -INT32_MAX, INT32_MAX)
-    return out.reshape(n, h_out, w_out, c_out), np.flatnonzero(touched), over
+    return out, live, over
 
 
 @dataclass
@@ -235,8 +257,7 @@ def fixed_point_forward(
 
     ``counts``: [T, 2, H, W] integer event counts. Each layer runs the
     event-driven rulebook conv over the sites that hold input, exact in
-    integers, then the membranes in float64: one per output site the conv
-    reached, and one shared quiet trajectory per channel for the rest.
+    integers, then the fused membranes in float64 (``_live_membranes``).
     Returns the final binary spike tensor, or all per-layer spike tensors
     when ``collect_layers``. Saturation events accumulate on the model.
     """
@@ -247,51 +268,82 @@ def fixed_point_forward(
     for blk in fpm.blocks:
         y, live, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
         fpm.overflow_count += over
-        x = _membrane(y, live, blk)
+        x = _live_membranes(y, live, partial(_fused_lif, blk=blk))
+        del y  # the dense conv output, a layer's largest buffer
         layers.append(x.astype(np.int64))
     return layers if collect_layers else layers[-1]
-
-
-def _membrane(y: np.ndarray, live: np.ndarray, blk: FixedPointBlock) -> np.ndarray:
-    """Fused leaky integrate-and-fire over a [T, H, W, C] conv output.
-
-    Only the ``live`` flat sites, which the conv reached at some step, carry
-    their own membranes. Every other cell of a channel sees u = 0*scale +
-    shift at every step, so all of them follow one quiet trajectory per
-    channel, carried by a zero row after the live ones. Returns the
-    [T, C, H, W] boolean spikes.
-    """
-    t, h, w, c = y.shape
-    y = np.concatenate([y.reshape(t, h * w, c)[:, live], np.zeros((t, 1, c), dtype=np.int64)], axis=1)
-    u = y.astype(np.float64) * blk.fused.scale + blk.fused.shift
-    v = np.full(y.shape[1:], V_RESET, dtype=np.float64)
-    fired = np.empty(y.shape, dtype=bool)
-    keep = 1.0 - blk.leak
-    for step in range(t):
-        v = keep * v + u[step]
-        fired[step] = v >= V_THRESHOLD
-        v = np.where(fired[step], V_RESET, v)
-    spikes = np.repeat(fired[:, -1, :, None], h * w, axis=2)
-    spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
-    return spikes.reshape(t, c, h, w)
 
 
 def float_reference_spikes(
     model: HybridModel, counts: np.ndarray, collect_layers: bool = False
 ) -> np.ndarray | list[np.ndarray]:
-    """Wide-float inference of the spiking stack (running batchnorm stats).
+    """Wide-float inference of the spiking stack (running batchnorm stats),
+    event-driven like :func:`fixed_point_forward`.
 
-    Runs the training math, ``snn_block_forward``, on float64 copies of the
-    blocks. The fixed-point path is compared against this trajectory; both
-    run their membranes in float64 so differences come only from weight
-    rounding.
+    ``counts``: [T, 2, H, W] event counts; any other shape raises
+    ShapeError, and a non-finite weight or batchnorm statistic raises
+    NumericError naming the layer. On float64 copies of the blocks, each
+    layer runs the rulebook conv in float64, then the training math's
+    inference neurons (``_float_lif``) at the live sites and on one quiet
+    trajectory per channel. The fixed-point path is compared against this
+    trajectory; both run their membranes in float64 so differences come only
+    from weight rounding. The conv adds its taps per output cell in rulebook
+    order, so a membrane can differ from a dense float64 conv's by a few ulps.
     """
-    x = Tensor(np.asarray(counts, dtype=WIDE))
+    x = np.asarray(counts)
     layers = []
     for i, blk in enumerate(model.snn_blocks, start=1):
-        x = snn_block_forward(x, blk.astype(WIDE), training=False, context=f"snn{i}")
-        layers.append(x.data.astype(np.int64))
+        blk = blk.astype(WIDE)
+        if not np.isfinite(blk.conv_w.data).all():  # silent sites never meet the weights
+            raise NumericError(f"non-finite conv weights in snn{i}")
+        y, live, _ = _rulebook_conv(x, blk.conv_w.data, blk.cfg.stride, blk.cfg.padding)
+        x = _live_membranes(y, live, partial(_float_lif, blk=blk, context=f"snn{i}"))
+        del y
+        layers.append(x.astype(np.int64))
     return layers if collect_layers else layers[-1]
+
+
+def _live_membranes(y: np.ndarray, live: np.ndarray, update) -> np.ndarray:
+    """Boolean spikes [T, C, H, W] of the neurons fed by a [T, H, W, C] conv
+    output.
+
+    Only the ``live`` flat sites, which the conv reached at some step, carry
+    their own membranes. Every other cell of a channel sees a conv output of
+    0 at every step, so all of them follow one quiet trajectory per channel,
+    carried by a zero row after the live ones. ``update`` maps the
+    [T, L+1, C] conv outputs of these rows to their boolean spikes.
+    """
+    t, h, w, c = y.shape
+    y = np.concatenate([y.reshape(t, h * w, c)[:, live], np.zeros((t, 1, c), dtype=y.dtype)], axis=1)
+    fired = update(y)
+    spikes = np.repeat(fired[:, -1, :, None], h * w, axis=2)
+    spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
+    return spikes.reshape(t, c, h, w)
+
+
+def _fused_lif(y: np.ndarray, blk: FixedPointBlock) -> np.ndarray:
+    """Fused leaky integrate-and-fire over integer conv outputs [T, S, C]:
+    V <- (1 - leak) V + (scale*y + shift), firing at V_THRESHOLD."""
+    u = y.astype(np.float64) * blk.fused.scale + blk.fused.shift
+    v = np.full(y.shape[1:], V_RESET, dtype=np.float64)
+    fired = np.empty(y.shape, dtype=bool)
+    keep = 1.0 - blk.leak
+    for step in range(len(y)):
+        v = keep * v + u[step]
+        fired[step] = v >= V_THRESHOLD
+        v = np.where(fired[step], V_RESET, v)
+    return fired
+
+
+def _float_lif(y: np.ndarray, blk: SNNBlock, context: str) -> np.ndarray:
+    """The spiking block's inference neurons over float conv outputs
+    [T, S, C]: ``ops.batchnorm2d`` with the running statistics, then
+    ``ops.plif_scan``, on a [T, C, S, 1] view. Both act per cell, so every
+    cell gets the arithmetic of ``snn_block_forward``."""
+    z = ops.batchnorm2d(
+        Tensor(y.transpose(0, 2, 1)[..., None]), blk.bn_mean, blk.bn_var, blk.bn_gamma, blk.bn_beta, blk.bn_eps
+    )
+    return ops.plif_scan(z, blk.plif_w, context=context).data[..., 0].transpose(0, 2, 1) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .numerics import NARROW, Tensor, ops
 _LAYER_RE = re.compile(r"(\d+)c(\d+)p(\d+)s(\d+)")
 
 # ops.plif_scan has both values written in; it, plif_step and
-# quantize._membrane drop the reset term, which needs V_RESET = 0
+# quantize._fused_lif drop the reset term, which needs V_RESET = 0
 V_THRESHOLD = 1.0
 V_RESET = 0.0
 

@@ -2,6 +2,7 @@
 and spike-fidelity reporting."""
 
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
-from evhybrid.numerics import ops
+from evhybrid.numerics import WIDE, Tensor, ops
 from evhybrid.quantize import (
     FixedPointBlock,
     FixedPointModel,
@@ -27,6 +28,7 @@ from evhybrid.quantize import (
     run_quantize,
     save_quantized,
 )
+from evhybrid.snn import snn_block_forward
 
 
 class TestQuantizePerChannel:
@@ -235,10 +237,10 @@ class TestFidelity:
         assert rep.match_rate == pytest.approx(28 / 32)
 
 
-def tiny_model(seed=0, snn_layers=("4c3p1s2", "6c3p1s1")):
+def tiny_model(seed=0, snn_layers=("4c3p1s2", "6c3p1s1"), height=16, width=16):
     cfg = RunConfig()
-    cfg.simulation.sensor_width = 16
-    cfg.simulation.sensor_height = 16
+    cfg.simulation.sensor_width = width
+    cfg.simulation.sensor_height = height
     cfg.architecture.snn_layers = list(snn_layers)
     cfg.architecture.ann_layers = ["8c3p1s1"]
     cfg.architecture.lstm_positions = []
@@ -606,3 +608,159 @@ class TestFloatReference:
         for g, w in zip(got, want):
             assert w.any()
             np.testing.assert_array_equal(g, w)
+
+
+def _dense_float_reference(model, counts):
+    """The dense float reference the event-driven one replaced, kept as its
+    oracle: ``snn_block_forward`` (im2col ``conv2d`` over every site,
+    running-stat batchnorm and ``plif_scan`` over every cell) on float64
+    copies of the blocks."""
+    x = Tensor(np.asarray(counts, dtype=WIDE))
+    layers = []
+    for i, blk in enumerate(model.snn_blocks, start=1):
+        x = snn_block_forward(x, blk.astype(WIDE), training=False, context=f"snn{i}")
+        layers.append(x.data.astype(np.int64))
+    return layers
+
+
+def _firing_model(rng, snn_layers, height=16, width=16, quiet_fires=True):
+    """A tiny model whose spiking layers fire on a few events; with
+    ``quiet_fires``, the first channel's quiet trajectory (no input at all)
+    fires too, so the next layer reads input at every site."""
+    model = tiny_model(seed=int(rng.integers(2**31)), snn_layers=snn_layers, height=height, width=width)
+    for blk in model.snn_blocks:
+        c = blk.cfg.out_channels
+        blk.conv_w.data = (blk.conv_w.data * 4).astype(np.float32)
+        blk.bn_gamma.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        blk.bn_beta.data = rng.uniform(-0.3, 0.6, c).astype(np.float32)
+        blk.bn_mean = rng.uniform(-0.1, 0.1, c).astype(np.float32)
+        blk.bn_var = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        blk.plif_w.data = np.asarray(rng.uniform(-1.0, 1.0), dtype=np.float32)
+    if quiet_fires:
+        model.snn_blocks[0].bn_beta.data[0] = 1.5
+    return model
+
+
+def _assert_matches_dense_reference(model, counts):
+    want = _dense_float_reference(model, counts)
+    got = float_reference_spikes(model, counts, collect_layers=True)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(float_reference_spikes(model, counts), want[-1])
+    return want
+
+
+def _window(rng, kind, shape):
+    if kind == "zero":
+        return np.zeros(shape, dtype=np.int64)
+    if kind == "ones":
+        return np.ones(shape, dtype=np.int64)
+    counts = rng.binomial(3, 0.05, shape).astype(np.int64)
+    counts[shape[0] // 2 :] = 0  # "silent-tail": the later steps hold no event
+    return counts
+
+
+def _sensor_like_window(rng):
+    """A [10, 2, 240, 304] window shaped like the deployment workload's:
+    uniform noise on about 0.25% of the (t, y, x) sites, plus the 2-px
+    outlines of four 20-px squares moving up to 2 px per step, so that about
+    1% of the sites hold an event and about a quarter of the stride-2 output
+    sites ever receive one."""
+    counts = rng.binomial(1, 0.00125, (10, 2, 240, 304)).astype(np.int64)
+    ring = np.ones((20, 20), dtype=bool)
+    ring[2:-2, 2:-2] = False
+    for _ in range(4):
+        y0, x0 = rng.integers(30, 190), rng.integers(30, 254)
+        vy, vx = rng.integers(-2, 3, 2)
+        for t in range(10):
+            y, x = y0 + vy * t, x0 + vx * t
+            counts[t, t % 2, y : y + 20, x : x + 20] += ring
+    return counts
+
+
+class TestEventDrivenFloatReference:
+    """The event-driven float reference against the dense one: spike-equal
+    layers. Its conv sums taps in another order, so membranes may move by
+    ulps; on random weights no spike sits that close to the threshold."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        geometry=st.lists(
+            st.tuples(st.integers(1, 5), st.sampled_from([1, 2]), st.sampled_from([0, 1])), min_size=1, max_size=3
+        ),
+        steps=st.integers(1, 5),
+        h=st.integers(16, 20),
+        w=st.integers(16, 20),
+        density=st.sampled_from([0.003, 0.02, 0.1]),
+        silent_from=st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_reference(self, seed, geometry, steps, h, w, density, silent_from):
+        rng = np.random.default_rng(seed)
+        model = _firing_model(rng, [f"{c}c3p{p}s{s}" for c, s, p in geometry], h, w)
+        counts = rng.binomial(3, density, (steps, 2, h, w)).astype(np.int64)
+        counts[silent_from:] = 0
+        _assert_matches_dense_reference(model, counts)
+
+    @pytest.mark.parametrize("kind", ["zero", "ones", "silent-tail"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_window_kinds(self, kind, stride, padding):
+        rng = np.random.default_rng(100 * stride + 10 * padding + len(kind))
+        model = _firing_model(rng, [f"4c3p{padding}s{stride}", f"3c3p{padding}s{stride}"])
+        want = _assert_matches_dense_reference(model, _window(rng, kind, (6, 2, 16, 16)))
+        assert want[0][:, 0].any()  # the first channel fires even where no input reaches it
+
+    def test_sparse_sensor_window(self):
+        rng = np.random.default_rng(10)
+        model = _firing_model(rng, ["8c3p1s2", "16c3p1s2"], height=240, width=304, quiet_fires=False)
+        want = _assert_matches_dense_reference(model, _sensor_like_window(rng))
+        assert all(layer.any() for layer in want)
+
+    def test_peak_memory_below_dense_im2col(self):
+        # the dense path's layer-1 float64 im2col alone is T * C_in * K*K *
+        # H' * W' * 8 bytes (26 MB here); on a window as sparse as the
+        # deployment workload's, the event-driven pass stays below it
+        rng = np.random.default_rng(8)
+        model = _firing_model(rng, ["8c3p1s2", "16c3p1s2"], height=240, width=304, quiet_fires=False)
+        counts = _sensor_like_window(rng)
+        sites = counts.any(axis=1)
+        reach = np.lib.stride_tricks.sliding_window_view(np.pad(sites.any(axis=0), 1), (3, 3))[::2, ::2]
+        assert 0.008 <= sites.mean() <= 0.011 and reach.any(axis=(2, 3)).mean() <= 0.3
+        im2col = 10 * 2 * 3 * 3 * 120 * 152 * 8
+        tracemalloc.start()
+        try:
+            float_reference_spikes(model, counts, collect_layers=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < im2col
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (1, 6, 2, 16, 16), (6, 3, 16, 16), (6, 1, 16, 16)])
+    def test_counts_not_t_2_h_w_is_shape_error(self, shape):
+        model = tiny_model()
+        with pytest.raises(ShapeError):
+            float_reference_spikes(model, np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("kind", ["zero", "silent-tail"])
+    @pytest.mark.parametrize("layer, stat", [(0, "bn_var"), (1, "bn_mean"), (1, "bn_var")])
+    def test_non_finite_batchnorm_statistic_names_the_layer(self, kind, layer, stat):
+        rng = np.random.default_rng(9)
+        model = _firing_model(rng, ["4c3p1s2", "6c3p1s1"])
+        blk = model.snn_blocks[layer]
+        getattr(blk, stat)[-1] = np.nan if stat == "bn_var" else np.inf
+        with pytest.raises(NumericError, match=f"snn{layer + 1}"):
+            float_reference_spikes(model, _window(rng, kind, (6, 2, 16, 16)))
+
+    @pytest.mark.parametrize("kind", ["zero", "silent-tail"])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_non_finite_conv_weight_names_the_layer(self, kind, layer):
+        # a dense conv multiplies every weight by the input, zeros included;
+        # the rulebook conv never touches the weights on a silent window
+        rng = np.random.default_rng(10)
+        model = _firing_model(rng, ["4c3p1s2", "6c3p1s1"])
+        model.snn_blocks[layer].conv_w.data[-1, 0, 1, 1] = np.nan
+        with pytest.raises(NumericError, match=f"snn{layer + 1}"):
+            float_reference_spikes(model, _window(rng, kind, (6, 2, 16, 16)))
