@@ -19,10 +19,13 @@ that hold input and, tap by tap, adds their rows times the tap's weights to
 the output cells they reach (a gather-GEMM-scatter rulebook conv, Graham and
 van der Maaten 2017), exactly in int64 under a checked 2**53 bound on every
 partial sum, then saturates to the int32 range (saturation events are
-counted, never silent). Only the output sites a tap reached carry their own
-membranes; every other cell of a channel sees the same input, shift[c], at
-every step, so all of them share one quiet trajectory per channel, computed
-once. Membranes stay in real arithmetic.
+counted, never silent). Its output is compact, as in sparse-conv engines:
+one row per live output site (one that some tap reaches), then one all-zero
+row. Only the live sites carry their own membranes; every other cell of a
+channel sees the same input, shift[c], at every step, so all of them share
+one quiet trajectory per channel, computed once on the zero row. Membranes
+stay in real arithmetic, and each layer's spikes come out as a boolean
+[T, C, H', W'] tensor, the next layer's input.
 
 The float reference that fidelity reports compare against is event-driven
 too, with the same structure: the same rulebook conv, in float64, then the
@@ -119,18 +122,23 @@ def fuse_bn_lif(
 
 def _rulebook_conv(
     x: np.ndarray, w: np.ndarray, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int], np.ndarray]:
     """Conv of the sites of ``x`` [N, C_in, H, W] that hold input, computed in
-    the dtype of the weights ``w`` [C_out, C_in, K, K].
+    the dtype of the weights ``w`` [C_out, C_in, K, K], stored only at the
+    output sites it reaches.
 
     The active sites are the (t, y, x) positions with any nonzero channel.
-    For each tap (ky, kx), the rulebook keeps the sites whose
-    (y + padding - ky, x + padding - kx) lands on the stride grid inside the
-    output, and adds their rows times ``w[:, :, ky, kx].T`` to those output
-    cells. Within one tap no two sites share an output, so the fancy-index
-    ``+=`` adds each cell once, and every cell sums its taps in (ky, kx)
-    order. Returns the [N, H', W', C_out] output, the flat H'*W' output
-    sites that some tap reached, and the gathered [S, C_in] input rows.
+    The live output sites are the flat H'*W' sites that some in-bounds tap
+    of an active site reaches at some step; they are found from the tap
+    geometry first. For each tap (ky, kx), the rulebook then keeps the sites
+    whose (y + padding - ky, x + padding - kx) lands on the stride grid
+    inside the output, and adds their rows times ``w[:, :, ky, kx].T`` to
+    those output cells' rows. Within one tap no two sites share an output,
+    so the fancy-index ``+=`` adds each cell once, and every cell starts at
+    0 and sums its taps in (ky, kx) order. Returns the [N, L+1, C_out]
+    output (one row per live site, then an all-zero row for every other
+    site), the sorted ``live`` sites, the output (H', W'), and the gathered
+    [S, C_in] input rows.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"rulebook conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
@@ -144,10 +152,21 @@ def _rulebook_conv(
     w_out = (wd + 2 * padding - kw) // stride + 1
     if h_out < 1 or w_out < 1:
         raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
-    t, ys, xs = np.nonzero(x.any(axis=1))
+    active = x.any(axis=1)
+    ever = np.pad(active.any(axis=0), padding)  # the sites active at any step
+    reached = np.zeros((h_out, w_out), dtype=bool)
+    for ky in range(kh):
+        for kx in range(kw):
+            reached |= ever[ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
+    live = np.flatnonzero(reached)
+    n_rows = len(live) + 1
+    row_of = np.empty(h_out * w_out, dtype=np.intp)  # read only at live sites
+    row_of[live] = np.arange(len(live))
+    t, site = np.divmod(np.flatnonzero(active), h * wd)
+    ys, xs = np.divmod(site, wd)
     rows = x[t, :, ys, xs].astype(w.dtype)  # [S, C_in]
-    out = np.zeros((n * h_out * w_out, c_out), dtype=w.dtype)
-    touched = np.zeros(h_out * w_out, dtype=bool)
+    out = np.zeros((n, n_rows, c_out), dtype=w.dtype)
+    flat = out.reshape(-1, c_out)
     oy, ry = np.divmod(ys[None] + padding - np.arange(kh)[:, None], stride)
     ox, rx = np.divmod(xs[None] + padding - np.arange(kw)[:, None], stride)
     in_y = (ry == 0) & (oy >= 0) & (oy < h_out)
@@ -155,24 +174,26 @@ def _rulebook_conv(
     for ky in range(kh):
         for kx in range(kw):
             ok = np.flatnonzero(in_y[ky] & in_x[kx])
-            site = oy[ky, ok] * w_out + ox[kx, ok]
-            touched[site] = True
-            out[t[ok] * (h_out * w_out) + site] += rows[ok] @ w[:, :, ky, kx].T
-    return out.reshape(n, h_out, w_out, c_out), np.flatnonzero(touched), rows
+            cell = t[ok] * n_rows + row_of[oy[ky, ok] * w_out + ox[kx, ok]]
+            flat[cell] += rows[ok] @ w[:, :, ky, kx].T
+    return out, live, (h_out, w_out), rows
 
 
-def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, int]:
+def int_conv2d(
+    x: np.ndarray, w: np.ndarray, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int], int]:
     """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold
     input: the rulebook conv (``_rulebook_conv``) in int64.
 
     Partial sums are bounded by max|x| * max_c sum|w[c]|; a bound of 2**53 or
     more raises NumericError, so every partial sum is exact in float64 too.
     Cells beyond the int32 range are clamped and counted. Returns the
-    [N, H', W', C_out] int64 output, the flat H'*W' output sites that some tap
-    reached, and the saturation count.
+    [N, L+1, C_out] int64 output rows at the ``live`` flat H'*W' sites plus
+    one all-zero row standing for every other site, ``live``, the output
+    (H', W'), and the saturation count.
     """
     w = w.astype(np.int64)
-    out, live, rows = _rulebook_conv(x, w, stride, padding)
+    out, live, hw, rows = _rulebook_conv(x, w, stride, padding)
     x_peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
     bound = x_peak * int(np.abs(w).reshape(len(w), -1).sum(axis=1).max(initial=0))
     if bound >= 2**53:
@@ -181,7 +202,7 @@ def int_conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> tuple
     if bound > INT32_MAX:  # otherwise no cell can leave the int32 range
         over = int(np.count_nonzero(np.abs(out) > INT32_MAX))
         out = np.clip(out, -INT32_MAX, INT32_MAX)
-    return out, live, over
+    return out, live, hw, over
 
 
 @dataclass
@@ -258,19 +279,19 @@ def fixed_point_forward(
     ``counts``: [T, 2, H, W] integer event counts. Each layer runs the
     event-driven rulebook conv over the sites that hold input, exact in
     integers, then the fused membranes in float64 (``_live_membranes``).
-    Returns the final binary spike tensor, or all per-layer spike tensors
-    when ``collect_layers``. Saturation events accumulate on the model.
+    Returns the final boolean spike tensor, or all per-layer boolean spike
+    tensors when ``collect_layers``. Saturation events accumulate on the
+    model.
     """
     x = np.asarray(counts)
     if not np.issubdtype(x.dtype, np.integer):
         raise NumericError("fixed-point input must be integer event counts")
     layers = []
     for blk in fpm.blocks:
-        y, live, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
+        y, live, hw, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
         fpm.overflow_count += over
-        x = _live_membranes(y, live, partial(_fused_lif, blk=blk))
-        del y  # the dense conv output, a layer's largest buffer
-        layers.append(x.astype(np.int64))
+        x = _live_membranes(y, live, hw, partial(_fused_lif, blk=blk))
+        layers.append(x)
     return layers if collect_layers else layers[-1]
 
 
@@ -287,7 +308,8 @@ def float_reference_spikes(
     inference neurons (``_float_lif``) at the live sites and on one quiet
     trajectory per channel. The fixed-point path is compared against this
     trajectory; both run their membranes in float64 so differences come only
-    from weight rounding. The conv adds its taps per output cell in rulebook
+    from weight rounding. Returns boolean spike tensors, as the fixed-point
+    forward does. The conv adds its taps per output cell in rulebook
     order, so a membrane can differ from a dense float64 conv's by a few ulps.
     """
     x = np.asarray(counts)
@@ -296,29 +318,29 @@ def float_reference_spikes(
         blk = blk.astype(WIDE)
         if not np.isfinite(blk.conv_w.data).all():  # silent sites never meet the weights
             raise NumericError(f"non-finite conv weights in snn{i}")
-        y, live, _ = _rulebook_conv(x, blk.conv_w.data, blk.cfg.stride, blk.cfg.padding)
-        x = _live_membranes(y, live, partial(_float_lif, blk=blk, context=f"snn{i}"))
-        del y
-        layers.append(x.astype(np.int64))
+        y, live, hw, _ = _rulebook_conv(x, blk.conv_w.data, blk.cfg.stride, blk.cfg.padding)
+        x = _live_membranes(y, live, hw, partial(_float_lif, blk=blk, context=f"snn{i}"))
+        layers.append(x)
     return layers if collect_layers else layers[-1]
 
 
-def _live_membranes(y: np.ndarray, live: np.ndarray, update) -> np.ndarray:
-    """Boolean spikes [T, C, H, W] of the neurons fed by a [T, H, W, C] conv
-    output.
+def _live_membranes(y: np.ndarray, live: np.ndarray, hw: tuple[int, int], update) -> np.ndarray:
+    """Boolean spikes [T, C, H, W] of the neurons fed by the rulebook conv's
+    [T, L+1, C] output rows, one per ``live`` flat H*W site (``hw`` is
+    (H, W)), then the all-zero row.
 
-    Only the ``live`` flat sites, which the conv reached at some step, carry
-    their own membranes. Every other cell of a channel sees a conv output of
-    0 at every step, so all of them follow one quiet trajectory per channel,
-    carried by a zero row after the live ones. ``update`` maps the
-    [T, L+1, C] conv outputs of these rows to their boolean spikes.
+    Only the live sites, which the conv reached at some step, carry their own
+    membranes. Every other cell of a channel sees a conv output of 0 at
+    every step, so all of them follow one quiet trajectory per channel,
+    carried by the zero row. ``update`` maps the rows to their boolean
+    spikes, which are written out first as the quiet trajectory, then at the
+    live sites.
     """
-    t, h, w, c = y.shape
-    y = np.concatenate([y.reshape(t, h * w, c)[:, live], np.zeros((t, 1, c), dtype=y.dtype)], axis=1)
     fired = update(y)
-    spikes = np.repeat(fired[:, -1, :, None], h * w, axis=2)
+    t, _, c = fired.shape
+    spikes = np.repeat(fired[:, -1, :, None], hw[0] * hw[1], axis=2)
     spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
-    return spikes.reshape(t, c, h, w)
+    return spikes.reshape(t, c, *hw)
 
 
 def _fused_lif(y: np.ndarray, blk: FixedPointBlock) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import dense_conv_output, record_criterion
 from evhybrid.ann import ToyHead, ann_backbone_forward, toy_head_forward, toy_loss
 from evhybrid.bridge import BridgeParams, asab_forward, attention_parts, tsdc
 from evhybrid.config import RunConfig, save_config
@@ -415,7 +415,7 @@ def test_criterion_7_bn_fusion_equivalence():
         q = quantize_per_channel(w, 8)
         f = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
         x = rng.integers(0, 4, (2, c_in, 5, 5))
-        y_int = int_conv2d(x, q.int_weights, 1, 1)[0].transpose(0, 3, 1, 2)
+        y_int = dense_conv_output(*int_conv2d(x, q.int_weights, 1, 1)[:3]).transpose(0, 3, 1, 2)
         fused_pre = y_int * f.scale.reshape(1, -1, 1, 1) + f.shift.reshape(1, -1, 1, 1)
         y_f = ops.conv2d(x.astype(np.float64), q.dequantize(), stride=1, padding=1).data
         bn = (y_f - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + eps).reshape(1, -1, 1, 1)

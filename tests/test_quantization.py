@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_conv_output
 from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
@@ -122,8 +123,8 @@ class TestFuseBnLif:
         fused = fuse_bn_lif(mean, var, gamma, beta, eps, tau, q.q_scale)
 
         x = rng.integers(0, 4, (1, c_in, 6, 6))
-        y_int, _, over = int_conv2d(x, q.int_weights, stride=1, padding=1)
-        y_int = y_int.transpose(0, 3, 1, 2)
+        rows, live, hw, over = int_conv2d(x, q.int_weights, stride=1, padding=1)
+        y_int = dense_conv_output(rows, live, hw).transpose(0, 3, 1, 2)
         assert over == 0
         fused_pre = y_int * fused.scale.reshape(1, -1, 1, 1) + fused.shift.reshape(1, -1, 1, 1)
 
@@ -138,8 +139,8 @@ class TestIntConv:
         rng = np.random.default_rng(0)
         x = rng.integers(0, 3, (2, 2, 6, 6))
         w = rng.integers(-127, 128, (4, 2, 3, 3))
-        y, _, over = int_conv2d(x, w, stride=2, padding=1)
-        y = y.transpose(0, 3, 1, 2)
+        rows, live, hw, over = int_conv2d(x, w, stride=2, padding=1)
+        y = dense_conv_output(rows, live, hw).transpose(0, 3, 1, 2)
         assert over == 0
         assert y.shape == (2, 4, 3, 3)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -164,8 +165,8 @@ class TestIntConv:
         rng = np.random.default_rng(seed)
         x = rng.integers(-(2**x_bits), 2**x_bits + 1, (2, 2, h, w))
         wt = rng.integers(-(2**w_bits), 2**w_bits + 1, (3, 2, 3, 3))
-        y, _, over = int_conv2d(x, wt, stride=stride, padding=padding)
-        y = y.transpose(0, 3, 1, 2)
+        rows, live, hw, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        y = dense_conv_output(rows, live, hw).transpose(0, 3, 1, 2)
         xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         h_out = (h + 2 * padding - 3) // stride + 1
         w_out = (w + 2 * padding - 3) // stride + 1
@@ -181,6 +182,46 @@ class TestIntConv:
         assert y.dtype == np.int64
         np.testing.assert_array_equal(y, np.clip(want, -limit, limit))
 
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        stride=st.sampled_from([1, 2]),
+        padding=st.sampled_from([0, 1, 2]),
+        h=st.integers(3, 9),
+        w=st.integers(3, 9),
+        steps=st.integers(1, 3),
+        kind=st.sampled_from(["random", "border", "empty"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_compact_layout(self, seed, stride, padding, h, w, steps, kind):
+        """``live`` is the sorted set of output sites that some in-bounds tap
+        of an active input site reaches, found here by brute force; the
+        trailing row stands for every other site and stays zero."""
+        rng = np.random.default_rng(seed)
+        x = np.zeros((steps, 2, h, w), dtype=np.int64)
+        if kind == "random":
+            x[:] = rng.binomial(2, 0.1, x.shape)
+        elif kind == "border":
+            for border in (np.s_[..., 0, :], np.s_[..., -1, :], np.s_[..., :, 0], np.s_[..., :, -1]):
+                x[border] = rng.binomial(1, 0.3, x[border].shape)
+        wt = rng.integers(-127, 128, (4, 2, 3, 3))
+        rows, live, hw, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        h_out = (h + 2 * padding - 3) // stride + 1
+        w_out = (w + 2 * padding - 3) // stride + 1
+        reached = set()
+        for oy in range(h_out):
+            for ox in range(w_out):
+                for ky in range(3):
+                    for kx in range(3):
+                        iy, ix = oy * stride - padding + ky, ox * stride - padding + kx
+                        if 0 <= iy < h and 0 <= ix < w and x[:, :, iy, ix].any():
+                            reached.add(oy * w_out + ox)
+        assert hw == (h_out, w_out) and over == 0
+        assert np.all(np.diff(live) > 0) and set(live.tolist()) == reached
+        assert rows.shape == (steps, len(live) + 1, 4) and rows.dtype == np.int64
+        assert not rows[:, -1].any()
+        if kind == "empty":
+            assert len(live) == 0
+
     def test_inexact_float64_bound_rejected(self):
         x = np.full((1, 1, 3, 3), 2**45, dtype=np.int64)
         w = np.full((1, 1, 3, 3), 127, dtype=np.int8)
@@ -190,7 +231,8 @@ class TestIntConv:
     def test_saturation_counted(self):
         x = np.full((1, 1, 3, 3), 2**28, dtype=np.int64)
         w = np.full((1, 1, 3, 3), 100, dtype=np.int64)
-        y, _, over = int_conv2d(x, w, stride=1, padding=0)
+        rows, live, hw, over = int_conv2d(x, w, stride=1, padding=0)
+        y = dense_conv_output(rows, live, hw)
         assert over == 1
         assert y.max() == 2**31 - 1
 
@@ -367,7 +409,7 @@ def _assert_matches_dense(counts, fpm):
     got = fixed_point_forward(counts, fpm, collect_layers=True)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == np.int64 and g.shape == w.shape
+        assert g.dtype == np.bool_ and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
     assert fpm.overflow_count == want_over
     np.testing.assert_array_equal(fixed_point_forward(counts, fpm), want[-1])
@@ -646,7 +688,7 @@ def _assert_matches_dense_reference(model, counts):
     got = float_reference_spikes(model, counts, collect_layers=True)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == np.int64 and g.shape == w.shape
+        assert g.dtype == np.bool_ and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
     np.testing.assert_array_equal(float_reference_spikes(model, counts), want[-1])
     return want
@@ -737,6 +779,27 @@ class TestEventDrivenFloatReference:
         finally:
             tracemalloc.stop()
         assert peak < im2col
+
+    @pytest.mark.parametrize("path", ["fixed-point", "reference"])
+    def test_peak_memory_below_dense_conv_output(self, path):
+        # layer 1's dense float64 conv output alone is T * H' * W' * C_out * 8
+        # bytes (11.7 MB here); both forwards store conv rows only at the live
+        # output sites, about a quarter of them on this window
+        rng = np.random.default_rng(8)
+        model = _firing_model(rng, ["8c3p1s2", "16c3p1s2"], height=240, width=304, quiet_fires=False)
+        counts = _sensor_like_window(rng)
+        fpm = FixedPointModel.from_model(model, 8)
+        dense_output = 10 * 120 * 152 * 8 * 8
+        tracemalloc.start()
+        try:
+            if path == "fixed-point":
+                fixed_point_forward(counts, fpm, collect_layers=True)
+            else:
+                float_reference_spikes(model, counts, collect_layers=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_output
 
     @pytest.mark.parametrize("shape", [(2, 16, 16), (1, 6, 2, 16, 16), (6, 3, 16, 16), (6, 1, 16, 16)])
     def test_counts_not_t_2_h_w_is_shape_error(self, shape):
