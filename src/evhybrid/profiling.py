@@ -165,7 +165,7 @@ def count_spike_acs(trace: list[dict]) -> OpCounters:
         cells = mask.reshape(-1, h, w).sum(axis=0)  # nonzero (t, c) per (y, x)
         lc = counters.layer(entry["name"])
         lc.acs = int((cells * np.outer(taps_y, taps_x)).sum()) * (c_out // g)
-        lc.input_spikes = int(mask.sum())
+        lc.input_spikes = int(np.count_nonzero(mask))
     return counters
 
 

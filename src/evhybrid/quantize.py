@@ -14,24 +14,26 @@ reproduces the float conv -> batchnorm -> leaky-integrate trajectory exactly
 when the integer weights are exact. The neuron fires at snn.V_THRESHOLD and
 resets to snn.V_RESET = 0, as in training.
 
-The forward is event-driven. The integer conv gathers the (t, y, x) sites
-that hold input and, tap by tap, adds their rows times the tap's weights to
-the output cells they reach (a gather-GEMM-scatter rulebook conv, Graham and
-van der Maaten 2017), exactly in int64 under a checked 2**53 bound on every
-partial sum, then saturates to the int32 range (saturation events are
-counted, never silent). Its output is compact, as in sparse-conv engines:
-one row per live output site (one that some tap reaches), then one all-zero
-row. Only the live sites carry their own membranes; every other cell of a
-channel sees the same input, shift[c], at every step, so all of them share
-one quiet trajectory per channel, computed once on the zero row. Membranes
-stay in real arithmetic, and each layer's spikes come out as a boolean
-[T, C, H', W'] tensor, the next layer's input.
+The forward is event-driven, on the spiking stack's own inference machinery
+(``snn._rulebook_conv`` and ``snn._live_membranes``). The integer conv
+gathers the (t, y, x) sites that hold input and, tap by tap, adds their rows
+times the tap's weights to the output cells they reach (a gather-GEMM-scatter
+rulebook conv, Graham and van der Maaten 2017), exactly in int64 under a
+checked 2**53 bound on every partial sum, then saturates to the int32 range
+(saturation events are counted, never silent). Its output is compact, as in
+sparse-conv engines: one row per live output site (one that some tap
+reaches), then one all-zero row. Only the live sites carry their own
+membranes; every other cell of a channel sees the same input, shift[c], at
+every step, so all of them share one quiet trajectory per channel, computed
+once on the zero row. Membranes stay in real arithmetic, and each layer's
+spikes come out as a boolean [T, C, H', W'] tensor, the next layer's input.
 
-The float reference that fidelity reports compare against is event-driven
-too, with the same structure: the same rulebook conv, in float64, then the
-training math's inference neurons (batchnorm with running statistics and the
-PLIF scan) at the live sites plus one quiet trajectory per channel. The two
-paths differ only in the per-site arithmetic.
+The float reference that fidelity reports compare against is the spiking
+stack's own event-driven inference forward, run on float64 copies of the
+blocks: the same rulebook conv, in float64, then the inference neurons
+(batchnorm with running statistics and the PLIF update) at the live sites
+plus one quiet trajectory per channel. The two paths differ only in the
+per-site arithmetic.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .arrayio import _entry_dtype
 from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
-from .numerics import WIDE, Tensor, ops
-from .snn import V_RESET, V_THRESHOLD, SNNBlock
+from .numerics import WIDE
+from .snn import V_RESET, V_THRESHOLD, _event_forward, _live_membranes, _rulebook_conv
 
 INT32_MAX = np.int64(2**31 - 1)
 QUANT_FORMAT_VERSION = 2
@@ -118,65 +120,6 @@ def fuse_bn_lif(
     scale = np.asarray(q_scale, dtype=np.float64) * weight_bn / denom
     shift = np.asarray(bias_bn, np.float64) / tau - np.asarray(mean_bn, np.float64) * weight_bn / denom
     return FusedLIFParams(scale=scale, shift=shift)
-
-
-def _rulebook_conv(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int], np.ndarray]:
-    """Conv of the sites of ``x`` [N, C_in, H, W] that hold input, computed in
-    the dtype of the weights ``w`` [C_out, C_in, K, K], stored only at the
-    output sites it reaches.
-
-    The active sites are the (t, y, x) positions with any nonzero channel.
-    The live output sites are the flat H'*W' sites that some in-bounds tap
-    of an active site reaches at some step; they are found from the tap
-    geometry first. For each tap (ky, kx), the rulebook then keeps the sites
-    whose (y + padding - ky, x + padding - kx) lands on the stride grid
-    inside the output, and adds their rows times ``w[:, :, ky, kx].T`` to
-    those output cells' rows. Within one tap no two sites share an output,
-    so the fancy-index ``+=`` adds each cell once, and every cell starts at
-    0 and sums its taps in (ky, kx) order. Returns the [N, L+1, C_out]
-    output (one row per live site, then an all-zero row for every other
-    site), the sorted ``live`` sites, the output (H', W'), and the gathered
-    [S, C_in] input rows.
-    """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"rulebook conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
-    n, c_in, h, wd = x.shape
-    c_out, c_w, kh, kw = w.shape
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"rulebook conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
-    if c_w != c_in:
-        raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {c_in}")
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (wd + 2 * padding - kw) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
-    active = x.any(axis=1)
-    ever = np.pad(active.any(axis=0), padding)  # the sites active at any step
-    reached = np.zeros((h_out, w_out), dtype=bool)
-    for ky in range(kh):
-        for kx in range(kw):
-            reached |= ever[ky : ky + stride * h_out : stride, kx : kx + stride * w_out : stride]
-    live = np.flatnonzero(reached)
-    n_rows = len(live) + 1
-    row_of = np.empty(h_out * w_out, dtype=np.intp)  # read only at live sites
-    row_of[live] = np.arange(len(live))
-    t, site = np.divmod(np.flatnonzero(active), h * wd)
-    ys, xs = np.divmod(site, wd)
-    rows = x[t, :, ys, xs].astype(w.dtype)  # [S, C_in]
-    out = np.zeros((n, n_rows, c_out), dtype=w.dtype)
-    flat = out.reshape(-1, c_out)
-    oy, ry = np.divmod(ys[None] + padding - np.arange(kh)[:, None], stride)
-    ox, rx = np.divmod(xs[None] + padding - np.arange(kw)[:, None], stride)
-    in_y = (ry == 0) & (oy >= 0) & (oy < h_out)
-    in_x = (rx == 0) & (ox >= 0) & (ox < w_out)
-    for ky in range(kh):
-        for kx in range(kw):
-            ok = np.flatnonzero(in_y[ky] & in_x[kx])
-            cell = t[ok] * n_rows + row_of[oy[ky, ok] * w_out + ox[kx, ok]]
-            flat[cell] += rows[ok] @ w[:, :, ky, kx].T
-    return out, live, (h_out, w_out), rows
 
 
 def int_conv2d(
@@ -298,74 +241,46 @@ def fixed_point_forward(
 def float_reference_spikes(
     model: HybridModel, counts: np.ndarray, collect_layers: bool = False
 ) -> np.ndarray | list[np.ndarray]:
-    """Wide-float inference of the spiking stack (running batchnorm stats),
-    event-driven like :func:`fixed_point_forward`.
+    """Wide-float inference of the spiking stack (running batchnorm stats):
+    the model's own event-driven inference forward, run on float64 copies of
+    its blocks.
 
     ``counts``: [T, 2, H, W] event counts; any other shape raises
     ShapeError, and a non-finite weight or batchnorm statistic raises
-    NumericError naming the layer. On float64 copies of the blocks, each
-    layer runs the rulebook conv in float64, then the training math's
-    inference neurons (``_float_lif``) at the live sites and on one quiet
-    trajectory per channel. The fixed-point path is compared against this
-    trajectory; both run their membranes in float64 so differences come only
-    from weight rounding. Returns boolean spike tensors, as the fixed-point
-    forward does. The conv adds its taps per output cell in rulebook
-    order, so a membrane can differ from a dense float64 conv's by a few ulps.
+    NumericError naming the layer. Each layer runs the rulebook conv in
+    float64, then the inference neurons at the live sites and on one quiet
+    trajectory per channel (``snn._event_forward``). The fixed-point path is
+    compared against this trajectory; both run their membranes in float64
+    so differences come only from weight rounding. Returns boolean spike
+    tensors, as the fixed-point forward does. The conv adds its taps per
+    output cell in rulebook order, so a membrane can differ from a dense
+    float64 conv's by a few ulps.
     """
     x = np.asarray(counts)
     layers = []
     for i, blk in enumerate(model.snn_blocks, start=1):
-        blk = blk.astype(WIDE)
-        if not np.isfinite(blk.conv_w.data).all():  # silent sites never meet the weights
-            raise NumericError(f"non-finite conv weights in snn{i}")
-        y, live, hw, _ = _rulebook_conv(x, blk.conv_w.data, blk.cfg.stride, blk.cfg.padding)
-        x = _live_membranes(y, live, hw, partial(_float_lif, blk=blk, context=f"snn{i}"))
+        x = _event_forward(x, blk.astype(WIDE), f"snn{i}")
         layers.append(x)
     return layers if collect_layers else layers[-1]
 
 
-def _live_membranes(y: np.ndarray, live: np.ndarray, hw: tuple[int, int], update) -> np.ndarray:
-    """Boolean spikes [T, C, H, W] of the neurons fed by the rulebook conv's
-    [T, L+1, C] output rows, one per ``live`` flat H*W site (``hw`` is
-    (H, W)), then the all-zero row.
-
-    Only the live sites, which the conv reached at some step, carry their own
-    membranes. Every other cell of a channel sees a conv output of 0 at
-    every step, so all of them follow one quiet trajectory per channel,
-    carried by the zero row. ``update`` maps the rows to their boolean
-    spikes, which are written out first as the quiet trajectory, then at the
-    live sites.
-    """
-    fired = update(y)
-    t, _, c = fired.shape
-    spikes = np.repeat(fired[:, -1, :, None], hw[0] * hw[1], axis=2)
-    spikes[:, :, live] = fired[:, :-1].transpose(0, 2, 1)
-    return spikes.reshape(t, c, *hw)
-
-
 def _fused_lif(y: np.ndarray, blk: FixedPointBlock) -> np.ndarray:
     """Fused leaky integrate-and-fire over integer conv outputs [T, S, C]:
-    V <- (1 - leak) V + (scale*y + shift), firing at V_THRESHOLD."""
-    u = y.astype(np.float64) * blk.fused.scale + blk.fused.shift
-    v = np.full(y.shape[1:], V_RESET, dtype=np.float64)
-    fired = np.empty(y.shape, dtype=bool)
+    V <- (1 - leak) V + (scale*y + shift), firing at V_THRESHOLD. Runs on a
+    float64 [T, C, S] copy, so each channel's scale and shift broadcast
+    along its rows, and returns the spikes in that layout."""
+    u = y.transpose(0, 2, 1).astype(np.float64, order="C")
+    u *= blk.fused.scale[:, None]
+    u += blk.fused.shift[:, None]
+    v = np.full(u.shape[1:], V_RESET, dtype=np.float64)
+    fired = np.empty(u.shape, dtype=bool)
     keep = 1.0 - blk.leak
-    for step in range(len(y)):
-        v = keep * v + u[step]
-        fired[step] = v >= V_THRESHOLD
-        v = np.where(fired[step], V_RESET, v)
+    for step in range(len(u)):
+        v *= keep
+        v += u[step]
+        np.greater_equal(v, V_THRESHOLD, out=fired[step])
+        v[fired[step]] = V_RESET
     return fired
-
-
-def _float_lif(y: np.ndarray, blk: SNNBlock, context: str) -> np.ndarray:
-    """The spiking block's inference neurons over float conv outputs
-    [T, S, C]: ``ops.batchnorm2d`` with the running statistics, then
-    ``ops.plif_scan``, on a [T, C, S, 1] view. Both act per cell, so every
-    cell gets the arithmetic of ``snn_block_forward``."""
-    z = ops.batchnorm2d(
-        Tensor(y.transpose(0, 2, 1)[..., None]), blk.bn_mean, blk.bn_var, blk.bn_gamma, blk.bn_beta, blk.bn_eps
-    )
-    return ops.plif_scan(z, blk.plif_w, context=context).data[..., 0].transpose(0, 2, 1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +311,7 @@ def fidelity_from_layers(
         if ra.shape != rb.shape:
             raise ShapeError(f"layer {name}: shape {ra.shape} vs {rb.shape}")
         diff = ra != rb
-        wrong = int(diff.sum())
+        wrong = int(np.count_nonzero(diff))
         per_layer[name] = per_layer.get(name, 0) + wrong
         total += ra.size
         matched += ra.size - wrong

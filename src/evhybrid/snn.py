@@ -8,10 +8,28 @@ representable w. Training uses an arctan surrogate derivative for the
 threshold; a smooth mode replaces the hard threshold by the surrogate's
 primitive so whole networks can be checked against finite differences.
 
-A block's time loop is one op, ``ops.plif_scan``: a numpy loop over T in the
-forward and a hand-written backpropagation-through-time pullback, one tape
-node per block call. ``plif_step`` is the one-step update written op by op;
-the tests loop it over T as the oracle for ``plif_scan``.
+A block runs one of two ways. In training, in smooth mode, and whenever an
+active tape needs its gradients, it runs dense and differentiable: an
+im2col conv, batchnorm, and the time loop as one op, ``ops.plif_scan``: a
+numpy loop over T in the forward and a hand-written
+backpropagation-through-time pullback, one tape node per block call.
+``plif_step`` is the one-step update written op by op; the tests loop it
+over T as the oracle for ``plif_scan``.
+
+In inference it runs event-driven, so its cost follows the input events.
+The conv is a gather-GEMM-scatter rulebook conv (Graham and van der Maaten
+2017; ``_rulebook_conv``): it gathers the (t, y, x) sites that hold input
+and, tap by tap, adds their rows times the tap's weights to the output
+cells they reach, which it stores compactly as one row per live output site
+(one that some tap reaches) plus one all-zero row. Only the live sites
+carry their own membranes; every other cell of a channel sees a conv output
+of 0 at every step, so all of them share one quiet trajectory per channel
+(``_live_membranes``). The neurons (``_float_lif``) are plain numpy with,
+cell for cell, the arithmetic of ``ops.batchnorm2d`` on the running
+statistics and of ``ops.plif_scan``. The conv adds a cell's taps in
+rulebook order, so a membrane can differ from the dense path's by float
+rounding. The fixed-point path (``quantize``) and its float reference run
+on the same conv and membranes.
 
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
 padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
@@ -24,11 +42,12 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .numerics import NARROW, Tensor, ops
+from .errors import ConfigError, NumericError, ShapeError
+from .numerics import NARROW, Tensor, active_tape, ops
 
 _LAYER_RE = re.compile(r"(\d+)c(\d+)p(\d+)s(\d+)")
 
@@ -189,10 +208,177 @@ def snn_block_forward(
     """[T, C_in, H, W] -> binary [T, C_out, H', W'].
 
     The conv treats time as the batch axis; see ``conv_bn`` for the
-    batchnorm. smooth=True also bypasses running-stat updates.
+    batchnorm. smooth=True also bypasses running-stat updates. When nothing
+    will be differentiated (inference, hard threshold, and no active tape
+    that needs the block's gradients), the block runs event-driven
+    (``_event_forward``) and returns its spikes in the block's dtype.
     """
-    y = conv_bn(x, block, training, update_stats=not smooth)
-    return ops.plif_scan(y, block.plif_w, smooth=smooth, context=context)
+    if training or smooth or _taped(x, [block]):
+        y = conv_bn(x, block, training, update_stats=not smooth)
+        return ops.plif_scan(y, block.plif_w, smooth=smooth, context=context)
+    return Tensor(_event_forward(x.data, block, context), dtype=block.conv_w.dtype)
+
+
+def _taped(x: Tensor, blocks: list[SNNBlock]) -> bool:
+    """Whether an active tape needs the gradients of ``x`` or of a block's
+    parameters, so that the blocks must run their differentiable ops."""
+    params = (p for block in blocks for p in block.parameters().values())
+    return active_tape() is not None and ops._needs_grad(x, *params)
+
+
+def _event_forward(x: np.ndarray, block: SNNBlock, context: str) -> np.ndarray:
+    """Boolean spikes [T, C_out, H', W'] of ``block`` in inference on ``x``
+    [T, C_in, H, W]: the rulebook conv in the weights' dtype, then the
+    inference neurons (``_float_lif``) at the live sites and on one quiet
+    trajectory per channel. A non-finite weight raises NumericError naming
+    ``context`` even on a silent window, which never meets the weights."""
+    w = block.conv_w.data
+    if not np.isfinite(w).all():
+        raise NumericError(f"non-finite conv weights in {context}")
+    with np.errstate(invalid="ignore"):  # a non-finite input's membrane raises, naming its step
+        y, live, hw, _ = _rulebook_conv(x, w, block.cfg.stride, block.cfg.padding)
+        return _live_membranes(y, live, hw, partial(_float_lif, blk=block, context=context))
+
+
+def _rulebook_conv(
+    x: np.ndarray, w: np.ndarray, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int], np.ndarray]:
+    """Conv of the sites of ``x`` [N, C_in, H, W] that hold input, computed in
+    the dtype of the weights ``w`` [C_out, C_in, K, K], stored only at the
+    output sites it reaches.
+
+    The active sites are the (t, y, x) positions with any nonzero channel.
+    The live output sites are the flat H'*W' sites that some in-bounds tap
+    of an active site reaches at some step; they are found from the tap
+    geometry first. Tap (ky, kx) of a site lands on the stride grid only
+    when (y + padding) % stride == ky % stride, and likewise in x, so the
+    sites are grouped by that phase and each tap reads one group's rows as
+    a slice. The tap multiplies those rows by ``w[:, :, ky, kx].T``, adds
+    the rows of the output cells they reach and puts the sums back; a tap
+    that leaves the output lands on its step's trash row, which the output
+    leaves out. Within one tap no two sites share an output cell, so each
+    cell is written once per tap, and every cell starts at 0 and sums its
+    taps in (ky, kx) order. Returns the [N, L+1, C_out] output (one row per
+    live site, then an all-zero row for every other site), the sorted
+    ``live`` sites, the output (H', W'), and the gathered [S, C_in] input
+    rows.
+    """
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"rulebook conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
+    n, c_in, h, wd = x.shape
+    c_out, c_w, kh, kw = w.shape
+    if stride < 1 or padding < 0:
+        raise ShapeError(f"rulebook conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
+    if c_w != c_in:
+        raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {c_in}")
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (wd + 2 * padding - kw) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
+    active = x.any(axis=1)
+    ever = np.zeros((h + 2 * padding, wd + 2 * padding), dtype=bool)  # the sites active at any step
+    ever[padding : padding + h, padding : padding + wd] = active.any(axis=0)
+    across = np.zeros((h + 2 * padding, w_out), dtype=bool)
+    for kx in range(kw):
+        across |= ever[:, kx : kx + stride * w_out : stride]
+    reached = np.zeros((h_out, w_out), dtype=bool)
+    for ky in range(kh):
+        reached |= across[ky : ky + stride * h_out : stride]
+    live = np.flatnonzero(reached)
+    n_rows = len(live) + 1
+    t, site = np.divmod(np.flatnonzero(active), h * wd)
+    ys, xs = np.divmod(site, wd)
+    phase = (ys + padding) % stride * stride + (xs + padding) % stride
+    order = np.argsort(phase, kind="stable")
+    t, ys, xs = t[order], ys[order], xs[order]
+    bounds = np.searchsorted(phase[order], np.arange(stride * stride + 1)).tolist()
+    rows = x[t, :, ys, xs].astype(w.dtype)  # [S, C_in]
+    # the output row of every tap's (y, x) in a grid with a border wide
+    # enough for the taps that leave the output; each step has its own rows
+    # and, after them, a trash row that the border and the non-live sites map to
+    top, left = max(0, -((padding - kh + 1) // stride)), max(0, -((padding - kw + 1) // stride))
+    hp = max(h_out, (h - 1 + padding) // stride + 1) + top
+    wp = max(w_out, (wd - 1 + padding) // stride + 1) + left
+    row_of = np.full(hp * wp, n_rows, dtype=np.intp)
+    live_y, live_x = np.divmod(live, w_out)
+    row_of[(live_y + top) * wp + live_x + left] = np.arange(len(live))
+    at_y = ((ys[None] + padding - np.arange(kh)[:, None]) // stride + top) * wp  # [K, S]
+    at_x = (xs[None] + padding - np.arange(kw)[:, None]) // stride + left
+    step_row = t * (n_rows + 1)
+    buf = np.zeros((n, n_rows + 1, c_out), dtype=w.dtype)
+    flat = buf.reshape(-1, c_out)
+    whole_rows = flat.view(np.dtype((np.void, c_out * buf.itemsize)))  # a row as one item, for put
+    for ky in range(kh):
+        cells = step_row + row_of.take(at_y[ky] + at_x)  # [K, S]: each site's row at tap (ky, kx)
+        for kx in range(kw):
+            group = ky % stride * stride + kx % stride
+            a, b = bounds[group], bounds[group + 1]
+            if a < b:
+                acc = rows[a:b] @ w[:, :, ky, kx].T
+                acc += flat.take(cells[kx, a:b], axis=0)
+                whole_rows.put(cells[kx, a:b], acc.view(whole_rows.dtype))
+    return buf[:, :n_rows], live, (h_out, w_out), rows
+
+
+def _live_membranes(y: np.ndarray, live: np.ndarray, hw: tuple[int, int], update) -> np.ndarray:
+    """Boolean spikes [T, C, H, W] of the neurons fed by the rulebook conv's
+    [T, L+1, C] output rows, one per ``live`` flat H*W site (``hw`` is
+    (H, W)), then the all-zero row.
+
+    Only the live sites, which the conv reached at some step, carry their own
+    membranes. Every other cell of a channel sees a conv output of 0 at
+    every step, so all of them follow one quiet trajectory per channel,
+    carried by the zero row. ``update`` maps the rows to their boolean
+    spikes laid out [T, C, L+1], which are written out first as the quiet
+    trajectory, then at the live sites.
+    """
+    fired = update(y)
+    t, c, _ = fired.shape
+    spikes = np.repeat(fired[:, :, -1:], hw[0] * hw[1], axis=2)
+    spikes[:, :, live] = fired[:, :, :-1]
+    return spikes.reshape(t, c, *hw)
+
+
+def _float_lif(y: np.ndarray, blk: SNNBlock, context: str) -> np.ndarray:
+    """The block's inference neurons over its conv output rows ``y``
+    [T, S, C]: batchnorm with the running statistics, then the PLIF scan,
+    as boolean spikes [T, C, S].
+
+    Per cell this is the arithmetic of ``ops.batchnorm2d`` (``(y - mean) *
+    (gamma * (1 / sqrt(var + eps))) + beta``, with its variance checks) and
+    of ``ops.plif_scan`` (``v_pre = (u - v) * leak + v``, firing at
+    V_THRESHOLD and resetting to V_RESET), on a [T, C, S] copy, so that
+    each channel's values broadcast along its rows. Inputs within a quarter
+    of the dtype's range keep every membrane finite; any others (non-finite
+    ones included) go through ``ops.plif_scan`` itself, whose error names
+    ``context`` and the first non-finite step.
+    """
+    var = blk.bn_var
+    if (var < 0).any():
+        raise NumericError("batchnorm2d: negative variance")
+    if blk.bn_eps < 0 or (var + blk.bn_eps <= 0).any():
+        raise NumericError("batchnorm2d: var + eps must be positive")
+    u = y.transpose(0, 2, 1).copy()
+    per_channel = (-1, 1)
+    u -= blk.bn_mean.reshape(per_channel)
+    u *= (blk.bn_gamma.data * (1.0 / np.sqrt(var + blk.bn_eps))).reshape(per_channel)
+    u += blk.bn_beta.data.reshape(per_channel)
+    leak = ops._logistic(np.asarray(blk.plif_w.data))
+    u = u.astype(np.result_type(u, leak), copy=False)
+    lim = np.finfo(u.dtype).max / 4
+    if not (-lim < u.min() and u.max() < lim):  # NaN fails both
+        return ops.plif_scan(u, blk.plif_w.data, context=context).data > 0
+    fired = np.empty(u.shape, dtype=bool)
+    v = np.zeros(u.shape[1:], u.dtype)
+    for t in range(len(u)):
+        vp = u[t]  # each step's membrane is computed in its input's row
+        vp -= v
+        vp *= leak
+        vp += v
+        np.greater_equal(vp, V_THRESHOLD, out=fired[t])
+        vp[fired[t]] = V_RESET
+        v = vp
+    return fired
 
 
 def snn_backbone_forward(
@@ -204,16 +390,22 @@ def snn_backbone_forward(
 ) -> Tensor:
     """Sequential spiking stack; ``x`` is the [T, 2, H, W] count tensor as
     floats. When ``trace`` is a list, per-layer input nonzero masks are
-    appended for the event-driven cost counter."""
+    appended for the event-driven cost counter.
+
+    Where ``snn_block_forward`` would run every block event-driven, the
+    blocks pass their boolean spikes straight on, and only the last layer's
+    become a Tensor in its block's dtype."""
     if not blocks:
         raise ConfigError("spiking backbone needs at least one block")
-    out = x
+    event = not (training or smooth or _taped(x, blocks))
+    out = x.data if event else x
     for i, block in enumerate(blocks):
+        context = f"snn{i + 1}"
         if trace is not None:
             trace.append(
                 {
-                    "name": f"snn{i + 1}",
-                    "nonzero": out.data != 0,
+                    "name": context,
+                    "nonzero": (out if event else out.data) != 0,
                     "kernel": block.cfg.kernel,
                     "stride": block.cfg.stride,
                     "padding": block.cfg.padding,
@@ -221,5 +413,8 @@ def snn_backbone_forward(
                     "groups": 1,
                 }
             )
-        out = snn_block_forward(out, block, training=training, smooth=smooth, context=f"snn{i + 1}")
-    return out
+        if event:
+            out = _event_forward(out, block, context)
+        else:
+            out = snn_block_forward(out, block, training=training, smooth=smooth, context=context)
+    return Tensor(out, dtype=blocks[-1].conv_w.dtype) if event else out

@@ -13,7 +13,7 @@ from conftest import dense_conv_output
 from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
-from evhybrid.numerics import WIDE, Tensor, ops
+from evhybrid.numerics import WIDE, GradTape, Tensor, ops
 from evhybrid.quantize import (
     FixedPointBlock,
     FixedPointModel,
@@ -29,7 +29,7 @@ from evhybrid.quantize import (
     run_quantize,
     save_quantized,
 )
-from evhybrid.snn import snn_block_forward
+from evhybrid.snn import conv_bn, snn_backbone_forward, snn_block_forward
 
 
 class TestQuantizePerChannel:
@@ -654,13 +654,14 @@ class TestFloatReference:
 
 def _dense_float_reference(model, counts):
     """The dense float reference the event-driven one replaced, kept as its
-    oracle: ``snn_block_forward`` (im2col ``conv2d`` over every site,
-    running-stat batchnorm and ``plif_scan`` over every cell) on float64
-    copies of the blocks."""
+    oracle: im2col ``conv2d`` over every site with running-stat batchnorm
+    (``conv_bn`` in inference) and ``ops.plif_scan`` over every cell, on
+    float64 copies of the blocks."""
     x = Tensor(np.asarray(counts, dtype=WIDE))
     layers = []
     for i, blk in enumerate(model.snn_blocks, start=1):
-        x = snn_block_forward(x, blk.astype(WIDE), training=False, context=f"snn{i}")
+        blk = blk.astype(WIDE)
+        x = ops.plif_scan(conv_bn(x, blk, training=False), blk.plif_w, context=f"snn{i}")
         layers.append(x.data.astype(np.int64))
     return layers
 
@@ -827,3 +828,73 @@ class TestEventDrivenFloatReference:
         model.snn_blocks[layer].conv_w.data[-1, 0, 1, 1] = np.nan
         with pytest.raises(NumericError, match=f"snn{layer + 1}"):
             float_reference_spikes(model, _window(rng, kind, (6, 2, 16, 16)))
+
+
+class TestEventDrivenInference:
+    """``snn_block_forward`` in inference runs the rulebook conv and the
+    live-site membranes; taped or training calls keep the dense path."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        geometry=st.lists(
+            st.tuples(st.integers(1, 5), st.sampled_from([1, 2]), st.sampled_from([0, 1])), min_size=1, max_size=3
+        ),
+        kind=st.sampled_from(["zero", "sparse", "ones"]),
+        steps=st.integers(1, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_composition(self, seed, geometry, kind, steps):
+        # float64 blocks: every layer, read back from the trace's input
+        # masks, equals conv_bn + plif_scan spike for spike
+        rng = np.random.default_rng(seed)
+        model = _firing_model(rng, [f"{c}c3p{p}s{s}" for c, s, p in geometry])
+        shape = (steps, 2, 16, 16)
+        counts = rng.binomial(3, 0.03, shape).astype(np.int64) if kind == "sparse" else _window(rng, kind, shape)
+        want = _dense_float_reference(model, counts)
+        trace = []
+        blocks = [blk.astype(WIDE) for blk in model.snn_blocks]
+        out = snn_backbone_forward(Tensor(counts.astype(WIDE)), blocks, trace=trace)
+        assert out.dtype == WIDE and not out.requires_grad
+        got = [entry["nonzero"] for entry in trace[1:]] + [out.data]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert set(np.unique(out.data)) <= {0.0, 1.0}
+
+    def test_taped_inference_keeps_the_dense_op(self):
+        rng = np.random.default_rng(3)
+        model = _firing_model(rng, ["4c3p1s2"])
+        block = model.snn_blocks[0]
+        x = Tensor(rng.binomial(3, 0.05, (4, 2, 16, 16)).astype(np.float32))
+        untaped = snn_block_forward(x, block)
+        with GradTape() as tape:
+            taped = snn_block_forward(x, block)
+        assert len(tape) > 0 and taped.requires_grad and not untaped.requires_grad
+        np.testing.assert_array_equal(taped.data, untaped.data)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_non_finite_weight_on_a_silent_window_raises(self, layer):
+        # a dense conv meets every weight even on a silent window; the event
+        # path meets none, so it checks the weights itself
+        model = tiny_model(seed=4)
+        model.snn_blocks[layer].conv_w.data[0, 0, 1, 1] = np.nan
+        counts = np.zeros((model.config.simulation.T, 2, 16, 16), dtype=np.int64)
+        with pytest.raises(NumericError, match=f"snn{layer + 1}"):
+            model.forward_window(counts, training=False)
+
+    def test_peak_memory_below_dense_conv_output(self):
+        # on a window as sparse as the deployment workload's, the float32
+        # inference pass stays below layer 1's dense float64 conv output
+        # (11.7 MB), the bound of the float reference above; the dense
+        # path's float32 im2col alone is 13.1 MB
+        rng = np.random.default_rng(8)
+        model = _firing_model(rng, ["8c3p1s2", "16c3p1s2"], height=240, width=304, quiet_fires=False)
+        x = Tensor(_sensor_like_window(rng).astype(np.float32))
+        dense_output = 10 * 120 * 152 * 8 * 8
+        tracemalloc.start()
+        try:
+            out = snn_backbone_forward(x, model.snn_blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.any() and peak < dense_output
