@@ -49,8 +49,17 @@ def write_bundle(path, magic: bytes, meta: dict, arrays: dict[str, np.ndarray]) 
             fh.write(raw)
 
 
+def read_file(path) -> bytes:
+    """The bytes of the input file at ``path``; one that cannot be read
+    (missing, a directory, not permitted) raises DataFormatError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def read_bundle(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
+    blob = read_file(path)
     if not blob.startswith(magic):
         raise DataFormatError(f"{path}: bad magic, expected {magic!r}")
     pos = len(magic) + 8

@@ -129,7 +129,6 @@ def _build_model(cfg: RunConfig, checkpoint: str | None) -> HybridModel:
 
 
 def cmd_infer(args, cfg: RunConfig) -> int:
-    out = _out_dir(args, cfg)
     sim = cfg.simulation
     stream = read_events(args.events, geometry=(sim.sensor_width, sim.sensor_height))
     model = _build_model(cfg, args.checkpoint)
@@ -137,12 +136,11 @@ def cmd_infer(args, cfg: RunConfig) -> int:
         print("note: no checkpoint given, using seeded initial weights", file=sys.stderr)
     trace: list = []
     detections = run_infer(model, stream, trace=trace)
+    out = _out_dir(args, cfg)
     (out / "detections.json").write_text(
         json.dumps([d.as_dict() for d in detections], indent=2, sort_keys=True)
     )
-    counters = count_dense_macs(cfg)
-    if trace:
-        counters = counters.merge(count_spike_acs(trace))
+    counters = count_dense_macs(cfg).merge(count_spike_acs(trace))
     write_profile(counters, out)
     print(f"{len(detections)} detections over {len(stream)} events -> {out}")
     return 0
@@ -161,9 +159,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_quantize(args, cfg: RunConfig) -> int:
     bits = cfg.quantization.bits if args.bits is None else _bits_flag(args.bits)[0]
-    out = _out_dir(args, cfg)
     model = _build_model(cfg, args.checkpoint)
     windows = _eval_windows(cfg, model)
+    out = _out_dir(args, cfg)
     fpm, report = run_quantize(model, bits, windows, out_base=out / "quantized")
     (out / "fidelity.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     print(
@@ -174,7 +172,6 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
-    out = _out_dir(args, cfg)
     counters = count_dense_macs(cfg)
     sparsity = None
     if args.events:
@@ -184,9 +181,9 @@ def cmd_profile(args, cfg: RunConfig) -> int:
         trace: list = []
         for _, counts in stream_windows(stream, cfg):
             snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=trace)
-        if trace:
-            counters = counters.merge(count_spike_acs(trace))
-            sparsity = {e["name"]: sparsity_report(e["nonzero"]) for e in trace}
+        counters = counters.merge(count_spike_acs(trace))
+        sparsity = {e["name"]: sparsity_report(e["nonzero"]) for e in trace}
+    out = _out_dir(args, cfg)
     write_profile(counters, out, EnergyModel(), sparsity)
     print((out / "profile.txt").read_text())
     return 0
@@ -204,7 +201,6 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 def cmd_fidelity(args, cfg: RunConfig) -> int:
     widths = _bits_flag(args.bits)
-    out = _out_dir(args, cfg)
     model = _build_model(cfg, args.checkpoint)
     windows = _eval_windows(cfg, model)
     refs = reference_layers(model, windows)
@@ -213,7 +209,7 @@ def cmd_fidelity(args, cfg: RunConfig) -> int:
         _, report = run_quantize(model, bits, windows, ref_layers=refs)
         sweep[f"int{bits}"] = report.as_dict()
         print(f"int{bits}: match rate {report.match_rate:.4f}")
-    (out / "fidelity_sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))
+    (_out_dir(args, cfg) / "fidelity_sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))
     return 0
 
 

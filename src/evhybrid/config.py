@@ -156,7 +156,12 @@ def load_config(path) -> RunConfig:
     """Read an INI config; missing keys take defaults, unknown keys error."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case (e.g. T)
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         parser.read_string(text)
     except configparser.Error as exc:

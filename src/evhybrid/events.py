@@ -26,6 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .arrayio import read_file
 from .errors import DataFormatError
 
 EVS_MAGIC = b"EVS0"
@@ -119,15 +120,15 @@ def read_events(source, geometry: tuple[int, int] | None = None) -> EventStream:
     """
     path = Path(source)
     if path.suffix == ".evs":
-        return _read_evs(path, geometry)
+        return _read_evs(path, read_file(path), geometry)
     if geometry is None:
         raise DataFormatError("CSV streams need an explicit (width, height) geometry")
-    return _read_csv(path, geometry)
+    return _read_csv(path, read_file(path), geometry)
 
 
-def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
+def _read_csv(path: Path, blob: bytes, geometry: tuple[int, int]) -> EventStream:
     width, height = geometry
-    lines = path.read_bytes().splitlines()
+    lines = blob.splitlines()
 
     def text(lineno: int) -> str:
         try:
@@ -161,8 +162,7 @@ def _read_csv(path: Path, geometry: tuple[int, int]) -> EventStream:
         raise DataFormatError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
-def _read_evs(path: Path, geometry: tuple[int, int] | None) -> EventStream:
-    blob = path.read_bytes()
+def _read_evs(path: Path, blob: bytes, geometry: tuple[int, int] | None) -> EventStream:
     if len(blob) < EVS_HEADER.size:
         raise DataFormatError(f"{path}: truncated header at byte {len(blob)}")
     magic, width, height, count = EVS_HEADER.unpack_from(blob, 0)

@@ -342,17 +342,23 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, groups: int 
 # normalization / attention / sampling
 
 
+def check_bn_statistics(var: np.ndarray, eps: float) -> None:
+    """Raise NumericError unless every variance is >= 0, eps >= 0 and every
+    var + eps > 0, so that batchnorm's 1 / sqrt(var + eps) is defined; a
+    non-finite statistic passes and is caught downstream."""
+    if np.any(var < 0):
+        raise NumericError("batchnorm2d: negative variance")
+    if eps < 0 or np.any(var + eps <= 0):
+        raise NumericError("batchnorm2d: var + eps must be positive")
+
+
 def batchnorm2d(x, mean_c, var_c, weight_c, bias_c, eps: float):
     """Per-channel affine normalization of [..., C, H, W].
 
     Statistics and affine parameters are length-C vectors (Tensor or ndarray;
-    gradients flow into whichever are Tensors). eps >= 0, var + eps > 0.
+    gradients flow into whichever are Tensors); see ``check_bn_statistics``.
     """
-    vd = _data(var_c)
-    if np.any(vd < 0):
-        raise NumericError("batchnorm2d: negative variance")
-    if eps < 0 or np.any(vd + eps <= 0):
-        raise NumericError("batchnorm2d: var + eps must be positive")
+    check_bn_statistics(_data(var_c), eps)
     shape = (_data(x).shape[-3], 1, 1)
     scale = mul(weight_c, div(1.0, sqrt(add(var_c, eps))))
     return add(mul(sub(x, reshape(mean_c, shape)), reshape(scale, shape)), reshape(bias_c, shape))

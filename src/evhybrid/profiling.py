@@ -157,14 +157,14 @@ def count_spike_acs(trace: list[dict]) -> OpCounters:
     for entry in trace:
         mask = entry["nonzero"]
         k, s, p = entry["kernel"], entry["stride"], entry["padding"]
-        c_out, g = entry["out_channels"], entry["groups"]
+        c_out = entry["out_channels"]
         h, w = mask.shape[-2:]
         h_out, w_out = ConvSpec(c_out, k, p, s).out_size(h, w)
         taps_y = _tap_counts(h, h_out, k, p, s)
         taps_x = _tap_counts(w, w_out, k, p, s)
         cells = mask.reshape(-1, h, w).sum(axis=0)  # nonzero (t, c) per (y, x)
         lc = counters.layer(entry["name"])
-        lc.acs = int((cells * np.outer(taps_y, taps_x)).sum()) * (c_out // g)
+        lc.acs = int((cells * np.outer(taps_y, taps_x)).sum()) * c_out
         lc.input_spikes = int(np.count_nonzero(mask))
     return counters
 

@@ -50,7 +50,7 @@ from .arrayio import _entry_dtype
 from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
-from .numerics import WIDE
+from .numerics import WIDE, ops
 from .snn import V_RESET, V_THRESHOLD, _event_forward, _live_membranes, _rulebook_conv
 
 INT32_MAX = np.int64(2**31 - 1)
@@ -109,10 +109,7 @@ def fuse_bn_lif(
 ) -> FusedLIFParams:
     """Fold batchnorm + quantization scale + 1/tau into per-channel scale/shift."""
     var_bn = np.asarray(var_bn, dtype=np.float64)
-    if np.any(var_bn < 0):
-        raise NumericError("negative batchnorm variance")
-    if np.any(var_bn + eps_bn <= 0):
-        raise NumericError("var + eps must be positive")
+    ops.check_bn_statistics(var_bn, eps_bn)
     if tau < 1.0:
         raise NumericError(f"tau must be >= 1, got {tau}")
     denom = tau * np.sqrt(var_bn + eps_bn)

@@ -8,15 +8,16 @@ representable w. Training uses an arctan surrogate derivative for the
 threshold; a smooth mode replaces the hard threshold by the surrogate's
 primitive so whole networks can be checked against finite differences.
 
-A block runs one of two ways. In training, in smooth mode, and whenever an
-active tape needs its gradients, it runs dense and differentiable: an
+Blocks run only as a stack, ``snn_backbone_forward``, which picks one of
+two paths for all of them. In training, in smooth mode, and whenever an
+active tape needs their gradients, they run dense and differentiable: an
 im2col conv, batchnorm, and the time loop as one op, ``ops.plif_scan``: a
 numpy loop over T in the forward and a hand-written
-backpropagation-through-time pullback, one tape node per block call.
+backpropagation-through-time pullback, one tape node per block.
 ``plif_step`` is the one-step update written op by op; the tests loop it
 over T as the oracle for ``plif_scan``.
 
-In inference it runs event-driven, so its cost follows the input events.
+In inference they run event-driven, so their cost follows the input events.
 The conv is a gather-GEMM-scatter rulebook conv (Graham and van der Maaten
 2017; ``_rulebook_conv``): it gathers the (t, y, x) sites that hold input
 and, tap by tap, adds their rows times the tap's weights to the output
@@ -198,27 +199,6 @@ class SNNBlock(ConvBNBlock):
         return {**super().parameters(), "plif_w": self.plif_w}
 
 
-def snn_block_forward(
-    x: Tensor,
-    block: SNNBlock,
-    training: bool = False,
-    smooth: bool = False,
-    context: str = "snn",
-) -> Tensor:
-    """[T, C_in, H, W] -> binary [T, C_out, H', W'].
-
-    The conv treats time as the batch axis; see ``conv_bn`` for the
-    batchnorm. smooth=True also bypasses running-stat updates. When nothing
-    will be differentiated (inference, hard threshold, and no active tape
-    that needs the block's gradients), the block runs event-driven
-    (``_event_forward``) and returns its spikes in the block's dtype.
-    """
-    if training or smooth or _taped(x, [block]):
-        y = conv_bn(x, block, training, update_stats=not smooth)
-        return ops.plif_scan(y, block.plif_w, smooth=smooth, context=context)
-    return Tensor(_event_forward(x.data, block, context), dtype=block.conv_w.dtype)
-
-
 def _taped(x: Tensor, blocks: list[SNNBlock]) -> bool:
     """Whether an active tape needs the gradients of ``x`` or of a block's
     parameters, so that the blocks must run their differentiable ops."""
@@ -344,9 +324,9 @@ def _float_lif(y: np.ndarray, blk: SNNBlock, context: str) -> np.ndarray:
     [T, S, C]: batchnorm with the running statistics, then the PLIF scan,
     as boolean spikes [T, C, S].
 
-    Per cell this is the arithmetic of ``ops.batchnorm2d`` (``(y - mean) *
-    (gamma * (1 / sqrt(var + eps))) + beta``, with its variance checks) and
-    of ``ops.plif_scan`` (``v_pre = (u - v) * leak + v``, firing at
+    Per cell this is the arithmetic of ``ops.batchnorm2d`` (its statistic
+    checks, then ``(y - mean) * (gamma * (1 / sqrt(var + eps))) + beta``)
+    and of ``ops.plif_scan`` (``v_pre = (u - v) * leak + v``, firing at
     V_THRESHOLD and resetting to V_RESET), on a [T, C, S] copy, so that
     each channel's values broadcast along its rows. Inputs within a quarter
     of the dtype's range keep every membrane finite; any others (non-finite
@@ -354,10 +334,7 @@ def _float_lif(y: np.ndarray, blk: SNNBlock, context: str) -> np.ndarray:
     ``context`` and the first non-finite step.
     """
     var = blk.bn_var
-    if (var < 0).any():
-        raise NumericError("batchnorm2d: negative variance")
-    if blk.bn_eps < 0 or (var + blk.bn_eps <= 0).any():
-        raise NumericError("batchnorm2d: var + eps must be positive")
+    ops.check_bn_statistics(var, blk.bn_eps)
     u = y.transpose(0, 2, 1).copy()
     per_channel = (-1, 1)
     u -= blk.bn_mean.reshape(per_channel)
@@ -388,13 +365,19 @@ def snn_backbone_forward(
     smooth: bool = False,
     trace: list | None = None,
 ) -> Tensor:
-    """Sequential spiking stack; ``x`` is the [T, 2, H, W] count tensor as
-    floats. When ``trace`` is a list, per-layer input nonzero masks are
-    appended for the event-driven cost counter.
+    """Sequential spiking stack: [T, 2, H, W] counts as floats -> binary
+    [T, C_out, H', W'] spikes of the last block; layer i is named ``snn<i>``.
 
-    Where ``snn_block_forward`` would run every block event-driven, the
-    blocks pass their boolean spikes straight on, and only the last layer's
-    become a Tensor in its block's dtype."""
+    The stack runs dense and differentiable (``conv_bn``, which treats time
+    as the batch axis, then ``ops.plif_scan``) in training, in smooth mode
+    (which also leaves the running statistics alone), and under an active
+    tape that needs the gradients of ``x`` or of a block's parameters.
+    Otherwise nothing will be differentiated and every block runs
+    event-driven (``_event_forward``): the blocks pass their boolean spikes
+    straight on, and only the last layer's become a Tensor in its block's
+    dtype. When ``trace`` is a list, each layer's input nonzero mask and
+    conv geometry are appended for the event-driven cost counter.
+    """
     if not blocks:
         raise ConfigError("spiking backbone needs at least one block")
     event = not (training or smooth or _taped(x, blocks))
@@ -410,11 +393,11 @@ def snn_backbone_forward(
                     "stride": block.cfg.stride,
                     "padding": block.cfg.padding,
                     "out_channels": block.cfg.out_channels,
-                    "groups": 1,
                 }
             )
         if event:
             out = _event_forward(out, block, context)
         else:
-            out = snn_block_forward(out, block, training=training, smooth=smooth, context=context)
+            y = conv_bn(out, block, training, update_stats=not smooth)
+            out = ops.plif_scan(y, block.plif_w, smooth=smooth, context=context)
     return Tensor(out, dtype=blocks[-1].conv_w.dtype) if event else out

@@ -3,6 +3,8 @@ that module, or re-exported through its ``__all__``, and every module-level
 private name the package defines is read somewhere in the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,85 @@ def test_private_scan_flags_only_unread_names():
     assert private_definitions(source) == {"_LIMIT", "_unused", "_helper", "_Dead"}
     assert {"_LIMIT", "_helper", "_private_attr"} <= read_names(source)
     assert not {"_unused", "_Dead"} & read_names(source)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def evhybrid_calls(source: str) -> tuple[dict[str, object], list[tuple[str, list[str], int]]]:
+    """The objects ``source`` imports from evhybrid, by local name, and each
+    call to one of them (``name(...)``, or ``module.attr(...)`` on an
+    imported module) as (dotted name, keywords, line). A name missing from
+    its module raises AttributeError naming it."""
+    tree = ast.parse(source)
+    imported: dict[str, object] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "evhybrid":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, "__path__") and not hasattr(module, alias.name):  # a submodule
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "evhybrid" and alias.asname:
+                    imported[alias.asname] = importlib.import_module(alias.name)
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            name = func.id
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in imported:
+            name = f"{func.value.id}.{func.attr}"
+        else:
+            continue
+        calls.append((name, [k.arg for k in node.keywords if k.arg is not None], node.lineno))
+    return imported, calls
+
+
+def unknown_keywords(source: str) -> list[str]:
+    """Each keyword ``source`` passes to an evhybrid callable that has no
+    parameter of that name, as ``name(keyword) (line N)``. Calls through a
+    module attribute must name one the module has."""
+    imported, calls = evhybrid_calls(source)
+    bad = []
+    for name, keywords, line in calls:
+        head, _, attr = name.partition(".")
+        target = imported[head]
+        if attr and not hasattr(target, attr):
+            bad.append(f"{name} (line {line}): no such name")
+            continue
+        params = inspect.signature(getattr(target, attr) if attr else target).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            continue
+        names = {p.name for p in params if p.kind is not p.POSITIONAL_ONLY}
+        bad += [f"{name}({k}) (line {line})" for k in keywords if k not in names]
+    return bad
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_perfbench_calls_into_evhybrid_resolve(path):
+    # the benchmark is not run by the test suite; this catches a renamed or
+    # deleted name or parameter it uses before a benchmark run does
+    assert unknown_keywords(path.read_text()) == []
+
+
+def test_perfbench_scan_flags_missing_names_and_keywords():
+    source = (
+        "from evhybrid import snn\n"
+        "from evhybrid.snn import ConvSpec, snn_backbone_forward as fwd\n"
+        "fwd(x, blocks, training=False, trace=[])\n"
+        "ConvSpec(4, kernel=3, groups=1)\n"
+        "snn.snn_backbone_forward(x, blocks, context='snn1')\n"
+        "snn.no_such_forward(x)\n"
+        "other(x, training=True)\n"
+    )
+    assert unknown_keywords(source) == [
+        "ConvSpec(groups) (line 4)",
+        "snn.snn_backbone_forward(context) (line 5)",
+        "snn.no_such_forward (line 6): no such name",
+    ]
+    with pytest.raises(AttributeError, match="snn_block_forward"):
+        evhybrid_calls("from evhybrid.snn import snn_block_forward\n")

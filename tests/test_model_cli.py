@@ -464,6 +464,7 @@ class TestCLI:
         )
         assert res.returncode == 3
         assert "error[data]" in res.stderr
+        assert not (tmp_path / "quant").exists()
 
     def test_corrupt_manifest_checkpoint_exit_code(self, cli_workspace, tmp_path):
         root, cfg_path = cli_workspace
@@ -543,9 +544,52 @@ class TestCLI:
         assert "error[data]" in res.stderr and "architecture" in res.stderr
 
     def test_missing_config_categorized_error(self, tmp_path):
-        res = run_cli(["--config", str(tmp_path / "nope.ini"), "train"], tmp_path)
-        assert res.returncode != 0
-        assert "error[" in res.stderr
+        res = run_cli(
+            ["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "run"), "train"], tmp_path
+        )
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and "nope.ini" in res.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_config_exit_code(self, tmp_path):
+        bad = tmp_path / "latin1.ini"
+        bad.write_bytes("[training]\n# caf\u00e9\nsteps = 3\n".encode("latin-1"))
+        res = run_cli(["--config", str(bad), "--out", str(tmp_path / "run"), "train"], tmp_path)
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and "latin1.ini" in res.stderr and "UTF-8" in res.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("infer", "--events"), ("infer", "--checkpoint"), ("profile", "--events"), ("profile", "--checkpoint"),
+         ("quantize", "--checkpoint"), ("fidelity", "--checkpoint")],
+    )
+    def test_missing_input_file_exit_code(self, cli_workspace, tmp_path, command, flag):
+        # a failed command leaves no output directory behind
+        root, cfg_path = cli_workspace
+        inputs = {
+            "--events": str(root / "gen" / "events.evs"),
+            "--checkpoint": str(root / "run" / "checkpoint.evck"),
+        }
+        if command in ("quantize", "fidelity"):
+            del inputs["--events"]
+        inputs[flag] = str(tmp_path / "nope")
+        args = [arg for pair in inputs.items() for arg in pair]
+        res = run_cli(["--config", str(cfg_path), "--out", str(tmp_path / "out"), command, *args], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "error[data]" in res.stderr and "nope" in res.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_truncated_events_leave_no_out_dir(self, cli_workspace, tmp_path):
+        root, cfg_path = cli_workspace
+        cut = tmp_path / "cut.evs"
+        cut.write_bytes((root / "gen" / "events.evs").read_bytes()[:-3])
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "out"), "infer", "--events", str(cut)], tmp_path
+        )
+        assert res.returncode == 3
+        assert "error[data]" in res.stderr and "cut.evs" in res.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.ini"

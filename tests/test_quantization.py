@@ -29,7 +29,7 @@ from evhybrid.quantize import (
     run_quantize,
     save_quantized,
 )
-from evhybrid.snn import conv_bn, snn_backbone_forward, snn_block_forward
+from evhybrid.snn import conv_bn, snn_backbone_forward
 
 
 class TestQuantizePerChannel:
@@ -831,7 +831,7 @@ class TestEventDrivenFloatReference:
 
 
 class TestEventDrivenInference:
-    """``snn_block_forward`` in inference runs the rulebook conv and the
+    """``snn_backbone_forward`` in inference runs the rulebook conv and the
     live-site membranes; taped or training calls keep the dense path."""
 
     @given(
@@ -866,9 +866,9 @@ class TestEventDrivenInference:
         model = _firing_model(rng, ["4c3p1s2"])
         block = model.snn_blocks[0]
         x = Tensor(rng.binomial(3, 0.05, (4, 2, 16, 16)).astype(np.float32))
-        untaped = snn_block_forward(x, block)
+        untaped = snn_backbone_forward(x, [block])
         with GradTape() as tape:
-            taped = snn_block_forward(x, block)
+            taped = snn_backbone_forward(x, [block])
         assert len(tape) > 0 and taped.requires_grad and not untaped.requires_grad
         np.testing.assert_array_equal(taped.data, untaped.data)
 

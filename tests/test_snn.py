@@ -16,7 +16,6 @@ from evhybrid.snn import (
     parse_layer_string,
     plif_step,
     snn_backbone_forward,
-    snn_block_forward,
 )
 
 
@@ -162,7 +161,7 @@ class TestBlocks:
     def test_zero_input_identity_bn_no_spikes(self):
         block = make_block(2, "4c3p1s1")
         x = Tensor(np.zeros((3, 2, 6, 6)))
-        out = snn_block_forward(x, block)
+        out = snn_backbone_forward(x, [block])
         assert not np.any(out.data)
 
     @given(seed=st.integers(0, 2**31 - 1))
@@ -171,7 +170,7 @@ class TestBlocks:
         rng = np.random.default_rng(seed)
         block = make_block(2, "4c3p1s2", seed=seed)
         x = Tensor(rng.poisson(0.5, (4, 2, 8, 8)).astype(WIDE))
-        out = snn_block_forward(x, block, training=True)
+        out = snn_backbone_forward(x, [block], training=True)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
     def test_stack_shape_arithmetic_small(self):
@@ -186,14 +185,6 @@ class TestBlocks:
         out = snn_backbone_forward(x, blocks)
         assert out.shape == (5, 8, 4, 3)
 
-    def test_one_block_stack_equals_block_forward(self):
-        rng = np.random.default_rng(4)
-        block = make_block(2, "4c3p1s2", seed=4)
-        x = Tensor(rng.poisson(0.4, (3, 2, 8, 8)).astype(WIDE))
-        a = snn_backbone_forward(x, [block])
-        b = snn_block_forward(x, block)
-        np.testing.assert_array_equal(a.data, b.data)
-
     @pytest.mark.parametrize("taped", [False, True], ids=["inference", "tape"])
     def test_nonfinite_input_named_with_its_step(self, taped):
         # running statistics keep the other steps finite, so the first
@@ -201,8 +192,26 @@ class TestBlocks:
         block = make_block(2, "4c3p1s1", seed=3)
         x = np.random.default_rng(3).poisson(0.5, (6, 2, 5, 5)).astype(WIDE)
         x[4, 0, 2, 2] = np.inf
-        with GradTape() if taped else nullcontext(), pytest.raises(NumericError, match="snn2.*t=4"):
-            snn_block_forward(Tensor(x), block, context="snn2")
+        with GradTape() if taped else nullcontext(), pytest.raises(NumericError, match="snn1.*t=4"):
+            snn_backbone_forward(Tensor(x), [block])
+
+    def test_finite_input_whose_membrane_overflows_named_with_its_step(self):
+        # a finite conv output that swings from near -max to near +max of
+        # float32 between steps overflows the membrane at t = 1; inference
+        # hands input that large to plif_scan, so both paths name the step
+        block = make_block(2, "2c3p1s1", dtype=np.float32)
+        big = np.finfo(np.float32).max * 0.9
+        block.conv_w.data[:] = 0
+        block.conv_w.data[:, 0, 1, 1] = -big
+        block.conv_w.data[:, 1, 1, 1] = big
+        x = np.zeros((3, 2, 5, 5), dtype=np.float32)
+        x[0, 0, 2, 2] = x[1, 1, 2, 2] = 1
+        messages = []
+        for tape in (nullcontext(), GradTape()):
+            with tape, np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+                snn_backbone_forward(Tensor(x), [block])
+            messages.append(str(err.value))
+        assert messages == ["non-finite membrane in snn1 at t=1"] * 2
 
     def test_tape_size_independent_of_time_steps(self):
         # the T loop is one tape node, so T = 10 records what T = 2 does
@@ -211,7 +220,7 @@ class TestBlocks:
         for t in (2, 10):
             x = Tensor(np.random.default_rng(t).poisson(0.5, (t, 2, 8, 8)).astype(WIDE))
             with GradTape() as tape:
-                snn_block_forward(x, block, training=True)
+                snn_backbone_forward(x, [block], training=True)
             sizes.append(len(tape))
         assert sizes[0] == sizes[1]
 
@@ -242,14 +251,14 @@ class TestBlocks:
         block = make_block(2, "4c3p1s1", seed=7)
         x = Tensor(np.random.default_rng(7).poisson(1.0, (4, 2, 6, 6)).astype(WIDE))
         before = block.bn_mean.copy()
-        snn_block_forward(x, block, training=True)
+        snn_backbone_forward(x, [block], training=True)
         assert np.any(block.bn_mean != before)
 
     def test_smooth_mode_leaves_running_stats(self):
         block = make_block(2, "4c3p1s1", seed=9)
         x = Tensor(np.random.default_rng(9).poisson(1.0, (4, 2, 6, 6)).astype(WIDE))
         mean, var = block.bn_mean.copy(), block.bn_var.copy()
-        snn_block_forward(x, block, training=True, smooth=True)
+        snn_backbone_forward(x, [block], training=True, smooth=True)
         np.testing.assert_array_equal(block.bn_mean, mean)
         np.testing.assert_array_equal(block.bn_var, var)
 
