@@ -78,7 +78,11 @@ def _load(args) -> RunConfig:
 
 def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out) if args.out else Path(cfg.io.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        flag = "--out" if args.out else "[io] out_dir"
+        raise ConfigError(f"{flag} {out}: cannot create the directory ({exc.strerror})") from exc
     return out
 
 

@@ -490,6 +490,15 @@ def deform_conv(planes, offsets, weight):
     wy and the two wx planes, the corner values and the samples; the
     pullback recomputes the corner weights. A call's padded planes must fit
     an int32 flat index, the bound :func:`deform_chunk` sizes chunks by.
+
+    The per-cell arithmetic lives in layout-free helpers: ``_corner_planes``
+    (the bordered planes as four corner views), ``_deform_samples`` (grid +
+    offsets, floor and clip, the flat index, the corner gather and the
+    left-to-right corner sum) and ``_tap_sum`` (the taps in order). This op
+    runs them on every cell and is the bridge's path whenever a tape needs
+    gradients. Without one, the bridge's event-driven branch runs the same
+    helpers on [K^2, M] arrays of only the cells that can read a nonzero
+    plane cell, so that its output equals this op's.
     """
     pd, od, wd = _data(planes), _data(offsets), _data(weight)
     if pd.ndim != 4:
@@ -522,10 +531,46 @@ def _deform_forward(pd, od, w5, grid, keep):
     """([C, T, H, W] output, pullback state or None) of :func:`deform_conv`."""
     c, t, h, w = pd.shape
     j = w5.shape[2]
-    g_count, hp, wp = c * t, h + 4, w + 4
-    off = od.reshape(c, t, j, 2, h, w)
-    ys = (off[:, :, :, 0] + grid[0]).reshape(g_count, j, h, w)
-    xs = (off[:, :, :, 1] + grid[1]).reshape(g_count, j, h, w)
+    g_count = c * t
+    off = od.reshape(g_count, j, 2, h, w)
+    plane = np.arange(g_count, dtype=np.intp).reshape(g_count, 1, 1, 1)
+    samples, (idx, wy, wx, v) = _deform_samples(
+        _corner_planes(pd), (h, w), off[:, :, 0], off[:, :, 1], grid[0], grid[1], plane
+    )
+    samples = samples.reshape(c, t, j, h, w)
+    out = _tap_sum(np.moveaxis(samples, 2, 0), np.moveaxis(w5, 2, 0))
+    return out, ((idx, wy, wx, v, samples) if keep else None)
+
+
+def _corner_planes(planes):
+    """The planes [..., H, W] in a zero-bordered stack [G, H+4, W+4], flat,
+    as the four views that start at corners 00, 01, 10 and 11 of a 2x2
+    block, copied into one [4, n] array: ``_deform_samples`` gathers a
+    corner block's values from its top-left corner's flat index."""
+    h, w = planes.shape[-2:]
+    wp = w + 4
+    padded = np.zeros((planes.size // (h * w), h + 4, wp), dtype=planes.dtype)
+    padded[:, 2:-2, 2:-2] = planes.reshape(-1, h, w)
+    flat = padded.ravel()
+    n = flat.size - wp - 1
+    return np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :]))
+
+
+def _deform_samples(corners, hw, off_y, off_x, grid_y, grid_x, plane):
+    """Bilinear samples of :func:`deform_conv`, cell by cell, in any layout.
+
+    ``corners`` is ``_corner_planes`` of G planes of size ``hw`` (H, W). The
+    offsets, the grid positions and ``plane`` (each cell's intp index into
+    the G planes) broadcast to one shape S. A cell samples its plane at
+    ``grid + offsets`` with the zero border and the corner order of
+    :func:`deform_conv`. Returns the samples [S] and the pullback state: the
+    intp flat index of each 2x2 corner block's top-left corner in the
+    bordered planes, the (wy, wx) corner weight pairs and the [4, S] corner
+    values. Raises NumericError on a non-finite coordinate.
+    """
+    h, w = hw
+    hp, wp = h + 4, w + 4
+    ys, xs = off_y + grid_y, off_x + grid_x
     if not (np.isfinite(ys).all() and np.isfinite(xs).all()):
         raise NumericError("deform_conv: non-finite sampling coordinate")
     y0, x0 = np.floor(ys), np.floor(xs)
@@ -534,15 +579,10 @@ def _deform_forward(pd, od, w5, grid, keep):
     # exact below the int32 bound, which spares an intp temporary
     idx = np.clip(y0, -2, h, out=y0).astype(np.intp)
     idx *= wp
-    idx += np.arange(g_count, dtype=np.intp).reshape(g_count, 1, 1, 1) * (hp * wp) + 2 * wp + 2
+    idx += plane * (hp * wp) + 2 * wp + 2
     np.add(idx, np.clip(x0, -2, w, out=x0), out=idx, casting="unsafe")
-    padded = np.zeros((g_count, hp, wp), dtype=pd.dtype)
-    padded.reshape(c, t, hp, wp)[:, :, 2:-2, 2:-2] = pd
-    flat = padded.ravel()
-    n = flat.size - wp - 1
-    # [4, C*T, K^2, H, W] corner values, corners in the order 00, 01, 10, 11
-    v = np.stack((flat[:n], flat[1 : n + 1], flat[wp : wp + n], flat[wp + 1 :])).take(idx, axis=1)
-    del padded, flat
+    v = corners.take(idx, axis=1)  # [4, S], corners in the order 00, 01, 10, 11
+    del corners  # freed here when the caller passed a temporary
     # corner q = 2a + b weighs wy[a] * wx[b]; the four terms are added left to right
     wy, wx = (np.subtract(1, fy, out=y0), fy), (np.subtract(1, fx, out=x0), fx)
     samples = np.multiply(wy[0], wx[0], out=np.empty(idx.shape, np.result_type(wy[0], v)))
@@ -552,9 +592,16 @@ def _deform_forward(pd, od, w5, grid, keep):
         np.multiply(wy[q >> 1], wx[q & 1], out=term)
         term *= v[q]
         samples += term
-    del term
-    samples = samples.reshape(c, t, j, h, w)
-    return np.sum(samples * w5, axis=2), ((idx, wy, wx, v, samples) if keep else None)
+    return samples, (idx, wy, wx, v)
+
+
+def _tap_sum(samples, weight):
+    """Sum over the leading (tap) axis of ``samples * weight``, the taps
+    added one at a time in order 0..K^2-1, whatever the trailing layout."""
+    out = samples[0] * weight[0]
+    for q in range(1, len(samples)):
+        out += samples[q] * weight[q]
+    return out
 
 
 def _deform_pullback(state, g, w5):

@@ -1,12 +1,15 @@
 """Bridge module: grouping, deformable conv oracles, attention invariants,
 the event-rate gate, and end-to-end differentiability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evhybrid.bridge import (
     BridgeParams,
+    _deformable_branch,
     asab_forward,
     attention_parts,
     ers_gate,
@@ -15,7 +18,7 @@ from evhybrid.bridge import (
     temporal_grouping,
     tsdc,
 )
-from evhybrid.errors import ConfigError
+from evhybrid.errors import ConfigError, NumericError
 from evhybrid.numerics import WIDE, GradTape, Tensor, grad_check, ops
 
 
@@ -382,6 +385,132 @@ class TestFullBridge:
         rng = np.random.default_rng(12)
         rep = bridge_gradcheck(params_for(t=3, seed=12), rng, c=2, h=6, w=6)
         assert rep.passed, rep
+
+
+def dense_branch(planes, p):
+    """The deformable branch as training runs it: under a tape that needs
+    the planes' gradients, so each chunk runs ``ops.deform_conv``."""
+    with GradTape() as tape:
+        out = _deformable_branch(Tensor(planes, requires_grad=True), p)
+    assert "deform_conv" in [node[0] for node in tape._nodes]
+    return out.data
+
+
+PLANES = ("silent", "sparse", "ones", "values")
+
+
+def make_planes(rng, kind, shape, dtype):
+    if kind == "silent":
+        return np.zeros(shape, dtype)
+    if kind == "ones":
+        return np.ones(shape, dtype)
+    mask = rng.random(shape) < 0.05
+    if kind == "sparse":
+        return mask.astype(dtype)
+    return (mask * rng.standard_normal(shape)).astype(dtype)  # non-binary, some negative
+
+
+class TestEventDrivenBranch:
+    """Untaped, the deformable branch samples only the cells that can see a
+    nonzero plane cell; its output must be the dense op's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        kernel=st.sampled_from([1, 3, 5]),
+        heads=st.sampled_from([1, 2]),
+        steps=st.integers(1, 3),
+        c=st.integers(1, 4),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kind=st.sampled_from(PLANES),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        w_scale=st.sampled_from([0.0, 0.1, 1.0]),
+        b_scale=st.sampled_from([0.0, 0.4, 2.5, 30.0, "below-integer"]),
+        chunked=st.booleans(),
+    )
+    def test_equals_dense_branch(self, seed, kernel, heads, steps, c, h, w, kind, dtype, w_scale, b_scale, chunked):
+        # |offset_b| > 1 shifts the quiet sites' corner blocks by whole
+        # cells, and 30 sends most of them off the plane; an offset just
+        # below an integer makes grid + offset round up to an integer, one
+        # row or column past floor(offset) + tap
+        rng = np.random.default_rng(seed)
+        t = heads * steps
+        p = params_for(t, kernel=kernel, heads=heads, seed=seed % 1000, dtype=dtype)
+        p.offset_w.data = (w_scale * rng.standard_normal(p.offset_w.shape)).astype(dtype)
+        if b_scale == "below-integer":
+            whole = rng.integers(-2, 3, p.offset_b.shape).astype(dtype)
+            p.offset_b.data = np.nextafter(whole, dtype(-np.inf))
+        else:
+            p.offset_b.data = (b_scale * rng.standard_normal(p.offset_b.shape)).astype(dtype)
+        p.tsdc_b.data = rng.standard_normal(t).astype(dtype)
+        planes = make_planes(rng, kind, (c, t, h, w), dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunked:
+                mp.setattr(ops, "DEFORM_CHUNK_BYTES", 1)  # one channel per chunk
+            event = _deformable_branch(Tensor(planes), p).data
+            dense = dense_branch(planes, p)
+        assert event.dtype == dense.dtype
+        np.testing.assert_array_equal(event, dense)
+
+    def test_taped_eval_call_keeps_the_dense_op(self):
+        # asab_forward has no training flag: a tape that needs the planes'
+        # or a parameter's gradients is what selects the differentiable op
+        rng = np.random.default_rng(21)
+        p = params_for(t=4, seed=21, dtype=np.float32)
+        p.offset_w.data = (0.3 * rng.standard_normal(p.offset_w.shape)).astype(np.float32)
+        spikes = rand_spikes(rng, 4, 3, 6, 6, rate=0.1, dtype=np.float32)
+        untaped = asab_forward(spikes, p).data
+        for x in (Tensor(spikes.data, requires_grad=True), spikes):  # planes, then parameters only
+            with GradTape() as tape:
+                out = asab_forward(x, p)
+                grads = tape.gradients(out, [p.offset_w, p.tsdc_w], seed=np.ones(out.shape))
+            assert "deform_conv" in [node[0] for node in tape._nodes]
+            np.testing.assert_array_equal(out.data, untaped)
+            assert all(np.isfinite(g).all() and np.abs(g).max() > 0 for g in grads)
+
+    @pytest.mark.parametrize("name", ["offset_w", "offset_b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_offset_weight_on_a_silent_window_raises(self, name, bad):
+        # no site is live, so no chunk meets the weights; the dense op raises
+        # on the coordinates they spoil, and so must the event-driven branch
+        p = params_for(t=2, dtype=np.float32)
+        getattr(p, name).data.reshape(-1)[3] = bad
+        planes = np.zeros((2, 2, 5, 5), np.float32)
+        for run in (lambda: _deformable_branch(Tensor(planes), p), lambda: dense_branch(planes, p)):
+            with pytest.raises(NumericError, match="non-finite sampling coordinate"):
+                run()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_plane_raises_the_dense_error(self, bad):
+        p = params_for(t=2, dtype=np.float32)
+        planes = np.zeros((2, 2, 5, 5), np.float32)
+        planes[1, 0, 2, 3] = bad
+        for run in (lambda: _deformable_branch(Tensor(planes), p), lambda: dense_branch(planes, p)):
+            with pytest.raises(NumericError, match="non-finite sampling coordinate"):
+                run()
+
+    def test_peak_memory_below_dense_on_sparse_sensor_planes(self):
+        # sensor-size planes with 0.5% of their cells set: the dense op holds
+        # every tap's sampling state for a chunk, the event-driven branch only
+        # the offset field and one block of sampled taps
+        rng = np.random.default_rng(22)
+        p = params_for(t=2, kernel=3, seed=22, dtype=np.float32)
+        p.offset_w.data = (0.3 * rng.standard_normal(p.offset_w.shape)).astype(np.float32)
+        planes = (rng.random((2, 2, 240, 304)) < 0.005).astype(np.float32)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                out = run()
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        event_peak, event = peak(lambda: _deformable_branch(Tensor(planes), p).data)
+        dense_peak, dense = peak(lambda: dense_branch(planes, p))
+        np.testing.assert_array_equal(event, dense)
+        assert event_peak < dense_peak / 2, (event_peak, dense_peak)
 
 
 class TestGeometry:

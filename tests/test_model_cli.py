@@ -551,6 +551,15 @@ class TestCLI:
         assert "error[config]" in res.stderr and "nope.ini" in res.stderr
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("out,command", [("afile", "profile"), ("afile/sub", "gen")])
+    def test_out_through_an_existing_file_is_config_error(self, tmp_path, out, command):
+        # the file itself, or a directory under it: mkdir fails with EEXIST or ENOTDIR
+        (tmp_path / "afile").write_text("keep")
+        res = run_cli(["--out", out, command], tmp_path)
+        assert res.returncode == 2
+        assert "error[config]" in res.stderr and f"--out {out}" in res.stderr
+        assert (tmp_path / "afile").read_text() == "keep"
+
     def test_non_utf8_config_exit_code(self, tmp_path):
         bad = tmp_path / "latin1.ini"
         bad.write_bytes("[training]\n# caf\u00e9\nsteps = 3\n".encode("latin-1"))
