@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import NARROW, Tensor, active_tape, ops
+from .numerics import NARROW, Tensor, ops
 
 
 def check_bridge_geometry(kernel: int, heads: int, n_steps: int) -> None:
@@ -147,7 +147,7 @@ def _deformable_branch(a: Tensor, params: BridgeParams) -> Tensor:
     c, t, h, w = a.shape
     step = ops.deform_chunk(t, params.kernel, h, w, a.dtype)
     chunks = range(0, c, step)
-    if active_tape() is None or not ops._needs_grad(a, *params.parameters().values()):
+    if not ops.recording(a, *params.parameters().values()):
         ow, ob = params.offset_w.data, params.offset_b.data
         # a non-finite offset weight spoils every coordinate of the dense op,
         # which raises so even on a silent window, where no chunk meets it

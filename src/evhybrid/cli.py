@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .config import QUANT_BITS, RunConfig, load_config, save_config
 from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
-from .profiling import EnergyModel, count_dense_macs, count_spike_acs, sparsity_report, write_profile
+from .profiling import EnergyModel, count_dense_macs, count_spike_acs, write_profile
 from .quantize import reference_layers, run_quantize
 from .snn import snn_backbone_forward
 from .numerics import Tensor
@@ -69,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig().validate()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.training.seed = args.seed
     cfg.deterministic = bool(args.deterministic)
-    return cfg
+    return cfg.validate()
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -186,7 +187,11 @@ def cmd_profile(args, cfg: RunConfig) -> int:
         for _, counts in stream_windows(stream, cfg):
             snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=trace)
         counters = counters.merge(count_spike_acs(trace))
-        sparsity = {e["name"]: sparsity_report(e["nonzero"]) for e in trace}
+        cells, spikes = Counter(), Counter()
+        for e in trace:
+            cells[e["name"]] += e["cells"]
+            spikes[e["name"]] += e["input_spikes"]
+        sparsity = {name: (cells[name] - spikes[name]) / cells[name] for name in cells}
     out = _out_dir(args, cfg)
     write_profile(counters, out, EnergyModel(), sparsity)
     print((out / "profile.txt").read_text())

@@ -106,7 +106,7 @@ class RunConfig:
                 v = getattr(getattr(self, section), key)
                 if hint is float and not math.isfinite(v):
                     raise ConfigError(f"{key} must be finite, got {v}")
-        for key in ("lr", "clip_norm", "noise_rate"):
+        for key in ("lr", "clip_norm", "noise_rate", "seed"):
             if getattr(t, key) < 0:
                 raise ConfigError(f"{key} must be at least 0, got {getattr(t, key)}")
         if t.contrast <= 0:

@@ -104,7 +104,7 @@ class HybridModel:
 
         Recurrent state (if any) persists across calls; call ``reset_state``
         between independent streams. ``trace`` collects the spiking layers'
-        input masks, as in ``snn_backbone_forward``.
+        cost counts (ints), as in ``snn_backbone_forward``.
         """
         x = Tensor(counts.astype(self.dtype))
         e_spike = snn_backbone_forward(x, self.snn_blocks, training=training, trace=trace)
@@ -230,7 +230,7 @@ def decode_detections(det: ann.ToyDetection, window: int, t_us: int, stride: int
 
 def run_infer(model: HybridModel, stream: EventStream, trace: list | None = None) -> list[Detection]:
     """One detection set per window; empty stream gives no detections.
-    ``trace`` collects every window's spiking-layer input masks."""
+    ``trace`` collects every window's spiking-layer counts (ints)."""
     model.reset_state()
     sim = model.config.simulation
     if (stream.width, stream.height) != (sim.sensor_width, sim.sensor_height):

@@ -23,12 +23,15 @@ def _needs_grad(*xs) -> bool:
     return any(isinstance(x, Tensor) and x.requires_grad for x in xs)
 
 
+def recording(*xs) -> bool:
+    """Whether an active tape needs the gradient of one of ``xs``."""
+    return active_tape() is not None and _needs_grad(*xs)
+
+
 def _emit(name, out_data, inputs, pullback) -> Tensor:
-    tape = active_tape()
-    track = tape is not None and _needs_grad(*inputs)
-    out = Tensor(out_data, requires_grad=track)
-    if track:
-        tape.record(name, out, tuple(inputs), pullback)
+    out = Tensor(out_data, requires_grad=recording(*inputs))
+    if out.requires_grad:
+        active_tape().record(name, out, tuple(inputs), pullback)
     return out
 
 
@@ -486,10 +489,10 @@ def deform_conv(planes, offsets, weight):
     scatters corner 0 with a float64 bincount and corners 1-3 with three
     ordered ``np.add.at`` passes, so each cell's sum runs in corner order.
     The four corners are added left to right and the taps in order
-    0..K^2-1. Only while a tape records the op, it keeps the index, the two
-    wy and the two wx planes, the corner values and the samples; the
-    pullback recomputes the corner weights. A call's padded planes must fit
-    an int32 flat index, the bound :func:`deform_chunk` sizes chunks by.
+    0..K^2-1. The pullback keeps the index, the two wy and the two wx
+    planes, the corner values and the samples, and recomputes the corner
+    weights. A call's padded planes must fit an int32 flat index, the bound
+    :func:`deform_chunk` sizes chunks by.
 
     The per-cell arithmetic lives in layout-free helpers: ``_corner_planes``
     (the bordered planes as four corner views), ``_deform_samples`` (grid +
@@ -512,9 +515,8 @@ def deform_conv(planes, offsets, weight):
         raise ShapeError(f"offset channel axis expects {2 * j * t} fields, got shape {od.shape}")
     if c * t * (h + 4) * (w + 4) > np.iinfo(np.int32).max:
         raise ShapeError(f"deform_conv: {c}x{t} padded {h + 4}x{w + 4} planes overflow an int32 index")
-    keep = active_tape() is not None and _needs_grad(planes, offsets, weight)
     w5 = wd.reshape(1, t, j, 1, 1)
-    out, state = _deform_forward(pd, od, w5, _deform_grid(k, h, w, pd.dtype), keep)
+    out, state = _deform_forward(pd, od, w5, _deform_grid(k, h, w, pd.dtype))
 
     def pull(g):
         g_planes, g_off, g_w = _deform_pullback(state, g, w5)
@@ -527,8 +529,8 @@ def deform_conv(planes, offsets, weight):
     return _emit("deform_conv", out, (planes, offsets, weight), pull)
 
 
-def _deform_forward(pd, od, w5, grid, keep):
-    """([C, T, H, W] output, pullback state or None) of :func:`deform_conv`."""
+def _deform_forward(pd, od, w5, grid):
+    """([C, T, H, W] output, pullback state) of :func:`deform_conv`."""
     c, t, h, w = pd.shape
     j = w5.shape[2]
     g_count = c * t
@@ -539,7 +541,7 @@ def _deform_forward(pd, od, w5, grid, keep):
     )
     samples = samples.reshape(c, t, j, h, w)
     out = _tap_sum(np.moveaxis(samples, 2, 0), np.moveaxis(w5, 2, 0))
-    return out, ((idx, wy, wx, v, samples) if keep else None)
+    return out, (idx, wy, wx, v, samples)
 
 
 def _corner_planes(planes):
@@ -676,19 +678,15 @@ def plif_scan(x, w, smooth: bool = False, context: str = "plif"):
     adjoint summed over steps, latest first. It adds every term in the order
     the tape adds the same arithmetic recorded op by op, so the spikes, the
     ``x`` adjoint and one call's ``w`` adjoint are those of ``snn.plif_step``
-    looped over T. The membranes before reset are kept only while a tape
-    records the op.
+    looped over T. The pullback keeps the membranes before reset.
 
     A non-finite membrane stays non-finite, so one check of the last one
     finds any; the error names ``context`` and the first bad step.
     """
     xd = _data(x)
     leak = _logistic(np.asarray(_data(w)))
-    keep = active_tape() is not None and _needs_grad(x, w)
-    spikes, v_pre, last = _plif_forward(xd, leak, smooth, keep)
-    if not np.isfinite(last).all():
-        if v_pre is None:
-            v_pre = _plif_forward(xd, leak, smooth, True)[1]
+    spikes, v_pre = _plif_forward(xd, leak, smooth)
+    if not np.isfinite(v_pre[-1]).all():
         bad = ~np.isfinite(v_pre.reshape(len(v_pre), -1)).all(axis=1)
         raise NumericError(f"non-finite membrane in {context} at t={int(np.argmax(bad))}")
 
@@ -698,22 +696,21 @@ def plif_scan(x, w, smooth: bool = False, context: str = "plif"):
     return _emit("plif_scan", spikes, (x, w), pull)
 
 
-def _plif_forward(xd, leak, smooth, keep):
-    """(spikes, membranes before reset [T, ...] or None, last membrane
-    before reset) of :func:`plif_scan`."""
+def _plif_forward(xd, leak, smooth):
+    """(spikes, membranes before reset [T, ...]) of :func:`plif_scan`."""
     dtype = np.result_type(xd, leak)
     spikes = np.empty(xd.shape, dtype)
-    v_pre = np.empty(xd.shape, dtype) if keep else None
+    v_pre = np.empty(xd.shape, dtype)
     v = np.zeros(xd.shape[1:], dtype)
     # a non-finite membrane makes inf - inf at the reset; plif_scan reports it
     with np.errstate(invalid="ignore"):
         for t in range(len(xd)):
-            vp = np.subtract(xd[t], v, out=None if v_pre is None else v_pre[t])
+            vp = np.subtract(xd[t], v, out=v_pre[t])
             vp *= leak
             vp += v
             spikes[t] = _spike_value(vp - 1.0, smooth)
             v = vp - spikes[t] * vp
-    return spikes, v_pre, vp
+    return spikes, v_pre
 
 
 def _plif_pullback(g, xd, leak, spikes, v_pre, smooth):

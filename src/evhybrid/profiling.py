@@ -1,10 +1,11 @@
 """Compute-cost accounting: dense multiply-accumulates (MACs), event-driven
 accumulates (ACs), parameter counts, sparsity, and a linear energy model.
 
-AC accounting convention: each nonzero input cell of a spiking conv layer is
-charged one accumulate per kernel tap it feeds (respecting stride and padding
-boundaries) per output channel of its group; bins holding more than one event
-still count once per tap. The membrane-update add is not charged separately.
+AC accounting convention (``ConvSpec.accumulates``): each nonzero input cell
+of a spiking conv is charged one accumulate per kernel tap it feeds, per
+output channel; a bin of several events counts once, and the membrane-update
+add is not charged. ``count_spike_acs`` reports the per-window mean of the
+counts the spiking backbone records window by window.
 
 The energy constants are a least-squares fit of E = MACs*e_mac + ACs*e_ac to
 published complexity/energy datapoints for event-based detectors (three
@@ -14,6 +15,7 @@ dense ANN models and two spiking models); see ``fit_energy_constants``.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -142,30 +144,18 @@ def count_dense_macs(cfg: RunConfig) -> OpCounters:
     return counters
 
 
-def _tap_counts(extent: int, out_extent: int, k: int, p: int, s: int) -> np.ndarray:
-    """taps[i] = number of kernel taps an input cell at coordinate i feeds."""
-    num = np.arange(extent)[:, None] + p - np.arange(k)  # [extent, k]: stride x output row per tap
-    return ((num % s == 0) & (0 <= num // s) & (num // s < out_extent)).sum(axis=1, dtype=np.int64)
-
-
 def count_spike_acs(trace: list[dict]) -> OpCounters:
-    """Exact event-driven accumulate counts from a recorded forward trace.
-
-    Each trace entry carries the layer's input nonzero mask and conv
-    geometry (as recorded by the spiking backbone)."""
+    """Event-driven accumulates and input spikes per spiking layer from a
+    recorded forward trace, whose entries ``snn_backbone_forward`` appends
+    one per layer per window: each the per-window mean of the layer's
+    entries, rounded to an int. A one-window trace gives its own counts."""
+    sums: dict[str, Counter] = {}
+    for e in trace:
+        sums.setdefault(e["name"], Counter()).update(windows=1, acs=e["acs"], input_spikes=e["input_spikes"])
     counters = OpCounters()
-    for entry in trace:
-        mask = entry["nonzero"]
-        k, s, p = entry["kernel"], entry["stride"], entry["padding"]
-        c_out = entry["out_channels"]
-        h, w = mask.shape[-2:]
-        h_out, w_out = ConvSpec(c_out, k, p, s).out_size(h, w)
-        taps_y = _tap_counts(h, h_out, k, p, s)
-        taps_x = _tap_counts(w, w_out, k, p, s)
-        cells = mask.reshape(-1, h, w).sum(axis=0)  # nonzero (t, c) per (y, x)
-        lc = counters.layer(entry["name"])
-        lc.acs = int((cells * np.outer(taps_y, taps_x)).sum()) * c_out
-        lc.input_spikes = int(np.count_nonzero(mask))
+    for name, s in sums.items():
+        lc = counters.layer(name)
+        lc.acs, lc.input_spikes = round(s["acs"] / s["windows"]), round(s["input_spikes"] / s["windows"])
     return counters
 
 
@@ -173,12 +163,6 @@ def energy_estimate(counters: OpCounters, model: EnergyModel | None = None) -> f
     """E = total MACs * e_mac + total ACs * e_ac, in joules."""
     model = model or EnergyModel()
     return counters.total_macs * model.e_mac + counters.total_acs * model.e_ac
-
-
-def sparsity_report(spikes) -> float:
-    """Fraction of zero cells in a spike (or count) tensor."""
-    arr = np.asarray(spikes.data if hasattr(spikes, "data") else spikes)
-    return float((arr == 0).mean())
 
 
 # ---------------------------------------------------------------------------

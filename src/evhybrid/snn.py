@@ -48,7 +48,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import NARROW, Tensor, active_tape, ops
+from .numerics import NARROW, Tensor, ops
 
 _LAYER_RE = re.compile(r"(\d+)c(\d+)p(\d+)s(\d+)")
 
@@ -97,6 +97,24 @@ class ConvSpec:
         below 1 means the layer leaves no output."""
         k, p, s = self.kernel, self.padding, self.stride
         return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+
+    def accumulates(self, nonzero: np.ndarray) -> int:
+        """Accumulates of the conv run event-driven on an input whose nonzero
+        cells are ``nonzero`` [..., H, W]: one per nonzero cell, per kernel
+        tap it feeds within the output (respecting stride and padding), per
+        output channel. A cell holding several events counts once."""
+        h, w = nonzero.shape[-2:]
+        h_out, w_out = self.out_size(h, w)
+        k, p, s = self.kernel, self.padding, self.stride
+        taps = np.outer(_tap_counts(h, h_out, k, p, s), _tap_counts(w, w_out, k, p, s))
+        cells = nonzero.reshape(-1, h, w).sum(axis=0)  # nonzero cells per (y, x)
+        return int((cells * taps).sum()) * self.out_channels
+
+
+def _tap_counts(extent: int, out_extent: int, k: int, p: int, s: int) -> np.ndarray:
+    """taps[i] = number of kernel taps an input cell at coordinate i feeds."""
+    num = np.arange(extent)[:, None] + p - np.arange(k)  # [extent, k]: stride x output row per tap
+    return ((num % s == 0) & (0 <= num // s) & (num // s < out_extent)).sum(axis=1, dtype=np.int64)
 
 
 class ConvBNBlock:
@@ -197,13 +215,6 @@ class SNNBlock(ConvBNBlock):
 
     def parameters(self):
         return {**super().parameters(), "plif_w": self.plif_w}
-
-
-def _taped(x: Tensor, blocks: list[SNNBlock]) -> bool:
-    """Whether an active tape needs the gradients of ``x`` or of a block's
-    parameters, so that the blocks must run their differentiable ops."""
-    params = (p for block in blocks for p in block.parameters().values())
-    return active_tape() is not None and ops._needs_grad(x, *params)
 
 
 def _event_forward(x: np.ndarray, block: SNNBlock, context: str) -> np.ndarray:
@@ -375,26 +386,21 @@ def snn_backbone_forward(
     Otherwise nothing will be differentiated and every block runs
     event-driven (``_event_forward``): the blocks pass their boolean spikes
     straight on, and only the last layer's become a Tensor in its block's
-    dtype. When ``trace`` is a list, each layer's input nonzero mask and
-    conv geometry are appended for the event-driven cost counter.
+    dtype. When ``trace`` is a list, each layer appends its ``name``, its
+    input's ``ConvSpec.accumulates`` (``acs``), nonzero ``input_spikes``
+    and ``cells``, all ints, for the event-driven cost counter.
     """
     if not blocks:
         raise ConfigError("spiking backbone needs at least one block")
-    event = not (training or smooth or _taped(x, blocks))
+    params = (p for block in blocks for p in block.parameters().values())
+    event = not (training or smooth or ops.recording(x, *params))
     out = x.data if event else x
     for i, block in enumerate(blocks):
         context = f"snn{i + 1}"
         if trace is not None:
-            trace.append(
-                {
-                    "name": context,
-                    "nonzero": (out if event else out.data) != 0,
-                    "kernel": block.cfg.kernel,
-                    "stride": block.cfg.stride,
-                    "padding": block.cfg.padding,
-                    "out_channels": block.cfg.out_channels,
-                }
-            )
+            nonzero = (out if event else out.data) != 0
+            acs, spikes = block.cfg.accumulates(nonzero), int(np.count_nonzero(nonzero))
+            trace.append({"name": context, "acs": acs, "input_spikes": spikes, "cells": nonzero.size})
         if event:
             out = _event_forward(out, block, context)
         else:

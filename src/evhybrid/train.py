@@ -281,6 +281,8 @@ def run_ablate(
 ) -> dict[str, EvalMetrics]:
     """Train and evaluate the bridge ablations with identical data and seed.
     Every variant name is checked before any training starts."""
+    if not variants:
+        raise ConfigError("ablation needs at least one variant")
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {variant!r}")

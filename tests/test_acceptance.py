@@ -28,7 +28,6 @@ from evhybrid.profiling import (
     HYBRID_REFERENCE_POINT,
     EnergyModel,
     OpCounters,
-    count_spike_acs,
     energy_estimate,
 )
 from evhybrid.quantize import FixedPointModel, fuse_bn_lif, quantize_per_channel, run_quantize
@@ -477,9 +476,8 @@ def test_criterion_9_ac_counter_oracle():
         rng = np.random.default_rng(90 + i)
         mask = rng.random((3, 2, 7, 8)) < 0.12
         c_out = int(rng.integers(1, 9))
-        trace = [{"name": "l", "nonzero": mask, "kernel": 3, "stride": stride,
-                  "padding": padding, "out_channels": c_out, "groups": 1}]
-        ok &= count_spike_acs(trace).total_acs == _brute_force_acs(mask, 3, stride, padding, c_out)
+        acs = ConvSpec(c_out, kernel=3, padding=padding, stride=stride).accumulates(mask)
+        ok &= acs == _brute_force_acs(mask, 3, stride, padding, c_out)
     record_criterion(9, ok, "event-driven accumulate counter vs brute force, 20 inputs (exact)")
     assert ok
 

@@ -4,6 +4,7 @@ import json
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,15 @@ def toy_config(seed=0, steps=8):
     cfg.training.eval_scenes = 2
     cfg.training.scene_duration_ms = 100
     return cfg.validate()
+
+
+def three_window_stream(seed=7):
+    """Events on the 24x24 toy sensor in three 50 ms windows of unequal density."""
+    rng = np.random.default_rng(seed)
+    parts = [rng.integers(lo, lo + 50_000, n) for lo, n in ((0, 500), (50_001, 300), (100_001, 80))]
+    t = np.sort(np.concatenate(parts))
+    n = len(t)
+    return EventStream(24, 24, t=t, x=rng.integers(0, 24, n), y=rng.integers(0, 24, n), p=rng.integers(0, 2, n))
 
 
 class TestModel:
@@ -111,7 +121,7 @@ class TestModel:
             for key, v in stats.items():  # undo the running-average updates
                 name, stat = key.split(".")
                 setattr(blocks[name], stat, v.copy())
-            assert all(e["nonzero"].any() for e in trace[1:]) and out["e_spike"].data.any()
+            assert all(e["input_spikes"] for e in trace[1:]) and out["e_spike"].data.any()
             return float(toy_loss(out["detection"], [(2.5, 3.0, 2.0, 2.0)]).data)
 
         base = loss()
@@ -141,6 +151,22 @@ class TestModel:
             assert a.keys() == b.keys()
             for k in a:
                 np.testing.assert_array_equal(a[k], b[k])
+
+    def test_infer_trace_keeps_no_window_arrays(self):
+        model = HybridModel(toy_config(), seed=7)
+        stream = three_window_stream()
+        run_infer(model, stream)  # first-call caches are not the trace's
+        tracemalloc.start()
+        try:
+            trace: list = []
+            run_infer(model, stream, trace=trace)
+            assert len(trace) == 3 * len(model.snn_blocks)
+            held = tracemalloc.get_traced_memory()[0]
+            trace = None
+            per_window = (held - tracemalloc.get_traced_memory()[0]) / 3
+        finally:
+            tracemalloc.stop()
+        assert 0 < per_window < 1024
 
     @pytest.mark.parametrize("version", [1, 3])
     def test_checkpoint_version_mismatch_rejected(self, tmp_path, version):
@@ -445,6 +471,35 @@ class TestCLI:
         # the same sweep as one run_quantize per width, each with its own reference
         assert json.loads((tmp_path / "fidelity_sweep.json").read_text()) == want
 
+    @pytest.mark.parametrize("command", ["infer", "profile"])
+    def test_multi_window_profile_is_the_per_window_mean(self, cli_workspace, tmp_path, command):
+        root, cfg_path = cli_workspace
+        checkpoint, events = str(root / "run" / "checkpoint.evck"), tmp_path / "events.evs"
+        stream = three_window_stream()
+        write_events(stream, events)
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out"), command,
+                "--events", str(events), "--checkpoint", checkpoint]
+        assert cli.main(argv) == 0
+        cfg = load_config(cfg_path)
+        model = cli._build_model(cfg, checkpoint)
+        windows = []
+        for _, counts in stream_windows(stream, cfg):
+            trace: list = []
+            snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=trace)
+            windows.append(trace)
+        assert len(windows) == 3
+        # every layer's input differs from window to window, so the last is not the mean
+        assert all(len({e["acs"] for e in layer}) == 3 for layer in zip(*windows))
+        profile = json.loads((tmp_path / "out" / "profile.json").read_text())
+        for layer in zip(*windows):
+            name = layer[0]["name"]
+            sums = {k: sum(e[k] for e in layer) for k in ("acs", "input_spikes", "cells")}
+            assert profile[f"{name}.acs"] == round(sums["acs"] / 3)
+            assert profile[f"{name}.input_spikes"] == round(sums["input_spikes"] / 3)
+            if command == "profile":
+                sparsity = (sums["cells"] - sums["input_spikes"]) / sums["cells"]
+                assert profile[f"{name}.input_sparsity"] == sparsity
+
     def test_profile_without_events_is_analytic(self, cli_workspace):
         root, cfg_path = cli_workspace
         res = run_cli(["--config", str(cfg_path), "--out", str(root / "prof"), "profile"], root)
@@ -639,6 +694,24 @@ class TestCLI:
         res = run_cli(["--config", str(bad), "--out", str(tmp_path / "gen"), "gen"], tmp_path)
         assert res.returncode == 2
         assert "error[config]" in res.stderr and line.split()[0] in res.stderr
+
+    @pytest.mark.parametrize("how", ["gen-flag", "quantize-flag", "config"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, how):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[training]\nseed = -3\n")
+        argv = {
+            "gen-flag": ["--seed", "-1", "gen"],
+            "quantize-flag": ["--seed", "-1", "quantize", "--checkpoint", str(tmp_path / "none.evck")],
+            "config": ["--config", str(bad), "gen"],
+        }[how]
+        assert cli.main(["--out", str(tmp_path / "out"), *argv]) == 2
+        assert "error[config]: seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ablate_naming_no_variant_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["--out", str(tmp_path), "ablate", "--variants", " , "]) == 2
+        assert "error[config]: ablation needs at least one variant" in capsys.readouterr().err
+        assert not (tmp_path / "ablation.json").exists()
 
     @pytest.mark.parametrize("value", ["-5", "0", "10"])
     def test_bad_duration_flag_exit_code(self, tmp_path, value):

@@ -19,10 +19,8 @@ from evhybrid.profiling import (
     fit_energy_constants,
     profile_flat_dict,
     profile_text,
-    sparsity_report,
-    _tap_counts,
 )
-from evhybrid.snn import ConvSpec, SNNBlock, snn_backbone_forward
+from evhybrid.snn import ConvSpec, SNNBlock, _tap_counts, snn_backbone_forward
 
 
 def arch_config(snn, ann, bridge_kernel=3, lstm=()):
@@ -122,18 +120,12 @@ def brute_force_acs(mask, k, stride, padding, c_out, groups):
 
 class TestSpikeACs:
     def test_zero_spikes_zero_acs(self):
-        trace = [
-            {"name": "snn1", "nonzero": np.zeros((3, 2, 6, 6), dtype=bool),
-             "kernel": 3, "stride": 1, "padding": 1, "out_channels": 4, "groups": 1}
-        ]
-        assert count_spike_acs(trace).total_acs == 0
+        assert ConvSpec(4, kernel=3, padding=1, stride=1).accumulates(np.zeros((3, 2, 6, 6), dtype=bool)) == 0
 
     def test_single_center_spike_tap_count(self):
         mask = np.zeros((1, 1, 9, 9), dtype=bool)
         mask[0, 0, 4, 4] = True
-        trace = [{"name": "snn1", "nonzero": mask, "kernel": 3, "stride": 1,
-                  "padding": 1, "out_channels": 8, "groups": 1}]
-        assert count_spike_acs(trace).total_acs == 9 * 8
+        assert ConvSpec(8, kernel=3, padding=1, stride=1).accumulates(mask) == 9 * 8
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -146,17 +138,13 @@ class TestSpikeACs:
         rng = np.random.default_rng(seed)
         mask = rng.random((2, 3, 7, 8)) < 0.15
         c_out = 6
-        trace = [{"name": "l", "nonzero": mask, "kernel": k, "stride": stride,
-                  "padding": padding, "out_channels": c_out, "groups": 1}]
-        got = count_spike_acs(trace).total_acs
+        got = ConvSpec(c_out, kernel=k, padding=padding, stride=stride).accumulates(mask)
         assert got == brute_force_acs(mask, k, stride, padding, c_out, 1)
 
     def test_multi_count_bins_charged_once(self):
         counts = np.zeros((1, 1, 5, 5), dtype=np.int64)
         counts[0, 0, 2, 2] = 7  # several events in one bin still one cell
-        trace = [{"name": "l", "nonzero": counts != 0, "kernel": 3, "stride": 1,
-                  "padding": 1, "out_channels": 1, "groups": 1}]
-        assert count_spike_acs(trace).total_acs == 9
+        assert ConvSpec(1, kernel=3, padding=1, stride=1).accumulates(counts != 0) == 9
 
     def test_traced_forward_wires_into_counter(self):
         rng = np.random.default_rng(5)
@@ -167,6 +155,34 @@ class TestSpikeACs:
         counters = count_spike_acs(trace)
         assert counters.per_layer["snn1"].input_spikes == int((x != 0).sum())
         assert counters.total_acs == brute_force_acs(x != 0, 3, 2, 1, 4, 1)
+
+    def test_per_block_traces_count_as_one_stack_trace(self):
+        # one trace per block call, renamed through its first entry, as a
+        # layer-by-layer caller records them, over three windows
+        rng = np.random.default_rng(6)
+        blocks = [SNNBlock(c, ConvSpec.from_string(spec), rng) for c, spec in ((2, "4c3p1s2"), (4, "6c3p1s1"))]
+        for blk in blocks:
+            blk.conv_w.data *= 4  # so that the first block fires into the second
+        whole, per_block = [], []
+        for _ in range(3):
+            x = Tensor(rng.poisson(0.3, (3, 2, 8, 8)).astype(np.float32))
+            snn_backbone_forward(x, blocks, trace=whole)
+            for i, blk in enumerate(blocks, start=1):
+                trace = []
+                x = snn_backbone_forward(x, [blk], trace=trace)
+                trace[0]["name"] = f"snn{i}"
+                per_block += trace
+        want, got = count_spike_acs(whole), count_spike_acs(per_block)
+        assert want.per_layer["snn2"].acs > 0
+        assert {k: vars(v) for k, v in got.per_layer.items()} == {k: vars(v) for k, v in want.per_layer.items()}
+
+    def test_multi_window_trace_gives_the_rounded_per_window_mean(self):
+        trace = [
+            {"name": "snn1", "acs": a, "input_spikes": n, "cells": 100}
+            for a, n in ((10, 3), (20, 4), (31, 4))
+        ]
+        lc = count_spike_acs(trace).per_layer["snn1"]
+        assert (lc.acs, lc.input_spikes) == (20, 4)  # 61 / 3 and 11 / 3, rounded
 
 
     @pytest.mark.parametrize("extent, k, padding, stride", [
@@ -254,16 +270,3 @@ class TestReport:
             "snn1.macs": 1, "snn1.acs": 2, "snn1.input_spikes": 3, "snn1.params": 4,
             "snn1.input_sparsity": 0.5,
         }
-
-
-class TestSparsity:
-    def test_extremes(self):
-        assert sparsity_report(np.zeros((4, 4))) == 1.0
-        assert sparsity_report(np.ones((4, 4))) == 0.0
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_bernoulli_rate(self, seed):
-        rng = np.random.default_rng(seed)
-        spikes = rng.random((40, 40, 40)) < 0.02
-        assert sparsity_report(spikes) == pytest.approx(0.98, abs=0.005)

@@ -844,18 +844,21 @@ class TestEventDrivenInference:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_dense_composition(self, seed, geometry, kind, steps):
-        # float64 blocks: every layer, read back from the trace's input
-        # masks, equals conv_bn + plif_scan spike for spike
+        # float64 blocks: every layer, read from chained one-block calls, and
+        # the last from the whole stack, equals conv_bn + plif_scan spike for spike
         rng = np.random.default_rng(seed)
         model = _firing_model(rng, [f"{c}c3p{p}s{s}" for c, s, p in geometry])
         shape = (steps, 2, 16, 16)
         counts = rng.binomial(3, 0.03, shape).astype(np.int64) if kind == "sparse" else _window(rng, kind, shape)
         want = _dense_float_reference(model, counts)
-        trace = []
         blocks = [blk.astype(WIDE) for blk in model.snn_blocks]
-        out = snn_backbone_forward(Tensor(counts.astype(WIDE)), blocks, trace=trace)
+        got, x = [], Tensor(counts.astype(WIDE))
+        for blk in blocks[:-1]:
+            x = snn_backbone_forward(x, [blk])
+            got.append(x.data)
+        out = snn_backbone_forward(Tensor(counts.astype(WIDE)), blocks)
         assert out.dtype == WIDE and not out.requires_grad
-        got = [entry["nonzero"] for entry in trace[1:]] + [out.data]
+        got.append(out.data)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)

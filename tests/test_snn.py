@@ -228,14 +228,18 @@ class TestBlocks:
         with pytest.raises(ConfigError):
             snn_backbone_forward(Tensor(np.ones((2, 2, 4, 4))), [])
 
-    def test_trace_records_input_masks(self):
+    def test_trace_records_input_counts(self):
         rng = np.random.default_rng(5)
         blocks = [make_block(2, "4c3p1s2", seed=5), make_block(4, "4c3p1s1", seed=6)]
         x = rng.poisson(0.3, (3, 2, 8, 8)).astype(WIDE)
         trace = []
         snn_backbone_forward(Tensor(x), blocks, trace=trace)
         assert [e["name"] for e in trace] == ["snn1", "snn2"]
-        np.testing.assert_array_equal(trace[0]["nonzero"], x != 0)
+        assert trace[0] == {
+            "name": "snn1", "acs": blocks[0].cfg.accumulates(x != 0),
+            "input_spikes": int(np.count_nonzero(x)), "cells": x.size,
+        }
+        assert all(type(v) is int for e in trace for k, v in e.items() if k != "name")
 
     def test_astype_casts_every_array_and_leaves_the_block(self):
         block = make_block(2, "4c3p1s1", seed=8, dtype=np.float32)
