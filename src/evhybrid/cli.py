@@ -6,6 +6,11 @@ Exit code 0 on success; nonzero with one categorized ``error[...]`` line on
 failure. All commands run single-process; --deterministic additionally pins
 sequential reductions (the numpy kernels used here are already sequential,
 so the flag is recorded for provenance).
+
+This module alone decides which files a command writes and makes the
+output directory: ``train`` before it trains, so an unusable path fails
+fast, and every other command after its work, so a failed command leaves
+no directory behind. The library calls return their results.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from .config import QUANT_BITS, RunConfig, load_config, save_config
 from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
-from .profiling import EnergyModel, count_dense_macs, count_spike_acs, write_profile
-from .quantize import reference_layers, run_quantize
+from .profiling import count_dense_macs, count_spike_acs, write_profile
+from .quantize import reference_layers, run_quantize, save_quantized
 from .snn import snn_backbone_forward
 from .numerics import Tensor
 from .train import ABLATION_VARIANTS, make_dataset, run_ablate, run_train_toy, _random_scene
@@ -87,6 +92,10 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     return out
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _bits_flag(raw) -> list[int]:
     """The comma-separated widths of a --bits flag, each one of QUANT_BITS."""
     try:
@@ -107,10 +116,10 @@ def cmd_gen(args, cfg: RunConfig) -> int:
     duration = cfg.training.scene_duration_ms if args.duration_ms is None else args.duration_ms
     if duration < cfg.simulation.window_ms:
         raise ConfigError(f"--duration-ms ({duration}) must be at least window_ms ({cfg.simulation.window_ms})")
-    out = _out_dir(args, cfg)
     rng = np.random.default_rng(cfg.training.seed)
     scene = _random_scene(cfg, rng, seed=cfg.training.seed)
     result = synthesize_moving_shapes(scene, duration, cfg.simulation.window_ms)
+    out = _out_dir(args, cfg)
     ext = "evs" if args.format == "evs" else "csv"
     events_path = out / f"events.{ext}"
     write_events(result.stream, events_path)
@@ -120,7 +129,7 @@ def cmd_gen(args, cfg: RunConfig) -> int:
         "duration_ms": result.duration_ms,
         "deterministic": cfg.deterministic,
     }
-    (out / "ground_truth.json").write_text(json.dumps(gt, indent=2, sort_keys=True))
+    _write_json(out / "ground_truth.json", gt)
     save_config(cfg, out / "config.ini")
     print(f"wrote {events_path} ({len(result.stream)} events, {len(result.boxes)} boxes)")
     return 0
@@ -142,9 +151,7 @@ def cmd_infer(args, cfg: RunConfig) -> int:
     trace: list = []
     detections = run_infer(model, stream, trace=trace)
     out = _out_dir(args, cfg)
-    (out / "detections.json").write_text(
-        json.dumps([d.as_dict() for d in detections], indent=2, sort_keys=True)
-    )
+    _write_json(out / "detections.json", [d.as_dict() for d in detections])
     counters = count_dense_macs(cfg).merge(count_spike_acs(trace))
     write_profile(counters, out)
     print(f"{len(detections)} detections over {len(stream)} events -> {out}")
@@ -152,8 +159,12 @@ def cmd_infer(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    out = _out_dir(args, cfg)
-    result = run_train_toy(cfg, out_dir=out)
+    out = _out_dir(args, cfg)  # before training, so an unusable --out fails fast
+    result = run_train_toy(cfg)
+    result.model.save_checkpoint(out / "checkpoint.evck")
+    curve = "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(result.loss_curve))
+    (out / "loss_curve.csv").write_text(curve)
+    _write_json(out / "metrics.json", result.metrics.as_dict())
     print(
         f"final loss {result.final_loss:.4f} (initial {result.initial_loss:.4f}); "
         f"eval hit rate {result.metrics.hit_rate:.2f}, "
@@ -165,10 +176,10 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def cmd_quantize(args, cfg: RunConfig) -> int:
     bits = cfg.quantization.bits if args.bits is None else _bits_flag(args.bits)[0]
     model = _build_model(cfg, args.checkpoint)
-    windows = _eval_windows(cfg, model)
+    fpm, report = run_quantize(model, bits, _eval_windows(cfg, model))
     out = _out_dir(args, cfg)
-    fpm, report = run_quantize(model, bits, windows, out_base=out / "quantized")
-    (out / "fidelity.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    save_quantized(fpm, out / "quantized")
+    _write_json(out / "fidelity.json", report.as_dict())
     print(
         f"int{bits}: match rate {report.match_rate:.4f} over {report.total_cells} cells, "
         f"first divergence t={report.first_divergence_t}, overflows {fpm.overflow_count}"
@@ -177,6 +188,8 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 
 def cmd_profile(args, cfg: RunConfig) -> int:
+    if args.checkpoint and not args.events:
+        raise ConfigError("--checkpoint needs --events: the analytic profile reads no weights")
     counters = count_dense_macs(cfg)
     sparsity = None
     if args.events:
@@ -193,15 +206,15 @@ def cmd_profile(args, cfg: RunConfig) -> int:
             spikes[e["name"]] += e["input_spikes"]
         sparsity = {name: (cells[name] - spikes[name]) / cells[name] for name in cells}
     out = _out_dir(args, cfg)
-    write_profile(counters, out, EnergyModel(), sparsity)
+    write_profile(counters, out, sparsity)
     print((out / "profile.txt").read_text())
     return 0
 
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
-    out = _out_dir(args, cfg)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    results = run_ablate(cfg, variants, out_dir=out, quiet=True)
+    results = run_ablate(cfg, variants)
+    _write_json(_out_dir(args, cfg) / "ablation.json", {k: v.as_dict() for k, v in results.items()})
     print(f"{'variant':<12} {'loss':>8} {'err':>8} {'hit':>6}")
     for name, m in results.items():
         print(f"{name:<12} {m.mean_loss:>8.4f} {m.mean_center_err:>8.3f} {m.hit_rate:>6.2f}")
@@ -218,7 +231,7 @@ def cmd_fidelity(args, cfg: RunConfig) -> int:
         _, report = run_quantize(model, bits, windows, ref_layers=refs)
         sweep[f"int{bits}"] = report.as_dict()
         print(f"int{bits}: match rate {report.match_rate:.4f}")
-    (_out_dir(args, cfg) / "fidelity_sweep.json").write_text(json.dumps(sweep, indent=2, sort_keys=True))
+    _write_json(_out_dir(args, cfg) / "fidelity_sweep.json", sweep)
     return 0
 
 

@@ -7,9 +7,10 @@ output channel; a bin of several events counts once, and the membrane-update
 add is not charged. ``count_spike_acs`` reports the per-window mean of the
 counts the spiking backbone records window by window.
 
-The energy constants are a least-squares fit of E = MACs*e_mac + ACs*e_ac to
-published complexity/energy datapoints for event-based detectors (three
-dense ANN models and two spiking models); see ``fit_energy_constants``.
+The energy constants ``E_MAC`` and ``E_AC`` are a rounded least-squares fit
+of E = MACs*E_MAC + ACs*E_AC to published complexity/energy datapoints for
+event-based detectors (three dense ANN models and two spiking models); see
+``fit_energy_constants``.
 """
 
 from __future__ import annotations
@@ -36,21 +37,13 @@ ENERGY_DATAPOINTS = [
 ]
 HYBRID_REFERENCE_POINT = ("hybrid_backbone", 1.6e9, 1.0e9, 3.1e-3)
 
-
-@dataclass
-class EnergyModel:
-    """Joules per operation; defaults are the rounded datapoint fit."""
-
-    e_mac: float = 1.69e-12
-    e_ac: float = 0.38e-12
-
-    def __post_init__(self):
-        if self.e_mac <= 0 or self.e_ac <= 0:
-            raise ValueError("energy constants must be positive")
+# joules per dense multiply-accumulate and per accumulate
+E_MAC = 1.69e-12
+E_AC = 0.38e-12
 
 
 def fit_energy_constants() -> tuple[float, float]:
-    """Least-squares (e_mac, e_ac) from the reference datapoints."""
+    """Least-squares (E_MAC, E_AC) from the reference datapoints."""
     a = np.array([[m, c] for _, m, c, _ in ENERGY_DATAPOINTS])
     b = np.array([e for *_, e in ENERGY_DATAPOINTS])
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -159,30 +152,28 @@ def count_spike_acs(trace: list[dict]) -> OpCounters:
     return counters
 
 
-def energy_estimate(counters: OpCounters, model: EnergyModel | None = None) -> float:
-    """E = total MACs * e_mac + total ACs * e_ac, in joules."""
-    model = model or EnergyModel()
-    return counters.total_macs * model.e_mac + counters.total_acs * model.e_ac
+def energy_estimate(counters: OpCounters) -> float:
+    """E = total MACs * E_MAC + total ACs * E_AC, in joules."""
+    return counters.total_macs * E_MAC + counters.total_acs * E_AC
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-def hybrid_energy(counters: OpCounters, model: EnergyModel | None = None) -> float:
+def hybrid_energy(counters: OpCounters) -> float:
     """Deployment cost: spiking layers run event-driven (ACs), the rest dense
     (MACs). Layers with a recorded AC count contribute ACs only."""
-    model = model or EnergyModel()
     e = 0.0
     for lc in counters.per_layer.values():
         if lc.acs > 0:
-            e += lc.acs * model.e_ac
+            e += lc.acs * E_AC
         else:
-            e += lc.macs * model.e_mac
+            e += lc.macs * E_MAC
     return e
 
 
-def profile_text(counters: OpCounters, model: EnergyModel, sparsity: dict[str, float] | None = None) -> str:
+def profile_text(counters: OpCounters, sparsity: dict[str, float] | None = None) -> str:
     lines = ["# per-layer compute profile", "# acs counted once per nonzero cell per tap"]
     for name, lc in counters.per_layer.items():
         lines.append(f"layer: {name}")
@@ -192,12 +183,12 @@ def profile_text(counters: OpCounters, model: EnergyModel, sparsity: dict[str, f
     lines.append(f"total_macs: {counters.total_macs}")
     lines.append(f"total_acs: {counters.total_acs}")
     lines.append(f"total_params: {counters.total_params}")
-    lines.append(f"dense_energy_j: {energy_estimate(counters, model):.6e}")
-    lines.append(f"hybrid_energy_j: {hybrid_energy(counters, model):.6e}")
+    lines.append(f"dense_energy_j: {energy_estimate(counters):.6e}")
+    lines.append(f"hybrid_energy_j: {hybrid_energy(counters):.6e}")
     return "\n".join(lines) + "\n"
 
 
-def profile_flat_dict(counters: OpCounters, model: EnergyModel, sparsity: dict[str, float] | None = None) -> dict:
+def profile_flat_dict(counters: OpCounters, sparsity: dict[str, float] | None = None) -> dict:
     flat: dict[str, float | int] = {}
     for name, lc in counters.per_layer.items():
         flat.update({f"{name}.{k}": v for k, v in asdict(lc).items()})
@@ -206,16 +197,13 @@ def profile_flat_dict(counters: OpCounters, model: EnergyModel, sparsity: dict[s
     flat["total.macs"] = counters.total_macs
     flat["total.acs"] = counters.total_acs
     flat["total.params"] = counters.total_params
-    flat["total.dense_energy_j"] = energy_estimate(counters, model)
-    flat["total.hybrid_energy_j"] = hybrid_energy(counters, model)
+    flat["total.dense_energy_j"] = energy_estimate(counters)
+    flat["total.hybrid_energy_j"] = hybrid_energy(counters)
     return flat
 
 
-def write_profile(counters: OpCounters, out_dir, model: EnergyModel | None = None, sparsity=None) -> None:
-    model = model or EnergyModel()
+def write_profile(counters: OpCounters, out_dir, sparsity=None) -> None:
+    """``profile.txt`` and ``profile.json`` in the existing ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "profile.txt").write_text(profile_text(counters, model, sparsity))
-    (out / "profile.json").write_text(
-        json.dumps(profile_flat_dict(counters, model, sparsity), indent=2, sort_keys=True)
-    )
+    (out / "profile.txt").write_text(profile_text(counters, sparsity))
+    (out / "profile.json").write_text(json.dumps(profile_flat_dict(counters, sparsity), indent=2, sort_keys=True))

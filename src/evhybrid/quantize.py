@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +229,7 @@ def fixed_point_forward(
     for blk in fpm.blocks:
         y, live, hw, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
         fpm.overflow_count += over
-        x = _live_membranes(y, live, hw, partial(_fused_lif, blk=blk))
+        x = _live_membranes(_fused_lif(y, blk), live, hw)
         layers.append(x)
     return layers if collect_layers else layers[-1]
 
@@ -420,7 +419,6 @@ def run_quantize(
     model: HybridModel,
     bits: int,
     eval_windows: list[np.ndarray],
-    out_base=None,
     ref_layers: list[list[np.ndarray]] | None = None,
 ) -> tuple[FixedPointModel, FidelityReport]:
     """Quantize a trained model and measure spike fidelity on held-out
@@ -437,7 +435,4 @@ def run_quantize(
         refs += layers
         tests += fixed_point_forward(counts, fpm, collect_layers=True)
         names += [blk.name for blk in fpm.blocks]
-    report = fidelity_from_layers(refs, tests, names)
-    if out_base is not None:
-        save_quantized(fpm, out_base)
-    return fpm, report
+    return fpm, fidelity_from_layers(refs, tests, names)

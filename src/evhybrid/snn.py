@@ -43,7 +43,6 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -228,7 +227,7 @@ def _event_forward(x: np.ndarray, block: SNNBlock, context: str) -> np.ndarray:
         raise NumericError(f"non-finite conv weights in {context}")
     with np.errstate(invalid="ignore"):  # a non-finite input's membrane raises, naming its step
         y, live, hw, _ = _rulebook_conv(x, w, block.cfg.stride, block.cfg.padding)
-        return _live_membranes(y, live, hw, partial(_float_lif, blk=block, context=context))
+        return _live_membranes(_float_lif(y, block, context), live, hw)
 
 
 def _rulebook_conv(
@@ -311,19 +310,17 @@ def _rulebook_conv(
     return buf[:, :n_rows], live, (h_out, w_out), rows
 
 
-def _live_membranes(y: np.ndarray, live: np.ndarray, hw: tuple[int, int], update) -> np.ndarray:
-    """Boolean spikes [T, C, H, W] of the neurons fed by the rulebook conv's
-    [T, L+1, C] output rows, one per ``live`` flat H*W site (``hw`` is
-    (H, W)), then the all-zero row.
+def _live_membranes(fired: np.ndarray, live: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
+    """Boolean spikes [T, C, H, W] from the spikes ``fired`` [T, C, L+1] of
+    the neurons fed by the rulebook conv's output rows: one per ``live``
+    flat H*W site (``hw`` is (H, W)), then the one for the all-zero row.
 
     Only the live sites, which the conv reached at some step, carry their own
     membranes. Every other cell of a channel sees a conv output of 0 at
     every step, so all of them follow one quiet trajectory per channel,
-    carried by the zero row. ``update`` maps the rows to their boolean
-    spikes laid out [T, C, L+1], which are written out first as the quiet
-    trajectory, then at the live sites.
+    carried by the zero row; its spikes are written out first, then those
+    of the live sites.
     """
-    fired = update(y)
     t, c, _ = fired.shape
     spikes = np.repeat(fired[:, :, -1:], hw[0] * hw[1], axis=2)
     spikes[:, :, live] = fired[:, :, :-1]

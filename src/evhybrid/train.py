@@ -10,10 +10,8 @@ independently during training (recurrent state reset per sample).
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -214,8 +212,7 @@ def evaluate(model: HybridModel, dataset: list[WindowSample]) -> EvalMetrics:
 class TrainResult:
     loss_curve: list[float]
     metrics: EvalMetrics
-    checkpoint_path: str | None
-    model: HybridModel = field(repr=False, default=None)
+    model: HybridModel = field(repr=False)
 
     @property
     def initial_loss(self) -> float:
@@ -226,13 +223,9 @@ class TrainResult:
         return float(np.mean(self.loss_curve[-20:]))
 
 
-def run_train_toy(
-    cfg: RunConfig,
-    out_dir: str | Path | None = None,
-    variant: str = "full",
-    quiet: bool = False,
-) -> TrainResult:
-    """Train the toy detector on synthetic squares; deterministic per seed."""
+def run_train_toy(cfg: RunConfig, variant: str = "full", quiet: bool = False) -> TrainResult:
+    """Train the toy detector on synthetic squares; deterministic per seed.
+    Writes nothing: the caller saves the model, curve and metrics it returns."""
     tr = cfg.training
     model = HybridModel(cfg)
     model.variant = variant
@@ -260,25 +253,10 @@ def run_train_toy(
         losses.append(float(total.data))
         if not quiet and (step % LOG_EVERY == 0 or step == tr.steps - 1):
             print(f"step {step:5d}  loss {losses[-1]:.4f}")
-    metrics = evaluate(model, eval_ds)
-    ckpt_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt_path = str(out / "checkpoint.evck")
-        model.save_checkpoint(ckpt_path)
-        curve = "step,loss\n" + "".join(f"{i},{v}\n" for i, v in enumerate(losses))
-        (out / "loss_curve.csv").write_text(curve)
-        (out / "metrics.json").write_text(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))
-    return TrainResult(losses, metrics, ckpt_path, model=model)
+    return TrainResult(losses, evaluate(model, eval_ds), model)
 
 
-def run_ablate(
-    cfg: RunConfig,
-    variants: tuple[str, ...] = ABLATION_VARIANTS,
-    out_dir: str | Path | None = None,
-    quiet: bool = True,
-) -> dict[str, EvalMetrics]:
+def run_ablate(cfg: RunConfig, variants: tuple[str, ...] = ABLATION_VARIANTS) -> dict[str, EvalMetrics]:
     """Train and evaluate the bridge ablations with identical data and seed.
     Every variant name is checked before any training starts."""
     if not variants:
@@ -286,13 +264,4 @@ def run_ablate(
     for variant in variants:
         if variant not in ABLATION_VARIANTS:
             raise ConfigError(f"unknown ablation variant {variant!r}")
-    results: dict[str, EvalMetrics] = {}
-    for variant in variants:
-        res = run_train_toy(cfg, out_dir=None, variant=variant, quiet=quiet)
-        results[variant] = res.metrics
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {k: v.as_dict() for k, v in results.items()}
-        (out / "ablation.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return results
+    return {variant: run_train_toy(cfg, variant=variant, quiet=True).metrics for variant in variants}

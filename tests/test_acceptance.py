@@ -26,7 +26,6 @@ from evhybrid.numerics import WIDE, Tensor, grad_check, ops
 from evhybrid.profiling import (
     ENERGY_DATAPOINTS,
     HYBRID_REFERENCE_POINT,
-    EnergyModel,
     OpCounters,
     energy_estimate,
 )
@@ -429,21 +428,20 @@ def test_criterion_7_bn_fusion_equivalence():
 
 
 def test_criterion_8_energy_model_regression():
-    model = EnergyModel()
     ok = True
     details = []
     for name, macs, acs, joules in ENERGY_DATAPOINTS:
         counters = OpCounters()
         lc = counters.layer(name)
         lc.macs, lc.acs = int(macs), int(acs)
-        rel = abs(energy_estimate(counters, model) - joules) / joules
+        rel = abs(energy_estimate(counters) - joules) / joules
         details.append(f"{name} {rel * 100:.1f}%")
         ok &= rel < 0.10
     _, macs, acs, joules = HYBRID_REFERENCE_POINT
     counters = OpCounters()
     lc = counters.layer("hybrid")
     lc.macs, lc.acs = int(macs), int(acs)
-    rel = abs(energy_estimate(counters, model) - joules) / joules
+    rel = abs(energy_estimate(counters) - joules) / joules
     ok &= rel < 0.05
     record_criterion(8, ok, f"energy fit: {', '.join(details)}; hybrid point {rel * 100:.1f}%")
     assert ok

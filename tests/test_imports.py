@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is read somewhere in
-that module, or re-exported through its ``__all__``, and every module-level
-private name the package defines is read somewhere in the package."""
+that module, or re-exported through its ``__all__``, every module-level
+private name the package defines is read somewhere in the package, and only
+the CLI makes directories."""
 
 import ast
 import importlib
@@ -98,6 +99,41 @@ def test_private_scan_flags_only_unread_names():
     assert private_definitions(source) == {"_LIMIT", "_unused", "_helper", "_Dead"}
     assert {"_LIMIT", "_helper", "_private_attr"} <= read_names(source)
     assert not {"_unused", "_Dead"} & read_names(source)
+
+
+def directory_calls(source: str) -> list[int]:
+    """The lines of ``source`` that call a ``.mkdir(`` or ``.makedirs(``
+    method, on any object."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("mkdir", "makedirs")
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(PACKAGE.rglob("*.py")) if p.name != "cli.py"],
+    ids=lambda p: p.relative_to(PACKAGE).as_posix(),
+)
+def test_only_the_cli_makes_directories(path):
+    # library calls return results; the CLI decides which files a command
+    # writes and makes their directory
+    assert directory_calls(path.read_text()) == []
+
+
+def test_directory_scan_flags_only_calls():
+    source = (
+        "import os\n"
+        "from pathlib import Path\n"
+        "Path('a').mkdir(parents=True)\n"
+        "os.makedirs('b')\n"
+        "mkdir = Path.mkdir\n"
+        "print('c.mkdir()')\n"
+    )
+    assert directory_calls(source) == [3, 4]
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

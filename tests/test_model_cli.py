@@ -709,9 +709,34 @@ class TestCLI:
         assert not (tmp_path / "out").exists()
 
     def test_ablate_naming_no_variant_is_config_error(self, tmp_path, capsys):
-        assert cli.main(["--out", str(tmp_path), "ablate", "--variants", " , "]) == 2
-        assert "error[config]: ablation needs at least one variant" in capsys.readouterr().err
-        assert not (tmp_path / "ablation.json").exists()
+        # the names are checked before anything trains or the --out directory is made
+        out = tmp_path / "out"
+        for variants, message in [(" , ", "ablation needs at least one variant"),
+                                  ("bogus", "unknown ablation variant 'bogus'")]:
+            assert cli.main(["--out", str(out), "ablate", "--variants", variants]) == 2
+            assert f"error[config]: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_checkpoint_weight_leaves_no_out_dir(self, cli_workspace, tmp_path, capsys):
+        root, cfg_path = cli_workspace
+        meta, arrays = read_bundle(root / "run" / "checkpoint.evck", CHECKPOINT_MAGIC)
+        arrays["param.snn1.conv_w"].flat[0] = np.nan
+        bad = tmp_path / "nan.evck"
+        write_bundle(bad, CHECKPOINT_MAGIC, meta, arrays)
+        out = tmp_path / "quant"
+        argv = ["--config", str(cfg_path), "--out", str(out), "quantize", "--checkpoint", str(bad), "--bits", "8"]
+        assert cli.main(argv) == 5
+        assert "error[numeric]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_profile_checkpoint_without_events_is_config_error(self, cli_workspace, tmp_path, capsys):
+        # the analytic profile reads no weights, so a checkpoint alone is never read
+        root, _ = cli_workspace
+        out = tmp_path / "prof"
+        for checkpoint in (root / "run" / "checkpoint.evck", tmp_path / "nope.evck"):
+            assert cli.main(["--out", str(out), "profile", "--checkpoint", str(checkpoint)]) == 2
+            assert "error[config]: --checkpoint" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-5", "0", "10"])
     def test_bad_duration_flag_exit_code(self, tmp_path, value):

@@ -9,9 +9,10 @@ from evhybrid.config import RunConfig
 from evhybrid.model import HybridModel
 from evhybrid.numerics import Tensor
 from evhybrid.profiling import (
+    E_AC,
+    E_MAC,
     ENERGY_DATAPOINTS,
     HYBRID_REFERENCE_POINT,
-    EnergyModel,
     OpCounters,
     count_dense_macs,
     count_spike_acs,
@@ -202,21 +203,19 @@ class TestSpikeACs:
 
 class TestEnergyModel:
     def test_zero_counters_zero_energy(self):
-        assert energy_estimate(OpCounters(), EnergyModel()) == 0.0
+        assert energy_estimate(OpCounters()) == 0.0
 
     def test_fit_recovers_documented_defaults(self):
         e_mac, e_ac = fit_energy_constants()
-        model = EnergyModel()
-        assert e_mac == pytest.approx(model.e_mac, abs=0.01e-12)
-        assert e_ac == pytest.approx(model.e_ac, abs=0.01e-12)
+        assert e_mac == pytest.approx(E_MAC, abs=0.01e-12)
+        assert e_ac == pytest.approx(E_AC, abs=0.01e-12)
 
     def test_reference_points_within_ten_percent(self):
-        model = EnergyModel()
         for name, macs, acs, joules in ENERGY_DATAPOINTS:
             counters = OpCounters()
             lc = counters.layer(name)
             lc.macs, lc.acs = int(macs), int(acs)
-            est = energy_estimate(counters, model)
+            est = energy_estimate(counters)
             assert abs(est - joules) / joules < 0.10, name
 
     def test_hybrid_reference_point(self):
@@ -225,22 +224,21 @@ class TestEnergyModel:
         counters = OpCounters()
         lc = counters.layer("hybrid")
         lc.macs, lc.acs = int(macs), int(acs)
-        est = energy_estimate(counters, EnergyModel())
+        est = energy_estimate(counters)
         assert abs(est - joules) / joules < 0.05
 
     def test_snn_only_point(self):
         # 2.3e9 ACs alone: about 0.87 mJ against the published 0.9 mJ
         counters = OpCounters()
         counters.layer("snn").acs = int(2.3e9)
-        est = energy_estimate(counters, EnergyModel())
+        est = energy_estimate(counters)
         assert est == pytest.approx(0.874e-3, rel=0.01)
 
     def test_linear_and_monotone(self):
-        model = EnergyModel()
         a, b = OpCounters(), OpCounters()
         a.layer("l").macs = 100
         b.layer("l").macs = 200
-        assert energy_estimate(b, model) == pytest.approx(2 * energy_estimate(a, model))
+        assert energy_estimate(b) == pytest.approx(2 * energy_estimate(a))
 
     def test_merge_is_order_independent(self):
         a, b = OpCounters(), OpCounters()
@@ -260,12 +258,12 @@ class TestReport:
         lc = counters.layer("snn1")
         lc.macs, lc.acs, lc.input_spikes, lc.params = 1, 2, 3, 4
         sparsity = {"snn1": 0.5}
-        lines = profile_text(counters, EnergyModel(), sparsity).splitlines()
+        lines = profile_text(counters, sparsity).splitlines()
         assert lines[2:8] == [
             "layer: snn1", "  macs: 1", "  acs: 2", "  input_spikes: 3", "  params: 4",
             "  input_sparsity: 0.500000",
         ]
-        flat = profile_flat_dict(counters, EnergyModel(), sparsity)
+        flat = profile_flat_dict(counters, sparsity)
         assert {k: v for k, v in flat.items() if k.startswith("snn1.")} == {
             "snn1.macs": 1, "snn1.acs": 2, "snn1.input_spikes": 3, "snn1.params": 4,
             "snn1.input_sparsity": 0.5,

@@ -323,7 +323,8 @@ class TestFixedPointPipeline:
     def test_quantized_model_roundtrip(self, tmp_path):
         model = tiny_model(seed=2)
         counts = np.random.default_rng(2).poisson(0.3, (10, 2, 16, 16)).astype(np.int64)
-        fpm, report = run_quantize(model, 8, [counts], out_base=tmp_path / "q")
+        fpm, report = run_quantize(model, 8, [counts])
+        save_quantized(fpm, tmp_path / "q")
         again = load_quantized(tmp_path / "q")
         assert again.bits == fpm.bits
         assert [f.name for f in fields(FixedPointBlock)] == [
