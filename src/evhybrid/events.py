@@ -13,6 +13,11 @@ EVS binary, CSV otherwise):
 time slices, one channel per polarity: shape [T, 2, H, W]. An event exactly
 at t_b is clamped into the last bin. Which events a window holds is
 ``model.stream_windows``' rule.
+
+``synthesize_moving_shapes`` is a DVS emulator for labeled scenes of moving
+squares. It thresholds log-intensity changes at 1 ms resolution, rendering a
+block of milliseconds at a time and only where a shape is, so its cost
+follows the moving edges rather than the sensor area.
 """
 
 from __future__ import annotations
@@ -199,12 +204,12 @@ def bin_events(stream: EventStream, index, t_a: int, t_b: int, n_bins: int) -> n
     """[T, 2, H, W] counts of the events ``stream.*[index]``, which must lie
     in [t_a, t_b]: bin floor((t - t_a) / (t_b - t_a) * T) in exact integer
     arithmetic, an event at t_b in bin T-1."""
-    counts = np.zeros((n_bins, 2, stream.height, stream.width), dtype=np.int64)
+    shape = (n_bins, 2, stream.height, stream.width)
     t, x, y, p = stream.t[index], stream.x[index], stream.y[index], stream.p[index]
     bins = (t - t_a) * n_bins // (t_b - t_a)
     np.minimum(bins, n_bins - 1, out=bins)
-    np.add.at(counts, (bins, p, y, x), 1)
-    return counts
+    flat = ((bins * 2 + p) * stream.height + y) * stream.width + x
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +259,85 @@ class SyntheticResult:
     duration_ms: int
 
 
-def _square_coverage(xs: np.ndarray, ys: np.ndarray, cx: float, cy: float, size: float) -> np.ndarray:
-    half = size / 2.0
-    ox = np.clip(np.minimum(xs + 1.0, cx + half) - np.maximum(xs, cx - half), 0.0, 1.0)
-    oy = np.clip(np.minimum(ys + 1.0, cy + half) - np.maximum(ys, cy - half), 0.0, 1.0)
-    return oy[:, None] * ox[None, :]
+# frames x region pixels per block: 32 KiB per float64 temporary. Larger
+# blocks leave more freed heap, from which later count tensors are carved
+# and cleared in full: 8192 cells raised toy-train's peak RSS by 1-3 MB
+_BLOCK_CELLS = 4096
 
 
-def _render_frame(scene: SyntheticScene, t_s: float) -> np.ndarray:
-    frame = np.full((scene.height, scene.width), scene.background, dtype=np.float64)
+def _coverages(scene: SyntheticScene, ms: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per shape, the [K, W] and [K, H] fractions of each pixel column and
+    row the square covers at each millisecond of ``ms``."""
+    t_s = (ms / 1000.0)[:, None]
     xs = np.arange(scene.width, dtype=np.float64)
     ys = np.arange(scene.height, dtype=np.float64)
+    cover = []
     for sh in scene.shapes:
+        half = sh.size / 2.0
         cx = sh.x0 + sh.vx * t_s
         cy = sh.y0 + sh.vy * t_s
-        cov = _square_coverage(xs, ys, cx, cy, sh.size)
+        ox = np.clip(np.minimum(xs + 1.0, cx + half) - np.maximum(xs, cx - half), 0.0, 1.0)
+        oy = np.clip(np.minimum(ys + 1.0, cy + half) - np.maximum(ys, cy - half), 0.0, 1.0)
+        cover.append((ox, oy))
+    return cover
+
+
+def _log_frames(scene: SyntheticScene, cover, region: np.ndarray) -> np.ndarray:
+    """[K, P] log intensity of the flat pixels ``region`` at the K
+    milliseconds of ``cover``, shapes composited in order over the
+    background."""
+    py, px = np.divmod(region, scene.width)
+    frame = np.full((len(cover[0][0]), len(region)), scene.background, dtype=np.float64)
+    for sh, (ox, oy) in zip(scene.shapes, cover):
+        cov = oy[:, py] * ox[:, px]
         frame = frame * (1.0 - cov) + sh.intensity * cov
-    return frame
+    return np.log(np.maximum(frame, 1e-4))
+
+
+def _support(scene: SyntheticScene, cover) -> np.ndarray:
+    """Sorted flat indices of the pixels some shape covers at some
+    millisecond of ``cover``; everywhere else every frame is background."""
+    mask = np.zeros((scene.height, scene.width), dtype=bool)
+    for ox, oy in cover:
+        mask[np.ix_((oy > 0).any(axis=0), (ox > 0).any(axis=0))] = True
+    return np.flatnonzero(mask)
+
+
+def _block_ms(scene: SyntheticScene, eff_ms: int) -> int:
+    """Milliseconds per block: the most whose frames (the block's and the
+    one before it) x region pixels stay within ``_BLOCK_CELLS``, at least 1."""
+    ks = np.arange(1, eff_ms + 1)
+    area = np.zeros(eff_ms)
+    for sh in scene.shapes:
+        # a square of side s touches at most s + 2 pixels per axis, plus
+        # what it travels in the block
+        w = np.minimum(scene.width, sh.size + 2 + abs(sh.vx) * ks / 1000.0)
+        h = np.minimum(scene.height, sh.size + 2 + abs(sh.vy) * ks / 1000.0)
+        area += w * h
+    cells = (ks + 1) * np.minimum(area, scene.width * scene.height)
+    return max(1, int(np.count_nonzero(cells <= _BLOCK_CELLS)))
+
+
+def _validate_scene(scene: SyntheticScene, duration_ms: int, gt_every_ms: int) -> None:
+    if duration_ms <= 0:
+        raise ValueError("duration must be positive")
+    if gt_every_ms < 1:
+        raise ValueError(f"gt_every_ms must be at least 1, got {gt_every_ms}")
+    if not (np.isfinite(scene.contrast) and scene.contrast > 0):
+        raise ValueError(f"contrast must be finite and above 0, got {scene.contrast}")
+    if not np.isfinite(scene.background):
+        raise ValueError(f"background must be finite, got {scene.background}")
+    if not (np.isfinite(scene.noise_rate) and scene.noise_rate >= 0):
+        raise ValueError(f"noise_rate must be finite and at least 0, got {scene.noise_rate}")
+    for sh in scene.shapes:
+        if sh.kind != "square":
+            raise ValueError(f"shape kind must be 'square', got {sh.kind!r}")
+        if not (np.isfinite(sh.size) and sh.size > 0):
+            raise ValueError(f"shape size must be finite and above 0, got {sh.size}")
+        if not np.isfinite(sh.intensity):
+            raise ValueError(f"shape intensity must be finite, got {sh.intensity}")
+        if not (np.isfinite(sh.vx) and np.isfinite(sh.vy)):
+            raise ValueError("shape velocity must be finite")
 
 
 def _shape_inside(scene: SyntheticScene, sh: ShapeSpec, t_s: float) -> bool:
@@ -287,19 +354,21 @@ def synthesize_moving_shapes(
 ) -> SyntheticResult:
     """Emulate a DVS watching ideal moving shapes.
 
-    The scene is rendered at 1 ms resolution; wherever the log-intensity
-    change between consecutive frames exceeds the contrast threshold, one
-    event is emitted with polarity = sign of the change. Deterministic for a
-    given scene seed. If a shape would leave the frame the sequence is
-    truncated at the last fully-inside millisecond and a warning is recorded.
+    The scene is sampled at 1 ms resolution; wherever the log-intensity
+    change between consecutive frames reaches the contrast threshold, one
+    event is emitted with polarity = sign of the change, in (millisecond,
+    row-major) order, followed by that millisecond's noise events.
+    Deterministic for a given scene seed. If a shape would leave the frame
+    the sequence is truncated at the last fully-inside millisecond and a
+    warning is recorded.
+
+    Frames are rendered a block of milliseconds at a time and only at the
+    pixels some shape covers in the block or the millisecond before it:
+    every other pixel stays exactly background, so its change is 0 and it
+    cannot fire. The events are bit for bit those of rendering every
+    millisecond's full frame.
     """
-    if duration_ms <= 0:
-        raise ValueError("duration must be positive")
-    for sh in scene.shapes:
-        if sh.kind != "square":
-            raise ValueError(f"shape kind must be 'square', got {sh.kind!r}")
-        if not (np.isfinite(sh.vx) and np.isfinite(sh.vy)):
-            raise ValueError("shape velocity must be finite")
+    _validate_scene(scene, duration_ms, gt_every_ms)
     warnings: list[str] = []
     eff_ms = duration_ms
     for sh in scene.shapes:
@@ -310,40 +379,41 @@ def synthesize_moving_shapes(
     if eff_ms != duration_ms:
         warnings.append(f"shape leaves frame; truncated {duration_ms} ms -> {eff_ms} ms")
 
-    rng = np.random.default_rng(scene.seed)
-    floor = 1e-4
-    prev = np.log(np.maximum(_render_frame(scene, 0.0), floor))
-    ts, xs_, ys_, ps_ = [], [], [], []
-    for k in range(1, eff_ms + 1):
-        cur = np.log(np.maximum(_render_frame(scene, k / 1000.0), floor))
-        delta = cur - prev
-        fired = np.abs(delta) >= scene.contrast
-        if fired.any():
-            yy, xx = np.nonzero(fired)
-            ts.append(np.full(len(yy), k * 1000, dtype=np.int64))
-            xs_.append(xx.astype(np.int64))
-            ys_.append(yy.astype(np.int64))
-            ps_.append((delta[yy, xx] > 0).astype(np.int64))
-        if scene.noise_rate > 0:
-            lam = scene.noise_rate * scene.width * scene.height / 1000.0
+    width = scene.width
+    cols: list[list[np.ndarray]] = [[], [], [], []]
+    block = _block_ms(scene, eff_ms)
+    for k0 in range(1, eff_ms + 1, block):
+        ms = np.arange(k0 - 1, min(k0 + block, eff_ms + 1))
+        cover = _coverages(scene, ms)
+        region = _support(scene, cover)
+        if not region.size:
+            continue
+        # row 0 is the millisecond before the block, rendered again
+        delta = np.diff(_log_frames(scene, cover, region), axis=0)
+        kk, pp = np.nonzero(np.abs(delta) >= scene.contrast)
+        yy, xx = np.divmod(region[pp], width)
+        for c, v in zip(cols, (ms[1 + kk] * 1000, xx, yy, delta[kk, pp] > 0)):
+            c.append(v)
+    if scene.noise_rate > 0:
+        rng = np.random.default_rng(scene.seed)
+        lam = scene.noise_rate * width * scene.height / 1000.0
+        for k in range(1, eff_ms + 1):
             n_noise = rng.poisson(lam)
             if n_noise:
-                ts.append(np.full(n_noise, k * 1000, dtype=np.int64))
-                xs_.append(rng.integers(0, scene.width, n_noise))
-                ys_.append(rng.integers(0, scene.height, n_noise))
-                ps_.append(rng.integers(0, 2, n_noise))
-        prev = cur
-    if ts:
-        stream = EventStream(
-            scene.width,
-            scene.height,
-            np.concatenate(ts),
-            np.concatenate(xs_),
-            np.concatenate(ys_),
-            np.concatenate(ps_),
-        )
+                cols[0].append(np.full(n_noise, k * 1000, dtype=np.int64))
+                cols[1].append(rng.integers(0, width, n_noise))
+                cols[2].append(rng.integers(0, scene.height, n_noise))
+                cols[3].append(rng.integers(0, 2, n_noise))
+    if cols[0]:
+        t, x, y, p = (np.concatenate(c) for c in cols)
+        if scene.noise_rate > 0:
+            # shape events, then noise, each in time order: a stable sort
+            # puts each millisecond's noise after its shape events
+            order = np.argsort(t, kind="stable")
+            t, x, y, p = t[order], x[order], y[order], p[order]
+        stream = EventStream(width, scene.height, t, x, y, p)
     else:
-        stream = EventStream.empty(scene.width, scene.height)
+        stream = EventStream.empty(width, scene.height)
 
     boxes: list[GroundTruthBox] = []
     for i in range(eff_ms // gt_every_ms):

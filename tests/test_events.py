@@ -1,20 +1,32 @@
 """Event parsing, the binned count tensor, and the synthetic DVS scenes."""
 
+import contextlib
+import dataclasses
+import hashlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from evhybrid import cli
+from evhybrid.config import load_config
 from evhybrid.errors import DataFormatError
 from evhybrid.events import (
     CSV_HEADER,
     EventStream,
     ShapeSpec,
     SyntheticScene,
+    _block_ms,
     bin_events,
     read_events,
     synthesize_moving_shapes,
     write_events,
 )
+from evhybrid.train import make_dataset
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def stream_from_rows(rows, w=8, h=8):
@@ -326,3 +338,178 @@ class TestSyntheticScenes:
 
         assert right_polarity(bright.stream) > 0.9
         assert right_polarity(dark.stream) < 0.1
+
+
+def dense_oracle(scene, duration_ms, gt_every_ms=50):
+    """The emulator as first written: the whole frame rendered and
+    thresholded every millisecond, noise drawn after each millisecond's
+    shape events. Returns ((t, x, y, p), boxes, warnings, duration_ms)."""
+    xs = np.arange(scene.width, dtype=np.float64)
+    ys = np.arange(scene.height, dtype=np.float64)
+
+    def center(sh, t_s):
+        return sh.x0 + sh.vx * t_s, sh.y0 + sh.vy * t_s
+
+    def render(t_s):
+        frame = np.full((scene.height, scene.width), scene.background, dtype=np.float64)
+        for sh in scene.shapes:
+            cx, cy = center(sh, t_s)
+            half = sh.size / 2.0
+            ox = np.clip(np.minimum(xs + 1.0, cx + half) - np.maximum(xs, cx - half), 0.0, 1.0)
+            oy = np.clip(np.minimum(ys + 1.0, cy + half) - np.maximum(ys, cy - half), 0.0, 1.0)
+            cov = oy[:, None] * ox[None, :]
+            frame = frame * (1.0 - cov) + sh.intensity * cov
+        return np.log(np.maximum(frame, 1e-4))
+
+    def inside(sh, t_s):
+        cx, cy = center(sh, t_s)
+        half = sh.size / 2.0
+        return cx - half >= 0 and cx + half <= scene.width and cy - half >= 0 and cy + half <= scene.height
+
+    eff_ms = duration_ms
+    for sh in scene.shapes:
+        while eff_ms > 0 and not inside(sh, eff_ms / 1000.0):
+            eff_ms -= 1
+    warnings = [] if eff_ms == duration_ms else [f"shape leaves frame; truncated {duration_ms} ms -> {eff_ms} ms"]
+    rng = np.random.default_rng(scene.seed)
+    rows = [np.zeros(0, dtype=np.int64)] * 4
+    prev = render(0.0)
+    for k in range(1, eff_ms + 1):
+        cur = render(k / 1000.0)
+        delta = cur - prev
+        yy, xx = np.nonzero(np.abs(delta) >= scene.contrast)
+        new = [np.full(len(yy), k * 1000), xx, yy, (delta[yy, xx] > 0).astype(np.int64)]
+        if scene.noise_rate > 0:
+            n = rng.poisson(scene.noise_rate * scene.width * scene.height / 1000.0)
+            if n:
+                noise = [rng.integers(0, scene.width, n), rng.integers(0, scene.height, n), rng.integers(0, 2, n)]
+                new = [np.concatenate([a, b]) for a, b in zip(new, [np.full(n, k * 1000)] + noise)]
+        rows = [np.concatenate([a, b]) for a, b in zip(rows, new)]
+        prev = cur
+    boxes = []
+    for i in range(eff_ms // gt_every_ms):
+        t_end_ms = (i + 1) * gt_every_ms
+        for sh in scene.shapes:
+            cx, cy = center(sh, t_end_ms / 1000.0)
+            boxes.append((i, t_end_ms * 1000, cx, cy, sh.size, sh.size))
+    return rows, boxes, warnings, eff_ms
+
+
+def assert_matches_oracle(scene, duration_ms, gt_every_ms=50):
+    result = synthesize_moving_shapes(scene, duration_ms, gt_every_ms)
+    rows, boxes, warnings, eff_ms = dense_oracle(scene, duration_ms, gt_every_ms)
+    stream = result.stream
+    for name, want in zip("txyp", rows):
+        np.testing.assert_array_equal(getattr(stream, name), want, err_msg=name)
+    assert not stream.sort_applied
+    assert [tuple(dataclasses.astuple(b)) for b in result.boxes] == boxes
+    assert result.warnings == warnings
+    assert result.duration_ms == eff_ms
+    return result
+
+
+@st.composite
+def emulator_scenes(draw):
+    width, height = draw(st.integers(3, 48)), draw(st.integers(3, 48))
+    shapes = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.floats(0.5, min(width, height)))
+        half = size / 2.0
+        # starts anywhere inside, often touching a border
+        x0 = draw(st.sampled_from([half, width - half]) | st.floats(half, width - half))
+        y0 = draw(st.sampled_from([half, height - half]) | st.floats(half, height - half))
+        assume(x0 - half >= 0 and x0 + half <= width and y0 - half >= 0 and y0 + half <= height)
+        vx, vy = (draw(st.just(0.0) | st.floats(-400.0, 400.0)) for _ in range(2))
+        intensity = draw(st.sampled_from([1.0, 0.06]) | st.floats(0.0, 1.0))
+        shapes.append(ShapeSpec("square", size, intensity, x0, y0, vx, vy))
+    scene = SyntheticScene(
+        width,
+        height,
+        shapes,
+        contrast=draw(st.sampled_from([0.06, 0.2]) | st.floats(0.01, 1.0)),
+        seed=draw(st.integers(0, 2**16)),
+        background=draw(st.sampled_from([0.1, 0.5]) | st.floats(0.0, 1.0)),
+        noise_rate=draw(st.sampled_from([0.0, 5.0])),
+    )
+    return scene, draw(st.just(1) | st.integers(1, 160)), draw(st.integers(1, 60))
+
+
+class TestEmulatorOracle:
+    """The block, region-only renderer against ``dense_oracle``, bit for bit."""
+
+    @given(case=emulator_scenes())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_renderer(self, case):
+        assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "shapes,noise_rate",
+        [
+            # the sensor-size scenes: four overlapping squares crossing each other
+            (
+                [
+                    ShapeSpec("square", 20.0, 1.0, 60.0, 80.0, 240.0, 90.0),
+                    ShapeSpec("square", 24.0, 0.06, 90.0, 90.0, -180.0, 60.0),
+                    ShapeSpec("square", 17.0, 1.0, 75.0, 70.0, 30.0, 230.0),
+                    ShapeSpec("square", 22.5, 0.06, 150.0, 200.0, -250.0, -200.0),
+                ],
+                0.5,
+            ),
+            # one small fast square: blocks of tens of milliseconds
+            ([ShapeSpec("square", 8.0, 1.0, 100.0, 100.0, 250.0, 10.0)], 0.0),
+            # a square covering most of the sensor: one millisecond per block
+            ([ShapeSpec("square", 110.0, 0.06, 120.0, 140.0, 200.0, -150.0)], 0.0),
+        ],
+        ids=["four-shapes-noisy", "multi-ms-blocks", "one-ms-blocks"],
+    )
+    def test_sensor_scene_spanning_many_blocks(self, shapes, noise_rate):
+        scene = SyntheticScene(240, 304, shapes, contrast=0.06, seed=5, background=0.5, noise_rate=noise_rate)
+        assert _block_ms(scene, 120) < 60
+        result = assert_matches_oracle(scene, 120)
+        assert len(result.stream) > 1000
+
+    @pytest.mark.parametrize(
+        "scene_field,shape_field,value,message",
+        [
+            ("contrast", None, 0.0, "contrast"),
+            ("contrast", None, -0.1, "contrast"),
+            ("contrast", None, float("nan"), "contrast"),
+            ("background", None, float("inf"), "background"),
+            ("noise_rate", None, -1.0, "noise_rate"),
+            ("noise_rate", None, float("nan"), "noise_rate"),
+            (None, "size", 0.0, "size"),
+            (None, "size", float("nan"), "size"),
+            (None, "intensity", float("nan"), "intensity"),
+        ],
+    )
+    def test_invalid_scene_field_named(self, scene_field, shape_field, value, message):
+        shape = ShapeSpec("square", 6.0, 1.0, 16.0, 16.0, 100.0, 0.0)
+        scene = SyntheticScene(32, 32, [shape], contrast=0.1)
+        setattr(shape if shape_field else scene, shape_field or scene_field, value)
+        with pytest.raises(ValueError, match=message):
+            synthesize_moving_shapes(scene, 20)
+
+    def test_gt_every_ms_below_one_rejected(self):
+        scene = SyntheticScene(32, 32, [ShapeSpec("square", 6.0, 1.0, 16.0, 16.0)])
+        with pytest.raises(ValueError, match="gt_every_ms"):
+            synthesize_moving_shapes(scene, 20, gt_every_ms=0)
+
+
+class TestGoldenOutput:
+    """Emulator output pinned to the digests of the per-millisecond
+    full-frame renderer, so that drift shows even when every run agrees."""
+
+    def test_gen_events_file(self, tmp_path):
+        argv = ["--config", str(CONFIG_DIR / "toy.ini"), "--seed", "0", "--out", str(tmp_path), "gen"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "events.evs").read_bytes()).hexdigest()
+        assert digest == "f101c61691ddfadee0903c63394641c2262e72dce19263abb4a7abdb3d149d7e"
+
+    def test_make_dataset_counts(self):
+        samples = make_dataset(load_config(CONFIG_DIR / "toy.ini"), 3, seed=0, stride=4)
+        digest = hashlib.sha256()
+        for sample in samples:
+            digest.update(np.ascontiguousarray(sample.counts).tobytes())
+        assert len(samples) == 6
+        assert digest.hexdigest() == "de80c7764f5838ae9bd76481d6fe055baa24cdec1212adfe4167fdeb30edd050"
