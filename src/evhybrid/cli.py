@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from .config import QUANT_BITS, RunConfig, load_config, save_config
 from .errors import ConfigError, EvHybridError
 from .events import read_events, synthesize_moving_shapes, write_events
 from .model import HybridModel, run_infer, stream_windows
-from .profiling import count_dense_macs, count_spike_acs, write_profile
+from .profiling import count_dense_macs, count_spike_acs, input_sparsity, write_profile
 from .quantize import reference_layers, run_quantize, save_quantized
 from .snn import snn_backbone_forward
 from .numerics import Tensor
@@ -200,11 +199,7 @@ def cmd_profile(args, cfg: RunConfig) -> int:
         for _, counts in stream_windows(stream, cfg):
             snn_backbone_forward(Tensor(counts.astype(model.dtype)), model.snn_blocks, trace=trace)
         counters = counters.merge(count_spike_acs(trace))
-        cells, spikes = Counter(), Counter()
-        for e in trace:
-            cells[e["name"]] += e["cells"]
-            spikes[e["name"]] += e["input_spikes"]
-        sparsity = {name: (cells[name] - spikes[name]) / cells[name] for name in cells}
+        sparsity = input_sparsity(trace)
     out = _out_dir(args, cfg)
     write_profile(counters, out, sparsity)
     print((out / "profile.txt").read_text())

@@ -12,7 +12,7 @@ EVS binary, CSV otherwise):
 ``bin_events`` bins the events of a window [t_a, t_b] into ``n_bins`` equal
 time slices, one channel per polarity: shape [T, 2, H, W]. An event exactly
 at t_b is clamped into the last bin. Which events a window holds is
-``model.stream_windows``' rule.
+``model.bin_window``'s rule.
 
 ``synthesize_moving_shapes`` is a DVS emulator for labeled scenes of moving
 squares. It thresholds log-intensity changes at 1 ms resolution, rendering a
@@ -65,7 +65,13 @@ class EventStream:
     sort_applied: bool = False
 
     def __post_init__(self):
-        cols = [np.asarray(c, dtype=np.int64) for c in (self.t, self.x, self.y, self.p)]
+        cols = [np.asarray(c) for c in (self.t, self.x, self.y, self.p)]
+        for name, col in zip(("timestamp", "x", "y", "polarity"), cols):
+            # a uint64 value past the int64 range would wrap in the cast
+            if col.dtype == np.uint64 and len(col) and col.max() > _INT64.max:
+                i = int(np.argmax(col > _INT64.max))
+                raise BadEventError(i, f"has {name} {col[i]} past the int64 range")
+        cols = [c.astype(np.int64, copy=False) for c in cols]
         n = len(cols[0])
         for name, col in zip("xyp", cols[1:]):
             if len(col) != n:

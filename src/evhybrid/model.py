@@ -176,25 +176,24 @@ class Detection:
         }
 
 
-def stream_windows(stream: EventStream, config: RunConfig):
-    """Yield (window_index, [T,2,H,W] counts) for every window up to the
-    stream's last event, windows of length w anchored at t = 0.
+def bin_window(stream: EventStream, i: int, n_bins: int, window_ms: int) -> np.ndarray:
+    """[T, 2, H, W] counts of window ``i`` of ``stream``. The one window rule:
+    window 0 owns [0, w] and window i >= 1 owns (i*w, (i+1)*w], so each event
+    has one owner and one at a window's end lands in its last bin, at the
+    ground-truth box time. A window past the stream's last event is empty."""
+    w = window_ms * 1000
+    lo = i * w if i else -1  # timestamps are integers >= 0: (-1, w] is [0, w]
+    start, end = np.searchsorted(stream.t, [lo, (i + 1) * w], side="right")
+    return bin_events(stream, slice(start, end), i * w, (i + 1) * w, n_bins)
 
-    Every event has one owner: window 0 owns [0, w] and window i >= 1 owns
-    (i*w, (i+1)*w], so an event at a window's end lands in that window's last
-    bin, at the ground-truth box time. Training, evaluation and the
-    quantization windows are cut by this rule too. A stream whose events all
-    sit at t = 0 gives one window."""
+
+def stream_windows(stream: EventStream, config: RunConfig):
+    """Yield (window_index, ``bin_window`` counts) for every window up to the
+    stream's last event; a stream whose events all sit at t = 0 gives one."""
     sim = config.simulation
-    win_us = sim.window_ms * 1000
-    if len(stream) == 0:
-        return
-    n_windows = max(1, -(-int(stream.t[-1]) // win_us))
-    ends = np.searchsorted(stream.t, np.arange(1, n_windows + 1) * win_us, side="right")
-    start = 0
-    for i, end in enumerate(ends):
-        yield i, bin_events(stream, slice(start, end), i * win_us, (i + 1) * win_us, sim.T)
-        start = end
+    n_windows = max(1, -(-int(stream.t[-1]) // (sim.window_ms * 1000))) if len(stream) else 0
+    for i in range(n_windows):
+        yield i, bin_window(stream, i, sim.T, sim.window_ms)
 
 
 # objectness probability at which a cell becomes a detection

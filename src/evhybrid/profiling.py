@@ -142,14 +142,27 @@ def count_spike_acs(trace: list[dict]) -> OpCounters:
     recorded forward trace, whose entries ``snn_backbone_forward`` appends
     one per layer per window: each the per-window mean of the layer's
     entries, rounded to an int. A one-window trace gives its own counts."""
-    sums: dict[str, Counter] = {}
-    for e in trace:
-        sums.setdefault(e["name"], Counter()).update(windows=1, acs=e["acs"], input_spikes=e["input_spikes"])
     counters = OpCounters()
-    for name, s in sums.items():
+    for name, s in _layer_sums(trace).items():
         lc = counters.layer(name)
         lc.acs, lc.input_spikes = round(s["acs"] / s["windows"]), round(s["input_spikes"] / s["windows"])
     return counters
+
+
+def input_sparsity(trace: list[dict]) -> dict[str, float]:
+    """Per spiking layer, the share of its input cells that held no spike,
+    over every window of the trace."""
+    return {name: (s["cells"] - s["input_spikes"]) / s["cells"] for name, s in _layer_sums(trace).items()}
+
+
+def _layer_sums(trace: list[dict]) -> dict[str, Counter]:
+    """The trace's counts summed per layer name, in first-seen order."""
+    sums: dict[str, Counter] = {}
+    for e in trace:
+        sums.setdefault(e["name"], Counter()).update(
+            windows=1, acs=e["acs"], input_spikes=e["input_spikes"], cells=e["cells"]
+        )
+    return sums
 
 
 def energy_estimate(counters: OpCounters) -> float:

@@ -2,23 +2,23 @@
 
 Adaptive-moment updates with a one-cycle-shaped schedule (short linear
 warmup, then linear decay from the configured maximum). Each training sample
-is one detection window, cut from its scene's stream by ``stream_windows``
-as in inference; ground truth is the shape's box at the window end, so the
-net must weight late time bins to localize well. Windows are treated
-independently during training (recurrent state reset per sample).
+is one detection window of its scene's stream, binned by ``bin_window`` as
+in inference each time it is read; ground truth is the shape's box at the
+window end, so the net must weight late time bins to localize well. Windows
+are treated independently in training (recurrent state reset per sample).
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import groupby
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError
-from .events import ShapeSpec, SyntheticScene, synthesize_moving_shapes
-from .model import HybridModel, stream_windows
+from .events import EventStream, ShapeSpec, SyntheticScene, synthesize_moving_shapes
+from .model import HybridModel, bin_window
 from .numerics import GradTape, Tensor
 from .ann import toy_loss
 from .bridge import VARIANTS as ABLATION_VARIANTS
@@ -89,11 +89,20 @@ def _clip_gradients(params: dict[str, Tensor], max_norm: float) -> None:
 # synthetic dataset
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowSample:
-    counts: np.ndarray
-    boxes_cells: list[tuple[float, float, float, float]]
+    """A labelled window of its scene's stream, which the scene's windows share."""
+
+    stream: EventStream
     window: int
+    boxes_cells: list[tuple[float, float, float, float]]
+    T: int
+    window_ms: int
+
+    @property
+    def counts(self) -> np.ndarray:
+        """[T, 2, H, W] counts, binned on each read."""
+        return bin_window(self.stream, self.window, self.T, self.window_ms)
 
 
 def _random_scene(cfg: RunConfig, rng: np.random.Generator, seed: int) -> SyntheticScene:
@@ -145,26 +154,18 @@ def _feasible_start(rng, extent, margin, disp) -> float:
 
 
 def make_dataset(cfg: RunConfig, n_scenes: int, seed: int, stride: int) -> list[WindowSample]:
-    """The ``stream_windows`` windows of each scene that hold a ground-truth
-    box, with the boxes in feature-cell units. A box window after the
-    stream's last event holds no events."""
+    """The windows of each scene that hold a ground-truth box (the emulator
+    lists boxes window by window), with the boxes in feature-cell units. Each
+    sample keeps its scene's events and bins its window when it is read."""
     sim = cfg.simulation
     rng = np.random.default_rng(seed)
     samples: list[WindowSample] = []
     for s in range(n_scenes):
         scene = _random_scene(cfg, rng, seed=seed * 100003 + s)
         result = synthesize_moving_shapes(scene, cfg.training.scene_duration_ms, sim.window_ms)
-        by_window: dict[int, list] = {}
-        for b in result.boxes:
-            by_window.setdefault(b.window, []).append(b)
-        # the box windows are 0 .. k-1; later windows are never binned
-        windows = dict(islice(stream_windows(result.stream, cfg), len(by_window)))
-        for i, boxes in sorted(by_window.items()):
-            counts = windows.get(i)
-            if counts is None:
-                counts = np.zeros((sim.T, 2, sim.sensor_height, sim.sensor_width), dtype=np.int64)
+        for i, boxes in groupby(result.boxes, key=lambda b: b.window):
             cells = [(b.cy / stride, b.cx / stride, b.h / stride, b.w / stride) for b in boxes]
-            samples.append(WindowSample(counts, cells, window=i))
+            samples.append(WindowSample(result.stream, i, cells, sim.T, sim.window_ms))
     return samples
 
 

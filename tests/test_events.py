@@ -15,6 +15,10 @@ from evhybrid.config import load_config
 from evhybrid.errors import DataFormatError
 from evhybrid.events import (
     CSV_HEADER,
+    EVENT_DTYPE,
+    EVS_HEADER,
+    EVS_MAGIC,
+    BadEventError,
     EventStream,
     ShapeSpec,
     SyntheticScene,
@@ -161,6 +165,15 @@ class TestReadWrite:
         with pytest.raises(DataFormatError, match=r"w\.csv:4: " + message):
             read_events(path, geometry=(8, 8))
 
+    def test_evs_timestamp_past_int64_is_data_error(self, tmp_path):
+        # the u64 column used to wrap to a negative int64 in the cast
+        rec = np.ones(1, dtype=EVENT_DTYPE)
+        rec["t"] = 2**63 + 5
+        path = tmp_path / "late.evs"
+        path.write_bytes(EVS_HEADER.pack(EVS_MAGIC, 8, 8, 1) + rec.tobytes())
+        with pytest.raises(DataFormatError, match="event 0 has timestamp 9223372036854775813 past the int64"):
+            read_events(path)
+
     def test_evs_shorter_than_header(self, tmp_path):
         path = tmp_path / "h.evs"
         path.write_bytes(b"EVS0" + bytes(6))
@@ -193,6 +206,12 @@ class TestStreamChecks:
     def test_negative_timestamp(self):
         with pytest.raises(DataFormatError, match="timestamp"):
             stream_from_rows([(-1, 1, 1, 0)])
+
+    def test_uint64_timestamp_past_int64_names_its_value(self):
+        t = np.array([3, 2**63 + 5], dtype=np.uint64)
+        with pytest.raises(BadEventError, match="event 1 has timestamp 9223372036854775813 past the int64"):
+            EventStream(4, 4, t, [1, 1], [1, 1], [1, 1])
+        assert EventStream(4, 4, np.array([2**63 - 1], np.uint64), [1], [1], [1]).t[0] == 2**63 - 1
 
 
 class TestEventTensor:

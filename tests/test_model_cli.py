@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from evhybrid.arrayio import CHECKPOINT_MAGIC, read_bundle, write_bundle
 from evhybrid.config import RunConfig, load_config, save_config
 from evhybrid.errors import ConfigError, DataFormatError
-from evhybrid.events import EventStream, synthesize_moving_shapes, write_events
+from evhybrid.events import (
+    EVENT_DTYPE, EVS_HEADER, EVS_MAGIC, EventStream, synthesize_moving_shapes, write_events,
+)
 from evhybrid.model import HybridModel, decode_detections, run_infer, stream_windows
 from evhybrid.quantize import run_quantize
 from evhybrid.ann import toy_loss
@@ -235,6 +237,21 @@ class TestModel:
             assert sample.window == i
             np.testing.assert_array_equal(sample.counts, counts)
 
+    def test_dataset_holds_events_not_count_tensors(self):
+        # two gen1.ini scenes: 12 windows of 10x2x304x240 int64 counts are
+        # 134 MiB, the two streams they come from a few hundred KiB
+        cfg = load_config(CONFIG_DIR / "gen1.ini")
+        tracemalloc.start()
+        try:
+            ds = make_dataset(cfg, 2, seed=cfg.training.seed, stride=32)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 12
+        assert held < 2**20
+        streams = [{id(s.stream) for s in ds[:6]}, {id(s.stream) for s in ds[6:]}]
+        assert all(len(ids) == 1 for ids in streams) and streams[0] != streams[1]
+
     def test_box_window_after_the_last_event_is_empty(self):
         cfg = toy_config()
         cfg.training.speed_min = cfg.training.speed_max = 0.0  # a still shape emits no events
@@ -433,6 +450,20 @@ class TestCLI:
         )
         assert res.returncode == 3
         assert f"error[data]: {events}:2: event 0" in res.stderr
+
+    def test_infer_evs_timestamp_past_int64_exit_code(self, cli_workspace, tmp_path):
+        _, cfg_path = cli_workspace
+        rec = np.ones(1, dtype=EVENT_DTYPE)
+        rec["t"] = 2**63 + 5
+        events = tmp_path / "late.evs"
+        events.write_bytes(EVS_HEADER.pack(EVS_MAGIC, 24, 24, 1) + rec.tobytes())
+        res = run_cli(
+            ["--config", str(cfg_path), "--out", str(tmp_path / "infer"), "infer", "--events", str(events)],
+            tmp_path,
+        )
+        assert res.returncode == 3
+        assert "error[data]: event 0 has timestamp 9223372036854775813 past the int64 range" in res.stderr
+        assert not (tmp_path / "infer").exists()
 
     def test_quantize_fidelity(self, cli_workspace):
         root, cfg_path = cli_workspace

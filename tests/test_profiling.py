@@ -18,6 +18,7 @@ from evhybrid.profiling import (
     count_spike_acs,
     energy_estimate,
     fit_energy_constants,
+    input_sparsity,
     profile_flat_dict,
     profile_text,
 )
@@ -184,6 +185,13 @@ class TestSpikeACs:
         ]
         lc = count_spike_acs(trace).per_layer["snn1"]
         assert (lc.acs, lc.input_spikes) == (20, 4)  # 61 / 3 and 11 / 3, rounded
+
+    def test_input_sparsity_pools_every_window(self):
+        trace = [
+            {"name": name, "acs": 0, "input_spikes": n, "cells": c}
+            for name, n, c in (("snn1", 3, 100), ("snn2", 0, 10), ("snn1", 5, 60))
+        ]
+        assert input_sparsity(trace) == {"snn1": (160 - 8) / 160, "snn2": 1.0}
 
 
     @pytest.mark.parametrize("extent, k, padding, stride", [
