@@ -188,7 +188,10 @@ def _read_evs(path: Path, blob: bytes, geometry: tuple[int, int] | None) -> Even
         raise DataFormatError(f"{path}: expected {expect} bytes, found {len(blob)}")
     rec = np.frombuffer(blob, dtype=EVENT_DTYPE, count=count, offset=EVS_HEADER.size)
     # reserved byte is ignored on read by contract
-    return EventStream(width, height, rec["t"], rec["x"], rec["y"], rec["p"])
+    try:
+        return EventStream(width, height, rec["t"], rec["x"], rec["y"], rec["p"])
+    except BadEventError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def write_events(stream: EventStream, dest) -> None:

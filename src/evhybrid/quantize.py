@@ -15,25 +15,31 @@ when the integer weights are exact. The neuron fires at snn.V_THRESHOLD and
 resets to snn.V_RESET = 0, as in training.
 
 The forward is event-driven, on the spiking stack's own inference machinery
-(``snn._rulebook_conv`` and ``snn._live_membranes``). The integer conv
-gathers the (t, y, x) sites that hold input and, tap by tap, adds their rows
-times the tap's weights to the output cells they reach (a gather-GEMM-scatter
-rulebook conv, Graham and van der Maaten 2017), exactly in int64 under a
-checked 2**53 bound on every partial sum, then saturates to the int32 range
-(saturation events are counted, never silent). Its output is compact, as in
-sparse-conv engines: one row per live output site (one that some tap
-reaches), then one all-zero row. Only the live sites carry their own
-membranes; every other cell of a channel sees the same input, shift[c], at
-every step, so all of them share one quiet trajectory per channel, computed
-once on the zero row. Membranes stay in real arithmetic, and each layer's
-spikes come out as a boolean [T, C, H', W'] tensor, the next layer's input.
+(``snn._Rulebook`` and ``snn._live_membranes``). The integer conv gathers
+the (t, y, x) sites that hold input and, tap by tap, adds their rows times
+the tap's weights to the output cells they reach (a gather-GEMM-scatter
+rulebook conv, Graham and van der Maaten 2017). It checks that every
+partial sum stays below 2**53, runs the taps as float64 BLAS products,
+which are exact for such integers in any summation order, casts the result
+back to int64, then saturates to the int32 range (saturation events are
+counted, never silent). Its output is compact, as in sparse-conv engines:
+one row per live output site (one that some tap reaches), then one all-zero
+row. Only the live sites carry their own membranes; every other cell of a
+channel sees the same input, shift[c], at every step, so all of them share
+one quiet trajectory per channel, computed once on the zero row. Membranes
+stay in real arithmetic, and each layer's spikes come out as a boolean
+[T, C, H', W'] tensor, the next layer's input.
 
 The float reference that fidelity reports compare against is the spiking
 stack's own event-driven inference forward, run on float64 copies of the
 blocks: the same rulebook conv, in float64, then the inference neurons
 (batchnorm with running statistics and the PLIF update) at the live sites
 plus one quiet trajectory per channel. The two paths differ only in the
-per-site arithmetic.
+per-site arithmetic. A rulebook depends on the input alone, so when
+``run_quantize`` computes the reference itself it builds each window's
+first-layer rulebook once and runs both paths from it (as sparse-conv
+engines reuse one kernel map for every conv over the same active set);
+each later layer builds its own, since the two paths' spikes differ.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .config import QUANT_BITS
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 from .model import HybridModel
 from .numerics import WIDE, ops
-from .snn import V_RESET, V_THRESHOLD, _event_forward, _live_membranes, _rulebook_conv
+from .snn import V_RESET, V_THRESHOLD, _event_forward, _event_spikes, _live_membranes, _Rulebook
 
 INT32_MAX = np.int64(2**31 - 1)
 QUANT_FORMAT_VERSION = 2
@@ -122,26 +128,39 @@ def int_conv2d(
     x: np.ndarray, w: np.ndarray, stride: int, padding: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int], int]:
     """Exact integer conv of the sites of ``x`` [N, C_in, H, W] that hold
-    input: the rulebook conv (``_rulebook_conv``) in int64.
+    input: the rulebook conv (``snn._Rulebook``) with integer weights ``w``,
+    checked and saturated by ``_int_conv``. Returns the [N, L+1, C_out] int64
+    output rows at the ``live`` flat H'*W' sites plus one all-zero row
+    standing for every other site, ``live``, the output (H', W'), and the
+    saturation count.
+    """
+    book = _Rulebook(x, w.shape[2:], stride, padding)
+    out, over = _int_conv(book, w)
+    return out, book.live, book.hw, over
+
+
+def _int_conv(book: _Rulebook, w: np.ndarray) -> tuple[np.ndarray, int]:
+    """The integer conv of the input ``book`` was built from, with integer
+    weights ``w``, and its saturation count.
 
     Partial sums are bounded by max|x| * max_c sum|w[c]|; a bound of 2**53 or
-    more raises NumericError, so every partial sum is exact in float64 too.
-    Cells beyond the int32 range are clamped and counted. Returns the
-    [N, L+1, C_out] int64 output rows at the ``live`` flat H'*W' sites plus
-    one all-zero row standing for every other site, ``live``, the output
-    (H', W'), and the saturation count.
+    more raises NumericError before any tap runs. Below it every product and
+    partial sum is an integer that float64 holds exactly, so the taps run as
+    float64 BLAS products, exact in any summation order, and the result is
+    cast back to int64. Cells beyond the int32 range are then clamped and
+    counted.
     """
     w = w.astype(np.int64)
-    out, live, hw, rows = _rulebook_conv(x, w, stride, padding)
-    x_peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    x_peak = max(int(book.rows.max(initial=0)), -int(book.rows.min(initial=0)))
     bound = x_peak * int(np.abs(w).reshape(len(w), -1).sum(axis=1).max(initial=0))
     if bound >= 2**53:
         raise NumericError(f"integer conv partial sums may reach {bound}, past float64's exact 2**53")
+    out = book.conv(w.astype(np.float64)).astype(np.int64)
     over = 0
     if bound > INT32_MAX:  # otherwise no cell can leave the int32 range
         over = int(np.count_nonzero(np.abs(out) > INT32_MAX))
         out = np.clip(out, -INT32_MAX, INT32_MAX)
-    return out, live, hw, over
+    return out, over
 
 
 @dataclass
@@ -222,16 +241,32 @@ def fixed_point_forward(
     tensors when ``collect_layers``. Saturation events accumulate on the
     model.
     """
+    layers = _fixed_point_layers(_rulebook(_integer_counts(counts), fpm.blocks[0]), fpm)
+    return layers if collect_layers else layers[-1]
+
+
+def _integer_counts(counts: np.ndarray) -> np.ndarray:
     x = np.asarray(counts)
     if not np.issubdtype(x.dtype, np.integer):
         raise NumericError("fixed-point input must be integer event counts")
+    return x
+
+
+def _fixed_point_layers(book: _Rulebook, fpm: FixedPointModel) -> list[np.ndarray]:
+    """Every layer's spikes of the fixed-point forward, from the rulebook
+    ``book`` of its first layer's input; each later layer builds its own."""
     layers = []
     for blk in fpm.blocks:
-        y, live, hw, over = int_conv2d(x, blk.quant.int_weights, blk.stride, blk.padding)
+        if layers:
+            book = _rulebook(layers[-1], blk)
+        y, over = _int_conv(book, blk.quant.int_weights)
         fpm.overflow_count += over
-        x = _live_membranes(_fused_lif(y, blk), live, hw)
-        layers.append(x)
-    return layers if collect_layers else layers[-1]
+        layers.append(_live_membranes(_fused_lif(y, blk), book.live, book.hw))
+    return layers
+
+
+def _rulebook(x: np.ndarray, blk: FixedPointBlock) -> _Rulebook:
+    return _Rulebook(x, blk.quant.int_weights.shape[2:], blk.stride, blk.padding)
 
 
 def float_reference_spikes(
@@ -245,19 +280,26 @@ def float_reference_spikes(
     ShapeError, and a non-finite weight or batchnorm statistic raises
     NumericError naming the layer. Each layer runs the rulebook conv in
     float64, then the inference neurons at the live sites and on one quiet
-    trajectory per channel (``snn._event_forward``). The fixed-point path is
+    trajectory per channel (``snn._event_spikes``). The fixed-point path is
     compared against this trajectory; both run their membranes in float64
     so differences come only from weight rounding. Returns boolean spike
     tensors, as the fixed-point forward does. The conv adds its taps per
     output cell in rulebook order, so a membrane can differ from a dense
     float64 conv's by a few ulps.
     """
-    x = np.asarray(counts)
-    layers = []
-    for i, blk in enumerate(model.snn_blocks, start=1):
-        x = _event_forward(x, blk.astype(WIDE), f"snn{i}")
-        layers.append(x)
+    blk = model.snn_blocks[0]
+    book = _Rulebook(np.asarray(counts), blk.conv_w.shape[2:], blk.cfg.stride, blk.cfg.padding)
+    layers = _float_layers(book, model)
     return layers if collect_layers else layers[-1]
+
+
+def _float_layers(book: _Rulebook, model: HybridModel) -> list[np.ndarray]:
+    """Every layer's spikes of the float reference, from the rulebook
+    ``book`` of its first layer's input; each later layer builds its own."""
+    layers = [_event_spikes(book, model.snn_blocks[0].astype(WIDE), "snn1")]
+    for i, blk in enumerate(model.snn_blocks[1:], start=2):
+        layers.append(_event_forward(layers[-1], blk.astype(WIDE), f"snn{i}"))
+    return layers
 
 
 def _fused_lif(y: np.ndarray, blk: FixedPointBlock) -> np.ndarray:
@@ -424,15 +466,18 @@ def run_quantize(
     """Quantize a trained model and measure spike fidelity on held-out
     windows (all spiking layers pooled). The float reference does not depend
     on the width, so a sweep passes its :func:`reference_layers` as
-    ``ref_layers``; without them it is computed here."""
+    ``ref_layers``; without them it is computed here, and each window's
+    first-layer rulebook serves both the reference and the fixed-point
+    forward."""
     fpm = FixedPointModel.from_model(model, bits)
-    if ref_layers is None:
-        ref_layers = reference_layers(model, eval_windows)
     refs: list[np.ndarray] = []
     tests: list[np.ndarray] = []
     names: list[str] = []
+    if ref_layers is None:
+        ref_layers = [None] * len(eval_windows)
     for counts, layers in zip(eval_windows, ref_layers, strict=True):
-        refs += layers
-        tests += fixed_point_forward(counts, fpm, collect_layers=True)
+        book = _rulebook(_integer_counts(counts), fpm.blocks[0])
+        refs += _float_layers(book, model) if layers is None else layers
+        tests += _fixed_point_layers(book, fpm)
         names += [blk.name for blk in fpm.blocks]
     return fpm, fidelity_from_layers(refs, tests, names)

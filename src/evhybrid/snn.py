@@ -19,18 +19,20 @@ over T as the oracle for ``plif_scan``.
 
 In inference they run event-driven, so their cost follows the input events.
 The conv is a gather-GEMM-scatter rulebook conv (Graham and van der Maaten
-2017; ``_rulebook_conv``): it gathers the (t, y, x) sites that hold input
-and, tap by tap, adds their rows times the tap's weights to the output
-cells they reach, which it stores compactly as one row per live output site
-(one that some tap reaches) plus one all-zero row. Only the live sites
-carry their own membranes; every other cell of a channel sees a conv output
-of 0 at every step, so all of them share one quiet trajectory per channel
-(``_live_membranes``). The neurons (``_float_lif``) are plain numpy with,
-cell for cell, the arithmetic of ``ops.batchnorm2d`` on the running
-statistics and of ``ops.plif_scan``. The conv adds a cell's taps in
-rulebook order, so a membrane can differ from the dense path's by float
-rounding. The fixed-point path (``quantize``) and its float reference run
-on the same conv and membranes.
+2017), built, then applied. ``_Rulebook`` is built from the input and the
+conv geometry alone: it gathers the (t, y, x) sites that hold input and
+finds the output cell each tap of each site reaches. ``_Rulebook.conv``
+then, tap by tap, adds the rows times the tap's weights to those cells,
+which it stores compactly as one row per live output site (one that some
+tap reaches) plus one all-zero row; one rulebook serves any weights of its
+geometry. Only the live sites carry their own membranes; every other cell
+of a channel sees a conv output of 0 at every step, so all of them share
+one quiet trajectory per channel (``_live_membranes``). The neurons
+(``_float_lif``) are plain numpy with, cell for cell, the arithmetic of
+``ops.batchnorm2d`` on the running statistics and of ``ops.plif_scan``. The
+conv adds a cell's taps in rulebook order, so a membrane can differ from
+the dense path's by float rounding. The fixed-point path (``quantize``) and
+its float reference run on the same rulebooks and membranes.
 
 Layer strings follow the grammar ``<C>c<K>p<P>s<S>`` (out-channels, kernel,
 padding, stride), e.g. ``64c3p1s2``. The conv -> batchnorm layer here
@@ -216,98 +218,118 @@ class SNNBlock(ConvBNBlock):
         return {**super().parameters(), "plif_w": self.plif_w}
 
 
+class _Rulebook:
+    """The gather/scatter plan of a conv over the sites of ``x`` [N, C_in,
+    H, W] that hold input, for a ``kernel`` (KH, KW), ``stride`` and
+    ``padding``; ``conv`` applies it to any weights of that geometry.
+
+    The active sites are the (t, y, x) positions with any nonzero channel.
+    The ``live`` output sites are the sorted flat H'*W' sites (``hw`` is
+    (H', W')) that some in-bounds tap of an active site reaches at some
+    step; they are found from the tap geometry first. Tap (ky, kx) of a site
+    lands on the stride grid only when (y + padding) % stride == ky %
+    stride, and likewise in x, so the sites are grouped by that phase, their
+    input ``rows`` [S, C_in] gathered in the input's dtype, and each tap
+    reads one group's rows as a slice. Each tap keeps the output row of
+    every site in its group; a tap that leaves the output lands on its
+    step's trash row, which the output leaves out.
+    """
+
+    def __init__(self, x: np.ndarray, kernel: tuple[int, ...], stride: int, padding: int):
+        if x.ndim != 4 or len(kernel) != 2:
+            raise ShapeError(f"rulebook conv takes 4-D input and a (KH, KW) kernel, got {x.ndim}-D and {kernel}")
+        if stride < 1 or padding < 0:
+            raise ShapeError(f"rulebook conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
+        n, self.c_in, h, wd = x.shape
+        kh, kw = self.kernel = tuple(kernel)
+        h_out = (h + 2 * padding - kh) // stride + 1
+        w_out = (wd + 2 * padding - kw) // stride + 1
+        if h_out < 1 or w_out < 1:
+            raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
+        active = x.any(axis=1)
+        ever = np.zeros((h + 2 * padding, wd + 2 * padding), dtype=bool)  # the sites active at any step
+        ever[padding : padding + h, padding : padding + wd] = active.any(axis=0)
+        across = np.zeros((h + 2 * padding, w_out), dtype=bool)
+        for kx in range(kw):
+            across |= ever[:, kx : kx + stride * w_out : stride]
+        reached = np.zeros((h_out, w_out), dtype=bool)
+        for ky in range(kh):
+            reached |= across[ky : ky + stride * h_out : stride]
+        self.live, self.hw = np.flatnonzero(reached), (h_out, w_out)
+        self.n_steps, self.n_rows = n, len(self.live) + 1
+        t, site = np.divmod(np.flatnonzero(active), h * wd)
+        ys, xs = np.divmod(site, wd)
+        phase = (ys + padding) % stride * stride + (xs + padding) % stride
+        order = np.argsort(phase, kind="stable")
+        t, ys, xs = t[order], ys[order], xs[order]
+        bounds = np.searchsorted(phase[order], np.arange(stride * stride + 1)).tolist()
+        self.rows = x[t, :, ys, xs]  # [S, C_in]
+        # the output row of every tap's (y, x) in a grid with a border wide
+        # enough for the taps that leave the output; each step has its own rows
+        # and, after them, a trash row that the border and the non-live sites map to
+        top, left = max(0, -((padding - kh + 1) // stride)), max(0, -((padding - kw + 1) // stride))
+        hp = max(h_out, (h - 1 + padding) // stride + 1) + top
+        wp = max(w_out, (wd - 1 + padding) // stride + 1) + left
+        row_of = np.full(hp * wp, self.n_rows, dtype=np.intp)
+        live_y, live_x = np.divmod(self.live, w_out)
+        row_of[(live_y + top) * wp + live_x + left] = np.arange(len(self.live))
+        at_y = ((ys[None] + padding - np.arange(kh)[:, None]) // stride + top) * wp  # [K, S]
+        at_x = (xs[None] + padding - np.arange(kw)[:, None]) // stride + left
+        step_row = t * (self.n_rows + 1)
+        self.taps = []  # (ky, kx, the group's rows as a slice, their output rows), in (ky, kx) order
+        for ky in range(kh):
+            cells = step_row + row_of.take(at_y[ky] + at_x)  # [K, S]: each site's row at tap (ky, kx)
+            for kx in range(kw):
+                group = ky % stride * stride + kx % stride
+                a, b = bounds[group], bounds[group + 1]
+                if a < b:
+                    self.taps.append((ky, kx, slice(a, b), cells[kx, a:b]))
+
+    def conv(self, w: np.ndarray) -> np.ndarray:
+        """The conv with weights ``w`` [C_out, C_in, KH, KW], computed in
+        their dtype, as [N, L+1, C_out] rows: one per live site, then an
+        all-zero row for every other site. Each tap multiplies its rows by
+        ``w[:, :, ky, kx].T``, adds the rows of the output cells they reach
+        and puts the sums back. Within one tap no two sites share an output
+        cell, so each cell is written once per tap, and every cell starts at
+        0 and sums its taps in (ky, kx) order."""
+        if w.ndim != 4:
+            raise ShapeError(f"rulebook conv takes 4-D weights, got {w.ndim}-D")
+        c_out, c_w = w.shape[:2]
+        if c_w != self.c_in:
+            raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {self.c_in}")
+        if w.shape[2:] != self.kernel:
+            raise ShapeError(f"weights have a {w.shape[2:]} kernel, the rulebook was built for {self.kernel}")
+        rows = self.rows.astype(w.dtype, copy=False)
+        buf = np.zeros((self.n_steps, self.n_rows + 1, c_out), dtype=w.dtype)
+        flat = buf.reshape(-1, c_out)
+        whole_rows = flat.view(np.dtype((np.void, c_out * buf.itemsize)))  # a row as one item, for put
+        for ky, kx, group, cells in self.taps:
+            acc = rows[group] @ w[:, :, ky, kx].T
+            acc += flat.take(cells, axis=0)
+            whole_rows.put(cells, acc.view(whole_rows.dtype))
+        return buf[:, : self.n_rows]
+
+
 def _event_forward(x: np.ndarray, block: SNNBlock, context: str) -> np.ndarray:
     """Boolean spikes [T, C_out, H', W'] of ``block`` in inference on ``x``
-    [T, C_in, H, W]: the rulebook conv in the weights' dtype, then the
-    inference neurons (``_float_lif``) at the live sites and on one quiet
-    trajectory per channel. A non-finite weight raises NumericError naming
-    ``context`` even on a silent window, which never meets the weights."""
+    [T, C_in, H, W]: the rulebook of ``x`` for the block's conv, then
+    ``_event_spikes``."""
+    book = _Rulebook(x, block.conv_w.shape[2:], block.cfg.stride, block.cfg.padding)
+    return _event_spikes(book, block, context)
+
+
+def _event_spikes(book: _Rulebook, block: SNNBlock, context: str) -> np.ndarray:
+    """Boolean spikes of ``block`` on the input that ``book`` was built
+    from: the rulebook conv in the weights' dtype, then the inference
+    neurons (``_float_lif``) at the live sites and on one quiet trajectory
+    per channel. A non-finite weight raises NumericError naming ``context``
+    even on a silent window, which never meets the weights."""
     w = block.conv_w.data
     if not np.isfinite(w).all():
         raise NumericError(f"non-finite conv weights in {context}")
     with np.errstate(invalid="ignore"):  # a non-finite input's membrane raises, naming its step
-        y, live, hw, _ = _rulebook_conv(x, w, block.cfg.stride, block.cfg.padding)
-        return _live_membranes(_float_lif(y, block, context), live, hw)
-
-
-def _rulebook_conv(
-    x: np.ndarray, w: np.ndarray, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int], np.ndarray]:
-    """Conv of the sites of ``x`` [N, C_in, H, W] that hold input, computed in
-    the dtype of the weights ``w`` [C_out, C_in, K, K], stored only at the
-    output sites it reaches.
-
-    The active sites are the (t, y, x) positions with any nonzero channel.
-    The live output sites are the flat H'*W' sites that some in-bounds tap
-    of an active site reaches at some step; they are found from the tap
-    geometry first. Tap (ky, kx) of a site lands on the stride grid only
-    when (y + padding) % stride == ky % stride, and likewise in x, so the
-    sites are grouped by that phase and each tap reads one group's rows as
-    a slice. The tap multiplies those rows by ``w[:, :, ky, kx].T``, adds
-    the rows of the output cells they reach and puts the sums back; a tap
-    that leaves the output lands on its step's trash row, which the output
-    leaves out. Within one tap no two sites share an output cell, so each
-    cell is written once per tap, and every cell starts at 0 and sums its
-    taps in (ky, kx) order. Returns the [N, L+1, C_out] output (one row per
-    live site, then an all-zero row for every other site), the sorted
-    ``live`` sites, the output (H', W'), and the gathered [S, C_in] input
-    rows.
-    """
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"rulebook conv takes 4-D input and weights, got {x.ndim}-D and {w.ndim}-D")
-    n, c_in, h, wd = x.shape
-    c_out, c_w, kh, kw = w.shape
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"rulebook conv needs stride >= 1 and padding >= 0, got {stride} and {padding}")
-    if c_w != c_in:
-        raise ShapeError(f"weight channel axis expects {c_w} input channels, input has {c_in}")
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (wd + 2 * padding - kw) // stride + 1
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"rulebook conv output spatial axis empty: ({h_out}, {w_out})")
-    active = x.any(axis=1)
-    ever = np.zeros((h + 2 * padding, wd + 2 * padding), dtype=bool)  # the sites active at any step
-    ever[padding : padding + h, padding : padding + wd] = active.any(axis=0)
-    across = np.zeros((h + 2 * padding, w_out), dtype=bool)
-    for kx in range(kw):
-        across |= ever[:, kx : kx + stride * w_out : stride]
-    reached = np.zeros((h_out, w_out), dtype=bool)
-    for ky in range(kh):
-        reached |= across[ky : ky + stride * h_out : stride]
-    live = np.flatnonzero(reached)
-    n_rows = len(live) + 1
-    t, site = np.divmod(np.flatnonzero(active), h * wd)
-    ys, xs = np.divmod(site, wd)
-    phase = (ys + padding) % stride * stride + (xs + padding) % stride
-    order = np.argsort(phase, kind="stable")
-    t, ys, xs = t[order], ys[order], xs[order]
-    bounds = np.searchsorted(phase[order], np.arange(stride * stride + 1)).tolist()
-    rows = x[t, :, ys, xs].astype(w.dtype)  # [S, C_in]
-    # the output row of every tap's (y, x) in a grid with a border wide
-    # enough for the taps that leave the output; each step has its own rows
-    # and, after them, a trash row that the border and the non-live sites map to
-    top, left = max(0, -((padding - kh + 1) // stride)), max(0, -((padding - kw + 1) // stride))
-    hp = max(h_out, (h - 1 + padding) // stride + 1) + top
-    wp = max(w_out, (wd - 1 + padding) // stride + 1) + left
-    row_of = np.full(hp * wp, n_rows, dtype=np.intp)
-    live_y, live_x = np.divmod(live, w_out)
-    row_of[(live_y + top) * wp + live_x + left] = np.arange(len(live))
-    at_y = ((ys[None] + padding - np.arange(kh)[:, None]) // stride + top) * wp  # [K, S]
-    at_x = (xs[None] + padding - np.arange(kw)[:, None]) // stride + left
-    step_row = t * (n_rows + 1)
-    buf = np.zeros((n, n_rows + 1, c_out), dtype=w.dtype)
-    flat = buf.reshape(-1, c_out)
-    whole_rows = flat.view(np.dtype((np.void, c_out * buf.itemsize)))  # a row as one item, for put
-    for ky in range(kh):
-        cells = step_row + row_of.take(at_y[ky] + at_x)  # [K, S]: each site's row at tap (ky, kx)
-        for kx in range(kw):
-            group = ky % stride * stride + kx % stride
-            a, b = bounds[group], bounds[group + 1]
-            if a < b:
-                acc = rows[a:b] @ w[:, :, ky, kx].T
-                acc += flat.take(cells[kx, a:b], axis=0)
-                whole_rows.put(cells[kx, a:b], acc.view(whole_rows.dtype))
-    return buf[:, :n_rows], live, (h_out, w_out), rows
+        return _live_membranes(_float_lif(book.conv(w), block, context), book.live, book.hw)
 
 
 def _live_membranes(fired: np.ndarray, live: np.ndarray, hw: tuple[int, int]) -> np.ndarray:

@@ -171,7 +171,7 @@ class TestReadWrite:
         rec["t"] = 2**63 + 5
         path = tmp_path / "late.evs"
         path.write_bytes(EVS_HEADER.pack(EVS_MAGIC, 8, 8, 1) + rec.tobytes())
-        with pytest.raises(DataFormatError, match="event 0 has timestamp 9223372036854775813 past the int64"):
+        with pytest.raises(DataFormatError, match=r"late\.evs: event 0 has timestamp 9223372036854775813 past"):
             read_events(path)
 
     def test_evs_shorter_than_header(self, tmp_path):

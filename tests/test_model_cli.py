@@ -462,7 +462,7 @@ class TestCLI:
             tmp_path,
         )
         assert res.returncode == 3
-        assert "error[data]: event 0 has timestamp 9223372036854775813 past the int64 range" in res.stderr
+        assert f"error[data]: {events}: event 0 has timestamp 9223372036854775813 past the int64 range" in res.stderr
         assert not (tmp_path / "infer").exists()
 
     def test_quantize_fidelity(self, cli_workspace):

@@ -14,6 +14,7 @@ from evhybrid.config import RunConfig
 from evhybrid.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from evhybrid.model import HybridModel
 from evhybrid.numerics import WIDE, GradTape, Tensor, ops
+from evhybrid import quantize, snn
 from evhybrid.quantize import (
     FixedPointBlock,
     FixedPointModel,
@@ -26,6 +27,7 @@ from evhybrid.quantize import (
     int_conv2d,
     load_quantized,
     quantize_per_channel,
+    reference_layers,
     run_quantize,
     save_quantized,
 )
@@ -225,6 +227,50 @@ class TestIntConv:
     def test_inexact_float64_bound_rejected(self):
         x = np.full((1, 1, 3, 3), 2**45, dtype=np.int64)
         w = np.full((1, 1, 3, 3), 127, dtype=np.int8)
+        with pytest.raises(NumericError, match="2\\*\\*53"):
+            int_conv2d(x, w, stride=1, padding=1)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        stride=st.sampled_from([1, 2]),
+        padding=st.sampled_from([0, 1]),
+        h=st.integers(3, 7),
+        w=st.integers(3, 7),
+        margin=st.integers(0, 3),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_float64_products_exact_just_below_2_53(self, seed, stride, padding, h, w, margin, sparse):
+        # the taps run as float64 products, exact while x_peak * max_c sum|w|
+        # stays below 2**53; every channel's weights sum to 0, so a cell whose
+        # taps all read input near the peak cancels terms near 2**53 to a
+        # small value, which a rounded product or sum would move
+        rng = np.random.default_rng(seed)
+        wt = rng.integers(-127, 128, (3, 2, 3, 3))
+        wt[:, 0, 0, 0] -= wt.reshape(3, -1).sum(axis=1)
+        w_sum = int(np.abs(wt).reshape(3, -1).sum(axis=1).max())
+        peak = (2**53 - 1) // w_sum - margin
+        assert 2**53 - (margin + 1) * w_sum <= peak * w_sum < 2**53
+        x = peak - rng.integers(0, 4, (2, 2, h, w))
+        if sparse:
+            x *= rng.random((2, 1, h, w)) < 0.5
+        x[0, 0, 0, 0] = peak
+        rows, live, hw, over = int_conv2d(x, wt, stride=stride, padding=padding)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+        want = np.einsum("nchwij,ocij->nhwo", win, wt)  # int64, exact below 2**63
+        limit = 2**31 - 1
+        assert over == np.count_nonzero(np.abs(want) > limit)
+        np.testing.assert_array_equal(dense_conv_output(rows, live, hw), np.clip(want, -limit, limit))
+
+    def test_bound_of_exactly_2_53_rejected(self):
+        w = np.zeros((1, 1, 3, 3), dtype=np.int64)
+        w[0, 0, 1, 1] = 8
+        x = np.zeros((1, 1, 3, 3), dtype=np.int64)
+        x[0, 0, 1, 1] = 2**50 - 1  # bound 2**53 - 8: runs, and saturates
+        rows, live, hw, over = int_conv2d(x, w, stride=1, padding=1)
+        assert over == 1 and dense_conv_output(rows, live, hw)[0, 1, 1, 0] == 2**31 - 1
+        x[0, 0, 1, 1] = 2**50
         with pytest.raises(NumericError, match="2\\*\\*53"):
             int_conv2d(x, w, stride=1, padding=1)
 
@@ -902,3 +948,61 @@ class TestEventDrivenInference:
         finally:
             tracemalloc.stop()
         assert out.data.any() and peak < dense_output
+
+
+def _quantize_windows(rng):
+    """A sparse window, a silent one, and one whose layer-1 conv leaves the
+    int32 range at every width."""
+    sparse = rng.binomial(3, 0.05, (6, 2, 16, 16)).astype(np.int64)
+    loud = np.zeros((6, 2, 16, 16), dtype=np.int64)
+    loud[2, :, 5:8, 5:8] = 2**31
+    return [sparse, np.zeros_like(sparse), loud]
+
+
+class TestSharedRulebook:
+    """``run_quantize`` without ``ref_layers`` builds each window's layer-1
+    rulebook once, for the float reference and the fixed-point forward."""
+
+    @pytest.mark.parametrize("bits", [8, 6, 4, 2])
+    def test_shared_and_separate_paths_agree(self, bits, monkeypatch):
+        rng = np.random.default_rng(bits)
+        model = _firing_model(rng, ["4c3p1s2", "6c3p1s1"])
+        windows = _quantize_windows(rng)
+        fpm_sep, rep_sep = run_quantize(model, bits, windows, ref_layers=reference_layers(model, windows))
+        collected = []
+        compare = quantize.fidelity_from_layers
+
+        def collect(refs, tests, names):
+            collected.append((refs, tests))
+            return compare(refs, tests, names)
+
+        monkeypatch.setattr(quantize, "fidelity_from_layers", collect)
+        fpm, rep = run_quantize(model, bits, windows)
+        assert rep == rep_sep and rep.match_rate < 1.0
+        assert fpm.overflow_count == fpm_sep.overflow_count > 0
+        (refs, tests), = collected
+        alone = FixedPointModel.from_model(model, bits)
+        want_refs = [layer for counts in windows for layer in float_reference_spikes(model, counts, True)]
+        want_tests = [layer for counts in windows for layer in fixed_point_forward(counts, alone, True)]
+        assert len(refs) == len(want_refs) == len(tests) == len(want_tests) == 6
+        for got, want in zip(refs + tests, want_refs + want_tests):
+            np.testing.assert_array_equal(got, want)
+        assert alone.overflow_count == fpm.overflow_count
+
+    def test_one_rulebook_build_per_window_and_layer(self, monkeypatch):
+        model = _firing_model(np.random.default_rng(5), ["4c3p1s2", "6c3p1s1"])
+        window = [_quantize_windows(np.random.default_rng(5))[0]]
+        refs = reference_layers(model, window)
+        builds = []
+        build = snn._Rulebook.__init__
+
+        def counted(self, *args):
+            builds.append(args[0].shape)
+            build(self, *args)
+
+        monkeypatch.setattr(snn._Rulebook, "__init__", counted)
+        run_quantize(model, 8, window)
+        assert len(builds) == 3  # layer 1 once, layer 2 once per path
+        builds.clear()
+        run_quantize(model, 8, window, ref_layers=refs)
+        assert len(builds) == 2
